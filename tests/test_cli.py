@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from primespan import verify_gap_interval, verify_theorem3
 from primespan.cli import dispatch, emit_compare, emit_report, emit_reports
 from primespan.verify import compare_rules
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -76,6 +79,7 @@ def test_verify_all_small(capsys):
                       "GapUpper", "Prop4", "Prop6", "NthPrimeBounds",
                       "L1", "L2", "L3"]
     assert "holds=False" in obj["summary"]
+    assert out == (GOLDEN / "verify_all_small.json").read_text(encoding="utf-8")
 
 
 def test_verify_out_file(tmp_path, capsys):
