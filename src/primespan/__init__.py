@@ -13,9 +13,9 @@ from .bounds import (EXP_EULER_GAMMA, RULES, IntervalRule, LogBase, Margin,
 from .errors import (CapacityError, CeilingAmbiguityError, PrimespanError,
                      ThresholdError)
 from .sieve import (DEFAULT_SEGMENT_SIZE, GapRecord, Interval, PrimeTable,
-                    count_primes_in, iter_prime_blocks, iterate_gaps,
-                    log_primorial, max_gap_up_to, nth_prime, prime_count,
-                    sieve_range)
+                    count_primes_in, iter_prime_blocks, iter_prime_pairs,
+                    iterate_gaps, log_primorial, max_gap_up_to, nth_prime,
+                    prime_count, sieve_range)
 from .verify import (VIOLATION_CAP, ClaimId, ClaimReport, CompareRow,
                      CompareTable, Violation, compare_rules,
                      verify_basic_props, verify_firoozbakht,
@@ -32,7 +32,8 @@ __all__ = [
     "ThresholdError",
     # sieve
     "DEFAULT_SEGMENT_SIZE", "PrimeTable", "Interval", "GapRecord",
-    "sieve_range", "iter_prime_blocks", "prime_count", "nth_prime",
+    "sieve_range", "iter_prime_blocks", "iter_prime_pairs", "prime_count",
+    "nth_prime",
     "count_primes_in", "iterate_gaps", "max_gap_up_to", "log_primorial",
     # bounds
     "EXP_EULER_GAMMA", "LogBase", "Margin", "f_of_k", "f_of_k_array",

@@ -10,8 +10,10 @@ that produced it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import mpmath
 import numpy as np
@@ -32,7 +34,8 @@ class LogBase(str, Enum):
     TEN = "log10"
 
     def fn(self):
-        return math.log if self is LogBase.NAT else math.log10
+        """The numpy logarithm in this base; it takes scalars and arrays."""
+        return np.log if self is LogBase.NAT else np.log10
 
 
 @dataclass(frozen=True)
@@ -76,17 +79,28 @@ def f_of_k(k: int, *, recheck: bool = True) -> int:
     return math.ceil(x)
 
 
+@cache
+def _f_start(v: int) -> int:
+    """The least k >= 1 with f_of_k(k) >= v, by bisection (f is nondecreasing)."""
+    return 1 + bisect_left(range(1, 2**63), v, key=f_of_k)
+
+
 def f_of_k_array(k) -> np.ndarray:
-    """Vectorized f_of_k over an int array; near-integer cases take the scalar path."""
+    """f_of_k over an int64 array, looked up among the breakpoints of the scalar f_of_k.
+
+    f(1) = 2 and f steps up by at most one per k, so f(k) is 2 plus the
+    number of breakpoints at or below k.  The breakpoints up to f(k.max())
+    are found by bisection on first use and cached.
+    """
     k = np.asarray(k, dtype=np.int64)
-    if k.size and int(k.min()) < 1:
+    if k.size == 0:
+        return np.zeros(k.shape, dtype=np.int64)
+    if int(k.min()) < 1:
         raise ValueError("k must be >= 1")
-    x = 1.1 * np.log(2.5 * k)
-    out = np.ceil(x).astype(np.int64)
-    near = np.abs(x - np.round(x)) < CEIL_GUARD
-    if near.any():
-        for i in np.flatnonzero(near).tolist():
-            out[i] = f_of_k(int(k[i]))
+    starts = np.array([_f_start(v) for v in range(3, f_of_k(int(k.max())) + 1)],
+                      dtype=np.int64)
+    out = np.searchsorted(starts, k, side="right")
+    out += 2
     return out
 
 
@@ -97,21 +111,33 @@ def s_index(k: int) -> int:
     return f_of_k(k) - 1
 
 
+def mps_upper_bound_array(n: np.ndarray, k: int) -> np.ndarray:
+    """kn/9 + k^2 over an int64 array n."""
+    return k * n / 9.0 + k * k
+
+
 def mps_upper_bound(n: int, k: int) -> float:
     """Upper bound kn/9 + k^2 on the prime count between n and kn."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return k * n / 9 + k * k
+    return float(mps_upper_bound_array(np.array([n], dtype=np.int64), k)[0])
+
+
+def nth_prime_bounds_array(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n*ln(n*ln(n)/e) and n*ln(n*ln(n)) over an int64 array n."""
+    nf = n.astype(np.float64)
+    u = np.log(nf * np.log(nf))
+    return nf * (u - 1.0), nf * u
 
 
 def nth_prime_bounds(n: int) -> tuple[float, float]:
     """Bracket n*ln(n*ln(n)/e) < p_n < n*ln(n*ln(n)), valid from n = 6."""
     if n < 6:
         raise ValueError(f"n must be >= 6, got {n}")
-    u = math.log(n * math.log(n))
-    return n * (u - 1.0), n * u
+    lower, upper = nth_prime_bounds_array(np.array([n], dtype=np.int64))
+    return float(lower[0]), float(upper[0])
 
 
 def firoozbakht_rhs(p_n: int, n: int) -> float:
@@ -123,12 +149,17 @@ def firoozbakht_rhs(p_n: int, n: int) -> float:
     return math.exp((1.0 + 1.0 / n) * math.log(p_n))
 
 
+def gap_upper_bound_array(p_n: np.ndarray) -> np.ndarray:
+    """(ln p_n)^2 - ln p_n over an int64 array of primes."""
+    ln = np.log(p_n.astype(np.float64))
+    return ln * ln - ln
+
+
 def gap_upper_bound(p_n: int) -> float:
     """(ln p_n)^2 - ln p_n, the gap bound for indices n > 4 (p_n >= 11)."""
     if p_n < 11:
         raise ValueError(f"p_n must be >= 11 (index n > 4), got {p_n}")
-    ln = math.log(p_n)
-    return ln * ln - ln
+    return float(gap_upper_bound_array(np.array([p_n], dtype=np.int64))[0])
 
 
 def gap_lower_heuristic(p_n: int, eps: float) -> float:
@@ -201,10 +232,25 @@ def rule_g(rule: IntervalRule, n: int) -> float:
     raise ValueError(f"unknown rule {rule.name!r}")
 
 
-def _nth(m: int, primes) -> int:
-    if primes is None:
-        return nth_prime(m)
-    return int(primes[m - 1])
+def lemma_lhs_array(p_m: np.ndarray, base: LogBase) -> np.ndarray:
+    """|L(p_m)^2 - L(p_m)| over an int64 array of primes, the left side of L1 and L2."""
+    lv = base.fn()(p_m.astype(np.float64))
+    return np.abs(lv * lv - lv)
+
+
+def lemma_rhs_array(k, r, fk, p_m) -> np.ndarray:
+    """(k+4+r)(f(k)+1) - p_m over broadcast int64 arrays, the right side of L2.
+
+    L1 is the case r = -3, where m = f(k) + k - 3 and the factor is k + 1.
+    """
+    return ((k + 4 + r) * (fk + 1) - p_m).astype(np.float64)
+
+
+def _lemma_margin(k: int, r: int, base: LogBase, primes) -> Margin:
+    fk = f_of_k(k)
+    m = fk + k + r
+    p = np.array([nth_prime(m) if primes is None else primes[m - 1]], dtype=np.int64)
+    return Margin.of(lemma_lhs_array(p, base)[0], lemma_rhs_array(k, r, fk, p)[0], base)
 
 
 def lemma1_margin(k: int, base: LogBase = LogBase.NAT, *, primes=None) -> Margin:
@@ -215,10 +261,7 @@ def lemma1_margin(k: int, base: LogBase = LogBase.NAT, *, primes=None) -> Margin
     """
     if k < 5:
         raise ValueError(f"k must be >= 5, got {k}")
-    fk = f_of_k(k)
-    p = _nth(fk + k - 3, primes)
-    lv = base.fn()(p)
-    return Margin.of(abs(lv * lv - lv), float((k + 1) * (fk + 1) - p), base)
+    return _lemma_margin(k, -3, base, primes)
 
 
 def lemma2_margin(k: int, r: int, base: LogBase = LogBase.NAT, *, primes=None) -> Margin:
@@ -227,25 +270,29 @@ def lemma2_margin(k: int, r: int, base: LogBase = LogBase.NAT, *, primes=None) -
         raise ValueError(f"k must be >= 5, got {k}")
     if r < -2:
         raise ValueError(f"r must be >= -2, got {r}")
-    fk = f_of_k(k)
-    p = _nth(fk + k + r, primes)
-    lv = base.fn()(p)
-    return Margin.of(abs(lv * lv - lv), float((k + 4 + r) * (fk + 1) - p), base)
+    return _lemma_margin(k, r, base, primes)
+
+
+def lemma3_rhs_array(n: np.ndarray, base: LogBase) -> np.ndarray:
+    """(2n/9 + 4) * L(n*ln(n*ln n))^2 over an int64 array n, the right side of L3."""
+    lv = base.fn()(nth_prime_bounds_array(n)[1])
+    return (2.0 * n.astype(np.float64) / 9.0 + 4.0) * lv * lv
 
 
 def lemma3_margin(n: int, base: LogBase = LogBase.TEN) -> Margin:
     """n < (2n/9 + 4) * L(n*ln(n*ln n))^2 for n >= 5, base-10 log by default."""
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
-    upper = n * math.log(n * math.log(n))
-    lv = base.fn()(upper)
-    return Margin.of(float(n), (2 * n / 9 + 4) * lv * lv, base)
+    return Margin.of(float(n), lemma3_rhs_array(np.array([n], dtype=np.int64), base)[0],
+                     base)
 
 
 __all__ = [
     "LogBase", "Margin", "RuleName", "IntervalRule", "RULES",
     "EXP_EULER_GAMMA", "CEIL_GUARD",
-    "f_of_k", "f_of_k_array", "s_index", "mps_upper_bound", "nth_prime_bounds",
-    "firoozbakht_rhs", "gap_upper_bound", "gap_lower_heuristic", "rule_g",
-    "lemma1_margin", "lemma2_margin", "lemma3_margin",
+    "f_of_k", "f_of_k_array", "s_index", "mps_upper_bound", "mps_upper_bound_array",
+    "nth_prime_bounds", "nth_prime_bounds_array", "firoozbakht_rhs",
+    "gap_upper_bound", "gap_upper_bound_array", "gap_lower_heuristic", "rule_g",
+    "lemma1_margin", "lemma2_margin", "lemma3_margin", "lemma_lhs_array",
+    "lemma_rhs_array", "lemma3_rhs_array",
 ]

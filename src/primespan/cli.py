@@ -14,49 +14,21 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .bounds import RULES, IntervalRule, RuleName
 from .errors import PrimespanError, ThresholdError
 from .sieve import (DEFAULT_SEGMENT_SIZE, Interval, count_primes_in,
                     iter_prime_blocks, iterate_gaps, max_gap_up_to, nth_prime)
-from .verify import (VIOLATION_CAP, ClaimReport, CompareTable, compare_rules,
-                     verify_basic_props, verify_firoozbakht,
-                     verify_gap_interval, verify_gap_upper, verify_lemmas,
-                     verify_theorem1, verify_theorem2, verify_theorem3)
+from .verify import (CLAIMS, VIOLATION_CAP, ClaimReport, CompareTable,
+                     compare_rules)
 
-# desk-scale defaults per claim; flags raise limits
-_CLAIM_DEFAULTS = {
-    "t1": {"k_max": 100, "n_max": 10_000},
-    "t2": {"k_max": 50, "n_max": 10_000},
-    "t3": {"k_max": 1_000_000},
-    "gap-interval": {"n_max": 10_000_000},
-    "firoozbakht": {"limit": 100_000_000},
-    "gap-upper": {"limit": 100_000_000},
-    "props": {"limit": 1_000_000},
-    "lemmas": {"k_max": 10_000, "r_max": 100, "n_max": 1_000_000},
+# what each claim parameter bounds, for the verify flags' help
+_PARAM_HELP = {
+    "k_max": "largest k",
+    "n_max": "largest n",
+    "r_max": "largest r",
+    "limit": "prime ceiling, or prime index ceiling for props",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag bundle for one invocation."""
-
-    command: str
-    claim: str | None = None
-    k_max: int | None = None
-    n_max: int | None = None
-    r_max: int | None = None
-    limit: int | None = None
-    boundary: str = "open"
-    segment_size: int = DEFAULT_SEGMENT_SIZE
-    workers: int = 1
-    cap: int = VIOLATION_CAP
-    allow_large: bool = False
-    fmt: str = "text"
-    out: str | None = None
-    progress: bool | None = None
-    include_timing: bool = False
 
 
 def _cell(x) -> str:
@@ -190,46 +162,6 @@ def _positive(name: str, value: int | None) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
-def _merge_params(claim: str, cfg: RunConfig) -> dict:
-    """Per-claim parameters: explicit flags override the claim's defaults."""
-    params = {}
-    for field, default in _CLAIM_DEFAULTS[claim].items():
-        value = getattr(cfg, field)
-        params[field] = default if value is None else value
-        if field != "r_max":
-            _positive(f"--{field.replace('_', '-')}", params[field])
-    return params
-
-
-def _run_claim(claim: str, params: dict, cfg: RunConfig) -> tuple[ClaimReport, ...]:
-    common = {
-        "workers": cfg.workers,
-        "segment_size": cfg.segment_size,
-        "cap": cfg.cap,
-        "allow_large": cfg.allow_large,
-        "progress": cfg.progress,
-    }
-    if claim == "t1":
-        return (verify_theorem1(params["k_max"], params["n_max"],
-                                cfg.boundary, **common),)
-    if claim == "t2":
-        return (verify_theorem2(params["k_max"], params["n_max"], **common),)
-    if claim == "t3":
-        return (verify_theorem3(params["k_max"], **common),)
-    if claim == "gap-interval":
-        return (verify_gap_interval(params["n_max"], cfg.boundary, **common),)
-    if claim == "firoozbakht":
-        return (verify_firoozbakht(params["limit"], **common),)
-    if claim == "gap-upper":
-        return (verify_gap_upper(params["limit"], **common),)
-    if claim == "props":
-        return verify_basic_props(params["limit"], **common)
-    if claim == "lemmas":
-        return verify_lemmas(params["k_max"], params["r_max"],
-                             params["n_max"], **common)
-    raise ValueError(f"unknown claim {claim!r}")
-
-
 def _write_output(payload: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload.decode("utf-8"))
@@ -239,28 +171,34 @@ def _write_output(payload: bytes, out: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
-    cfg = RunConfig(
-        command="verify", claim=args.claim, k_max=args.k_max, n_max=args.n_max,
-        r_max=args.r_max, limit=args.limit, boundary=args.boundary,
-        segment_size=args.segment_size, workers=args.workers, cap=args.cap,
-        allow_large=args.allow_large, fmt=args.format, out=args.out,
-        progress=args.progress, include_timing=args.include_timing)
-    _positive("--workers", cfg.workers)
-    if cfg.cap < 0:
-        raise ValueError(f"--cap must be >= 0, got {cfg.cap}")
-    names = list(_CLAIM_DEFAULTS) if cfg.claim == "all" else [cfg.claim]
-    # validate every claim's parameters before any computation starts
-    plans = [(name, _merge_params(name, cfg)) for name in names]
+    _positive("--workers", args.workers)
+    if args.cap < 0:
+        raise ValueError(f"--cap must be >= 0, got {args.cap}")
+    # merge and check every claim's parameters before any computation starts;
+    # explicit flags override the claim's defaults
+    plans = []
+    for spec in CLAIMS:
+        if args.claim not in ("all", spec.name):
+            continue
+        params = {}
+        for field, default in spec.params.items():
+            value = getattr(args, field)
+            params[field] = default if value is None else value
+            if field != "r_max":  # r starts at -2
+                _positive(f"--{field.replace('_', '-')}", params[field])
+        plans.append((spec, params))
     reports: list[ClaimReport] = []
-    for name, params in plans:
-        batch = _run_claim(name, params, cfg)
+    for spec, params in plans:
+        batch = spec.run(params, args.boundary, workers=args.workers,
+                         segment_size=args.segment_size, cap=args.cap,
+                         allow_large=args.allow_large, progress=args.progress)
         for r in batch:
             print(f"# {r.claim_id.value} elapsed {r.elapsed:.2f}s",
                   file=sys.stderr)
         reports.extend(batch)
-    payload = emit_reports(reports, cfg.fmt, include_timing=cfg.include_timing)
-    if cfg.out is not None:
-        _write_output(payload, cfg.out)
+    payload = emit_reports(reports, args.format, include_timing=args.include_timing)
+    if args.out is not None:
+        _write_output(payload, args.out)
         for r in reports:
             print(f"summary: {_summary_text(r)}")
     else:
@@ -366,22 +304,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="exhaustively verify one claim or all")
-    pv.add_argument("claim", choices=[*_CLAIM_DEFAULTS, "all"],
+    pv.add_argument("claim", choices=[*(c.name for c in CLAIMS), "all"],
                     help="claim to check")
-    pv.add_argument("--k-max", type=int, default=None,
-                    help="largest k (t1 default 100, t2 50, t3 1000000, "
-                         "lemmas 10000)")
-    pv.add_argument("--n-max", type=int, default=None,
-                    help="largest n (t1/t2 default 10000, gap-interval "
-                         "10000000, lemmas 1000000)")
-    pv.add_argument("--r-max", type=int, default=None,
-                    help="largest r for lemmas (default 100)")
-    pv.add_argument("--limit", type=int, default=None,
-                    help="prime ceiling (firoozbakht/gap-upper default "
-                         "100000000) or index ceiling (props default 1000000)")
+    for field, what in _PARAM_HELP.items():
+        defaults = ", ".join(f"{c.name} {c.params[field]}"
+                             for c in CLAIMS if field in c.params)
+        pv.add_argument(f"--{field.replace('_', '-')}", type=int, default=None,
+                        help=f"{what} (default {defaults})")
     pv.add_argument("--boundary", choices=["open", "closed"], default="open",
-                    help="interval convention for t1 and gap-interval "
-                         "(default %(default)s)")
+                    help="interval convention for "
+                         + " and ".join(c.name for c in CLAIMS if c.boundary)
+                         + " (default %(default)s)")
     pv.add_argument("--cap", type=int, default=VIOLATION_CAP,
                     help="max violations kept per claim (default %(default)s)")
     pv.add_argument("--format", choices=["text", "csv", "json"],
@@ -455,5 +388,4 @@ def main() -> None:
     sys.exit(dispatch())
 
 
-__all__ = ["RunConfig", "dispatch", "main", "emit_report", "emit_reports",
-           "emit_compare"]
+__all__ = ["dispatch", "main", "emit_report", "emit_reports", "emit_compare"]

@@ -288,6 +288,35 @@ def iter_prime_blocks(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_S
         yield np.array([2], dtype=np.int64)
 
 
+def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
+                     workers: int = 1, allow_large: bool = False
+                     ) -> Iterator[tuple[int, np.ndarray]]:
+    """Stream the consecutive prime pairs with p_next <= limit, one block per segment.
+
+    Yields (n0, pv) where pv[i] and pv[i + 1] are p_{n0+i} and p_{n0+i+1};
+    each block starts with the previous block's last prime, so every pair
+    appears exactly once and pv holds at least one pair.
+    """
+    carry = None
+    n0 = 1
+    for block in iter_prime_blocks(0, limit, segment_size=segment_size,
+                                   workers=workers, allow_large=allow_large):
+        pv = block if carry is None else np.concatenate((carry, block))
+        if pv.size >= 2:
+            yield n0, pv
+            n0 += pv.size - 1
+        carry = block[-1:]
+
+
+def _prime_bound(n: int) -> int:
+    """An integer above p_n, the n-th prime."""
+    if n < 6:
+        return 12
+    # p_n < n(ln n + ln ln n) for n >= 6
+    ln = math.log(n)
+    return int(n * (ln + math.log(ln))) + 2
+
+
 def prime_count(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
                 workers: int = 1, allow_large: bool = False) -> int:
     """pi(x): the number of primes <= x."""
@@ -307,12 +336,7 @@ def nth_prime(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return 2
-    if n < 6:
-        bound = 12
-    else:
-        # p_n < n(ln n + ln ln n) for n >= 6
-        ln = math.log(n)
-        bound = int(n * (ln + math.log(ln))) + 2
+    bound = _prime_bound(n)
     target = n - 1  # odd primes to skip past
     seen = 0
     for slot_start, buf in _iter_flag_chunks(0, bound, segment_size=segment_size,
@@ -343,15 +367,11 @@ def iterate_gaps(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     """Stream GapRecords for all consecutive prime pairs with p_next <= limit."""
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
-    prev = None
-    n = 0
-    for block in iter_prime_blocks(0, limit, segment_size=segment_size,
+    for n0, pv in iter_prime_pairs(limit, segment_size=segment_size,
                                    workers=workers, allow_large=allow_large):
-        for p in block.tolist():
-            if prev is not None:
-                n += 1
-                yield GapRecord(n, prev, p, p - prev)
-            prev = p
+        ps = pv.tolist()
+        for n, (p, q) in enumerate(zip(ps, ps[1:]), n0):
+            yield GapRecord(n, p, q, q - p)
 
 
 def max_gap_up_to(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -360,26 +380,12 @@ def max_gap_up_to(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     best = None  # (g, n, p, p_next)
-    carry = None
-    count_before = 0
-    for block in iter_prime_blocks(0, limit, segment_size=segment_size,
+    for n0, pv in iter_prime_pairs(limit, segment_size=segment_size,
                                    workers=workers, allow_large=allow_large):
-        if block.size == 0:
-            continue
-        if carry is None:
-            arr = block
-            idx0 = 1
-        else:
-            arr = np.concatenate((np.array([carry], dtype=np.int64), block))
-            idx0 = count_before
-        d = np.diff(arr)
-        if d.size:
-            i = int(np.argmax(d))  # first occurrence keeps the smallest n
-            g = int(d[i])
-            if best is None or g > best[0]:
-                best = (g, idx0 + i, int(arr[i]), int(arr[i + 1]))
-        count_before += int(block.size)
-        carry = int(block[-1])
+        d = np.diff(pv)
+        i = int(np.argmax(d))  # first occurrence keeps the smallest n
+        if best is None or d[i] > best[0]:
+            best = (int(d[i]), n0 + i, int(pv[i]), int(pv[i + 1]))
     if best is None:
         raise RuntimeError(f"no prime pair below {limit}")
     g, n, p, q = best
@@ -401,8 +407,8 @@ def log_primorial(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
 
 __all__ = [
     "PrimeTable", "Interval", "GapRecord",
-    "sieve_range", "iter_prime_blocks", "prime_count", "nth_prime",
-    "count_primes_in", "iterate_gaps", "max_gap_up_to", "log_primorial",
+    "sieve_range", "iter_prime_blocks", "iter_prime_pairs", "prime_count",
+    "nth_prime", "count_primes_in", "iterate_gaps", "max_gap_up_to", "log_primorial",
     "MIN_SEGMENT_SIZE", "DEFAULT_SEGMENT_SIZE", "DEFAULT_RANGE_LIMIT",
     "HARD_RANGE_LIMIT", "MEM_LIMIT_ENV",
 ]

@@ -16,17 +16,21 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from time import perf_counter
+from typing import Callable
 
 import mpmath
 import numpy as np
 
-from .bounds import (LogBase, IntervalRule, RuleName, RULES, f_of_k,
-                     f_of_k_array, rule_g)
+from .bounds import (LogBase, IntervalRule, RuleName, RULES, f_of_k, f_of_k_array,
+                     firoozbakht_rhs, gap_upper_bound_array, lemma3_rhs_array,
+                     lemma_lhs_array, lemma_rhs_array, mps_upper_bound_array,
+                     nth_prime_bounds_array, rule_g)
 from .errors import ThresholdError
-from .sieve import DEFAULT_SEGMENT_SIZE, iter_prime_blocks, sieve_range
+from .sieve import (DEFAULT_SEGMENT_SIZE, _plan, _prime_bound, iter_prime_blocks,
+                    iter_prime_pairs, sieve_range)
 
 VIOLATION_CAP = 1000
 _CHUNK_POINTS = 1 << 16
@@ -65,7 +69,10 @@ class ClaimReport:
     full count.  min_slack is the distance to violation at the tightest
     scanned point: rhs - lhs for real inequalities, and
     observed - required + 1 for integer counting claims.  elapsed is wall
-    time and is excluded from canonical serialized output.
+    time and is excluded from canonical serialized output; the props and
+    lemmas families split the time of their shared prime generation evenly
+    across their reports, so a batch's elapsed values sum to the call's
+    wall time.
     """
 
     claim_id: ClaimId
@@ -100,7 +107,11 @@ def _chunk_ranges(lo: int, hi: int, points_per_unit: int = 1) -> list[tuple[int,
 
 
 class _Progress:
-    """Chunk-level progress and ETA on stderr; stdout stays machine-parseable."""
+    """Step-level progress and ETA on stderr; stdout stays machine-parseable.
+
+    A step is a chunk of a parameter range, a sieve segment of a pair
+    stream, or one report of a family.
+    """
 
     def __init__(self, label: str, total: int, enabled: bool | None):
         self.label = label
@@ -108,38 +119,58 @@ class _Progress:
         self.enabled = sys.stderr.isatty() if enabled is None else enabled
         self.t0 = perf_counter()
         self.last = 0.0
+        self.done = 0
 
-    def update(self, done: int) -> None:
+    def tick(self) -> None:
+        self.done += 1
         if not self.enabled:
             return
+        done = self.done
         now = perf_counter()
         if done < self.total and now - self.last < 0.2:
             return
         self.last = now
-        elapsed = now - self.t0
-        eta = elapsed * (self.total - done) / done if done else 0.0
-        sys.stderr.write(f"\r{self.label}: chunk {done}/{self.total} "
+        eta = (now - self.t0) * (self.total - done) / done
+        sys.stderr.write(f"\r{self.label}: {done}/{self.total} "
                          f"({100 * done // self.total}%) eta {eta:.0f}s")
         if done >= self.total:
             sys.stderr.write("\n")
         sys.stderr.flush()
 
 
-def _run_ordered(fn, args_list, workers: int, progress: _Progress | None = None):
+def _run_ordered(fn, args_list, workers: int, progress: _Progress):
     """Apply fn over args_list with results in argument order for any worker count."""
     results = []
     if workers <= 1 or len(args_list) <= 1:
-        for i, a in enumerate(args_list):
+        for a in args_list:
             results.append(fn(a))
-            if progress:
-                progress.update(i + 1)
+            progress.tick()
         return results
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        for i, res in enumerate(ex.map(fn, args_list)):
+        for res in ex.map(fn, args_list):
             results.append(res)
-            if progress:
-                progress.update(i + 1)
+            progress.tick()
     return results
+
+
+def _scan_pairs(label: str, limit: int, block, *, cap: int, segment_size: int,
+                workers: int, allow_large: bool, progress: bool | None):
+    """Merge block(n0, pv) over the prime pairs up to limit; progress ticks per segment."""
+    prog = _Progress(label, len(_plan(0, limit, segment_size)[2]), progress)
+
+    def results():
+        for n0, pv in iter_prime_pairs(limit, segment_size=segment_size,
+                                       workers=workers, allow_large=allow_large):
+            yield block(n0, pv)
+            prog.tick()
+
+    return _merge(results(), cap)
+
+
+def _share_setup(reports: list[ClaimReport], t0: float) -> tuple[ClaimReport, ...]:
+    """Spread the wall time since t0 not yet in any report's elapsed evenly over them."""
+    extra = (perf_counter() - t0 - sum(r.elapsed for r in reports)) / len(reports)
+    return tuple(replace(r, elapsed=r.elapsed + extra) for r in reports)
 
 
 def _merge(results, cap: int):
@@ -246,7 +277,7 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
             ns = np.arange(1, n_max + 1, dtype=np.int64)
             cnt = (np.searchsorted(primes, k * ns, side="right")
                    - np.searchsorted(primes, ns, side="left"))
-            rhs = k * ns / 9.0 + float(k * k)
+            rhs = mps_upper_bound_array(ns, k)
             slack = rhs - cnt
             i = int(np.argmin(slack))
             s = float(slack[i])
@@ -342,21 +373,16 @@ def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
     prog = _Progress("GapInterval", len(chunks), progress)
     merged = _merge(_run_ordered(work, chunks, workers, prog), cap)
 
-    # lattice points n = k*f(k) <= n_max (k >= 2); f >= 2 bounds k by n_max/2
-    lattice_total = 0
-    lattice_bad = 0
-    if n_max >= 4:
-        ks = np.arange(2, n_max // 2 + 1, dtype=np.int64)
-        lat = ks * f_of_k_array(ks)
-        lat = np.unique(lat[lat <= n_max])
-        lattice_total = int(lat.size)
-        if lattice_total:
-            lattice_bad = int(np.count_nonzero(
-                _gap_interval_counts(primes, lat, boundary) < 1))
+    # lattice points n = k*f(k) <= n_max (k >= 2); f >= 2 bounds k by n_max/2,
+    # and k*f(k) is strictly increasing, so the points are sorted and distinct
+    ks = np.arange(2, n_max // 2 + 1, dtype=np.int64)
+    lat = ks * f_of_k_array(ks)
+    lat = lat[lat <= n_max]
+    lattice_bad = int(np.count_nonzero(_gap_interval_counts(primes, lat, boundary) < 1))
     notes = (
         "the blanket claim is expected to fail at small n; the violations "
         "listed are genuine findings",
-        f"lattice cross-check: {lattice_total} points n=k*f(k) in range, "
+        f"lattice cross-check: {lat.size} points n=k*f(k) in range, "
         f"{lattice_bad} violations among them",
         f"boundary={boundary}-{boundary}",
     )
@@ -383,50 +409,27 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     t0 = perf_counter()
-    violations: list[Violation] = []
-    total = 0
-    best = None
-    scanned = 0
     rechecked = 0
-    carry_p = None
-    carry_log = 0.0
-    idx = 0
-    for block in iter_prime_blocks(0, limit, segment_size=segment_size,
-                                   workers=workers, allow_large=allow_large):
-        if block.size == 0:
-            continue
-        logs = np.log(block.astype(np.float64))
-        if carry_p is None:
-            pv, lg, i0 = block, logs, 1
-        else:
-            pv = np.concatenate((np.array([carry_p], dtype=np.int64), block))
-            lg = np.concatenate((np.array([carry_log]), logs))
-            i0 = idx
-        if pv.size >= 2:
-            lp, lq = lg[:-1], lg[1:]
-            nn = np.arange(i0, i0 + pv.size - 1, dtype=np.int64)
-            rhs = (1.0 + 1.0 / nn.astype(np.float64)) * lp
-            slack = rhs - lq
-            i = int(np.argmin(slack))
-            s = float(slack[i])
-            if best is None or s < best[0]:
-                best = (s, f"n={int(nn[i])};p_n={int(pv[i])}")
-            for j in np.flatnonzero(slack <= 1e-12 * np.abs(rhs)).tolist():
-                n_j, p_j, q_j = int(nn[j]), int(pv[j]), int(pv[j + 1])
-                rechecked += 1
-                if _firoozbakht_exact_slack(n_j, p_j, q_j) <= 0:
-                    total += 1
-                    if len(violations) < cap:
-                        violations.append(Violation(
-                            f"n={n_j};p_n={p_j}", q_j,
-                            math.exp((1.0 + 1.0 / n_j) * math.log(p_j))))
-            scanned += int(pv.size) - 1
-        idx = i0 + int(pv.size) - 1
-        carry_p = int(block[-1])
-        carry_log = float(logs[-1])
+
+    def block(n0, pv):
+        nonlocal rechecked
+        lg = np.log(pv.astype(np.float64))
+        nn = np.arange(n0, n0 + pv.size - 1, dtype=np.int64)
+        rhs = (1.0 + 1.0 / nn.astype(np.float64)) * lg[:-1]
+        slack = rhs - lg[1:]
+        i = int(np.argmin(slack))
+        v = []
+        for j in np.flatnonzero(slack <= 1e-12 * np.abs(rhs)).tolist():
+            n, p, q = n0 + j, int(pv[j]), int(pv[j + 1])
+            rechecked += 1
+            if _firoozbakht_exact_slack(n, p, q) <= 0:
+                v.append(Violation(f"n={n};p_n={p}", q, firoozbakht_rhs(p, n)))
+        return v, (float(slack[i]), f"n={n0 + i};p_n={int(pv[i])}"), int(pv.size) - 1
+
+    merged = _scan_pairs("Firoozbakht", limit, block, cap=cap, segment_size=segment_size,
+                         workers=workers, allow_large=allow_large, progress=progress)
     notes = (f"log-space comparison with 1e-12 relative guard; "
              f"{rechecked} near-ties rechecked at 200-bit precision",)
-    merged = (tuple(violations), total, best, scanned)
     return _report(ClaimId.FIROOZBAKHT, f"pairs with p_next<={limit}",
                    merged, perf_counter() - t0, notes)
 
@@ -439,49 +442,24 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
     if limit < 13:
         raise ValueError(f"limit must be >= 13, got {limit}")
     t0 = perf_counter()
-    violations: list[Violation] = []
-    total = 0
-    best = None
-    scanned = 0
-    carry_p = None
-    carry_log = 0.0
-    idx = 0
-    for block in iter_prime_blocks(0, limit, segment_size=segment_size,
-                                   workers=workers, allow_large=allow_large):
-        if block.size == 0:
-            continue
-        logs = np.log(block.astype(np.float64))
-        if carry_p is None:
-            pv, lg, i0 = block, logs, 1
-        else:
-            pv = np.concatenate((np.array([carry_p], dtype=np.int64), block))
-            lg = np.concatenate((np.array([carry_log]), logs))
-            i0 = idx
-        if pv.size >= 2:
-            nn = np.arange(i0, i0 + pv.size - 1, dtype=np.int64)
-            keep = nn > 4
-            if keep.any():
-                pk = pv[:-1][keep]
-                lp = lg[:-1][keep]
-                g = (pv[1:][keep] - pk).astype(np.float64)
-                bound = lp * lp - lp
-                slack = bound - g
-                nk = nn[keep]
-                i = int(np.argmin(slack))
-                s = float(slack[i])
-                if best is None or s < best[0]:
-                    best = (s, f"n={int(nk[i])};p_n={int(pk[i])};g_n={int(g[i])}")
-                for j in np.flatnonzero(slack <= 0).tolist():
-                    total += 1
-                    if len(violations) < cap:
-                        violations.append(Violation(
-                            f"n={int(nk[j])};p_n={int(pk[j])}",
-                            int(g[j]), float(bound[j])))
-                scanned += int(np.count_nonzero(keep))
-        idx = i0 + int(pv.size) - 1
-        carry_p = int(block[-1])
-        carry_log = float(logs[-1])
-    merged = (tuple(violations), total, best, scanned)
+
+    def block(n0, pv):
+        skip = max(0, 5 - n0)  # the pairs with n <= 4 are outside the claim
+        if pv.size - 1 <= skip:
+            return [], None, 0
+        p = pv[skip:-1]
+        g = (pv[skip + 1:] - p).astype(np.float64)
+        bound = gap_upper_bound_array(p)
+        slack = bound - g
+        i = int(np.argmin(slack))
+        n = n0 + skip
+        v = [Violation(f"n={n + j};p_n={int(p[j])}", int(g[j]), float(bound[j]))
+             for j in np.flatnonzero(slack <= 0).tolist()]
+        best = (float(slack[i]), f"n={n + i};p_n={int(p[i])};g_n={int(g[i])}")
+        return v, best, int(p.size)
+
+    merged = _scan_pairs("GapUpper", limit, block, cap=cap, segment_size=segment_size,
+                         workers=workers, allow_large=allow_large, progress=progress)
     return _report(ClaimId.GAP_UPPER,
                    f"indices n>4 with p_next<={limit}; natural log",
                    merged, perf_counter() - t0)
@@ -490,12 +468,7 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
 def _primes_for_indices(n_index: int, *, segment_size: int, workers: int,
                         allow_large: bool) -> np.ndarray:
     """The first n_index primes (and any extras below the sizing bound)."""
-    if n_index < 6:
-        bound = 14
-    else:
-        # p_n < n(ln n + ln ln n) for n >= 6
-        ln = math.log(n_index)
-        bound = int(n_index * (ln + math.log(ln))) + 2
+    bound = _prime_bound(n_index)
     blocks = list(iter_prime_blocks(0, bound, segment_size=segment_size,
                                     workers=workers, allow_large=allow_large))
     primes = np.concatenate(blocks)
@@ -513,10 +486,12 @@ def verify_basic_props(limit: int, *, workers: int = 1,
     limit plays both roles: the largest prime index for the first and
     third checks and the largest primorial argument for the second.
     """
+    t_call = perf_counter()
     if limit < 6:
         raise ValueError(f"limit must be >= 6, got {limit}")
     primes = _primes_for_indices(limit, segment_size=segment_size,
                                  workers=workers, allow_large=allow_large)
+    prog = _Progress("props", 3, progress)
     reports = []
 
     # n + 1 <= p_n over 1 <= n <= limit; slack p_n - n is the distance to violation
@@ -530,6 +505,7 @@ def verify_basic_props(limit: int, *, workers: int = 1,
     v = [Violation(f"n={int(ns[j])}", int(pn[j]), int(ns[j] + 1)) for j in bad[:cap]]
     reports.append(_report(ClaimId.PROP4, f"1<=n<={limit}",
                            (tuple(v), len(bad), best, limit), perf_counter() - t0))
+    prog.tick()
 
     # theta(n) <= n*ln4 over 2 <= n <= limit; theta only jumps at primes and
     # n*ln4 grows between jumps, so the margin is smallest at the jump points
@@ -552,14 +528,12 @@ def verify_basic_props(limit: int, *, workers: int = 1,
     reports.append(_report(ClaimId.PROP6, f"2<=n<={limit}",
                            (tuple(v), len(bad), best, limit - 1),
                            perf_counter() - t0, notes))
+    prog.tick()
 
     # n ln(n ln n / e) < p_n < n ln(n ln n) over 6 <= n <= limit
     t0 = perf_counter()
     ns = np.arange(6, limit + 1, dtype=np.int64)
-    nf = ns.astype(np.float64)
-    u = np.log(nf * np.log(nf))
-    lower = nf * (u - 1.0)
-    upper = nf * u
+    lower, upper = nth_prime_bounds_array(ns)
     p = primes[5:limit].astype(np.float64)
     slack = np.minimum(p - lower, upper - p)
     i = int(np.argmin(slack))
@@ -571,34 +545,31 @@ def verify_basic_props(limit: int, *, workers: int = 1,
     reports.append(_report(ClaimId.NTH_PRIME_BOUNDS, f"6<=n<={limit}",
                            (tuple(v), len(bad), best, limit - 5),
                            perf_counter() - t0))
-    return tuple(reports)
+    prog.tick()
+    return _share_setup(reports, t_call)
 
 
-def _base_note(tag: str, violations: int, slack, at: str) -> str:
-    return f"base={tag}: violations={violations}; min_slack={slack!r}; at={at}"
+def _two_base_report(claim_id, range_desc, per_base, default_base, t0):
+    """Report the merged result under default_base; the notes record both bases."""
+    notes = tuple(f"base={base.value}: violations={total}; min_slack={best[0]!r}; "
+                  f"at={best[1]}" for base, (_, total, best, _) in per_base.items())
+    notes += (f"default base={default_base.value} decides holds; both bases recorded",)
+    return _report(claim_id, range_desc, per_base[default_base],
+                   perf_counter() - t0, notes)
 
 
-def _lemma_sweep(claim_id, range_desc, p_float, rhs, default_base, param_fmt,
-                 cap, t0):
-    """Judge |L(p)^2 - L(p)| < rhs under both log bases; the default decides."""
+def _lemma_sweep(claim_id, range_desc, p_m, rhs, param_fmt, cap, t0):
+    """Judge |L(p)^2 - L(p)| < rhs under both log bases; natural log decides."""
     per_base = {}
-    for tag, lv in (("ln", np.log(p_float)), ("log10", np.log10(p_float))):
-        lhs = np.abs(lv * lv - lv)
+    for base in LogBase:
+        lhs = lemma_lhs_array(p_m, base)
         slack = rhs - lhs
         i = int(np.argmin(slack))
-        bad = np.flatnonzero(lhs >= rhs)
-        per_base[tag] = (lhs, float(slack[i]), param_fmt(i), bad)
-    tag = default_base.value
-    lhs, s_min, s_at, bad = per_base[tag]
-    v = [Violation(param_fmt(j), float(lhs[j]), float(rhs[j]))
-         for j in bad.tolist()[:cap]]
-    notes = tuple(
-        _base_note(t, int(per_base[t][3].size), per_base[t][1], per_base[t][2])
-        for t in ("ln", "log10"))
-    notes += (f"default base={tag} decides holds; both bases recorded",)
-    return _report(claim_id, range_desc,
-                   (tuple(v), int(bad.size), (s_min, s_at), int(rhs.size)),
-                   perf_counter() - t0, notes)
+        bad = np.flatnonzero(lhs >= rhs).tolist()
+        v = tuple(Violation(param_fmt(j), float(lhs[j]), float(rhs[j]))
+                  for j in bad[:cap])
+        per_base[base] = (v, len(bad), (float(slack[i]), param_fmt(i)), int(rhs.size))
+    return _two_base_report(claim_id, range_desc, per_base, LogBase.NAT, t0)
 
 
 def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
@@ -610,6 +581,7 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
     The first two default to natural log, the third to base 10; every
     report records the outcome under both bases in its notes.
     """
+    t_call = perf_counter()
     if k_max < 5:
         raise ValueError(f"k_max must be >= 5, got {k_max}")
     if r_max < -2:
@@ -619,6 +591,8 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
     m_max = f_of_k(k_max) + k_max + r_max
     primes = _primes_for_indices(max(m_max, 6), segment_size=segment_size,
                                  workers=workers, allow_large=allow_large)
+    chunks = _chunk_ranges(5, n_max)
+    prog = _Progress("lemmas", 2 + len(chunks), progress)
     reports = []
 
     # |L(p_m)^2 - L(p_m)| < (k+1)(f(k)+1) - p_m, m = f(k)+k-3, k in [5, k_max]
@@ -626,19 +600,17 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
     ks = np.arange(5, k_max + 1, dtype=np.int64)
     fk = f_of_k_array(ks)
     p1 = primes[fk + ks - 4]
-    rhs1 = ((ks + 1) * (fk + 1) - p1).astype(np.float64)
     kl = ks.tolist()
     reports.append(_lemma_sweep(
-        ClaimId.L1, f"5<=k<={k_max}", p1.astype(np.float64), rhs1,
-        LogBase.NAT, lambda i: f"k={kl[i]}", cap, t0))
+        ClaimId.L1, f"5<=k<={k_max}", p1, lemma_rhs_array(ks, -3, fk, p1),
+        lambda i: f"k={kl[i]}", cap, t0))
+    prog.tick()
 
     # |L(p_m)^2 - L(p_m)| < (k+4+r)(f(k)+1) - p_m, m = f(k)+k+r, r in [-2, r_max]
     t0 = perf_counter()
     rs = np.arange(-2, r_max + 1, dtype=np.int64)
     kk, ff, rr = ks[:, None], fk[:, None], rs[None, :]
-    m = ff + kk + rr
-    p2 = primes[(m - 1).ravel()]
-    rhs2 = (((kk + 4 + rr) * (ff + 1)).ravel() - p2).astype(np.float64)
+    p2 = primes[ff + kk + rr - 1]
     n_r = int(rs.size)
     r0 = int(rs[0])
 
@@ -646,8 +618,9 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
         return f"k={kl[i // n_r]};r={r0 + i % n_r}"
 
     reports.append(_lemma_sweep(
-        ClaimId.L2, f"5<=k<={k_max}; -2<=r<={r_max}", p2.astype(np.float64),
-        rhs2, LogBase.NAT, l2_param, cap, t0))
+        ClaimId.L2, f"5<=k<={k_max}; -2<=r<={r_max}", p2.ravel(),
+        lemma_rhs_array(kk, rr, ff, p2).ravel(), l2_param, cap, t0))
+    prog.tick()
 
     # n < (2n/9 + 4) * L(n*ln(n*ln n))^2, n in [5, n_max], base-10 default
     t0 = perf_counter()
@@ -656,33 +629,22 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
         a, b = nr
         ns = np.arange(a, b + 1, dtype=np.int64)
         nf = ns.astype(np.float64)
-        upper = nf * np.log(nf * np.log(nf))
-        factor = 2.0 * nf / 9.0 + 4.0
         out = {}
-        for tag, lv in (("ln", np.log(upper)), ("log10", np.log10(upper))):
-            rhs = factor * lv * lv
+        for base in LogBase:
+            rhs = lemma3_rhs_array(ns, base)
             slack = rhs - nf
             i = int(np.argmin(slack))
             bad = np.flatnonzero(nf >= rhs)
             viols = [Violation(f"n={int(ns[j])}", float(nf[j]), float(rhs[j]))
                      for j in bad.tolist()]
-            out[tag] = (viols, (float(slack[i]), f"n={int(ns[i])}"), int(ns.size))
+            out[base] = (viols, (float(slack[i]), f"n={int(ns[i])}"), int(ns.size))
         return out
 
-    chunks = _chunk_ranges(5, n_max)
-    prog = _Progress("L3", len(chunks), progress)
     per_chunk = _run_ordered(l3_work, chunks, workers, prog)
-    per_base = {tag: _merge([c[tag] for c in per_chunk], cap)
-                for tag in ("ln", "log10")}
-    violations, total, best, scanned = per_base["log10"]
-    notes = tuple(
-        _base_note(tag, per_base[tag][1], per_base[tag][2][0], per_base[tag][2][1])
-        for tag in ("ln", "log10"))
-    notes += ("default base=log10 decides holds; both bases recorded",)
-    reports.append(_report(ClaimId.L3, f"5<=n<={n_max}",
-                           (violations, total, best, scanned),
-                           perf_counter() - t0, notes))
-    return tuple(reports)
+    per_base = {base: _merge([c[base] for c in per_chunk], cap) for base in LogBase}
+    reports.append(_two_base_report(ClaimId.L3, f"5<=n<={n_max}", per_base,
+                                    LogBase.TEN, t0))
+    return _share_setup(reports, t_call)
 
 
 @dataclass(frozen=True)
@@ -730,9 +692,47 @@ def compare_rules(n_lo: int, n_hi: int, rules: list[IntervalRule] | None = None,
     return CompareTable(tuple(r.name.value for r in rules), rows, notes)
 
 
+@dataclass(frozen=True)
+class ClaimSpec:
+    """One claim of the `verify` command: its CLI name, verifier and parameters.
+
+    params maps each positional parameter of the verifier to its default,
+    a desk-scale range that finishes in seconds.  boundary says whether
+    the verifier also takes the interval convention.
+    """
+
+    name: str
+    verifier: Callable[..., ClaimReport | tuple[ClaimReport, ...]]
+    params: dict[str, int]
+    boundary: bool = False
+
+    def run(self, params: dict[str, int], boundary: str,
+            **kw) -> tuple[ClaimReport, ...]:
+        """Call the verifier with params and the common keywords kw."""
+        if self.boundary:
+            kw["boundary"] = boundary
+        out = self.verifier(**params, **kw)
+        return out if isinstance(out, tuple) else (out,)
+
+
+# every claim in canonical output order
+CLAIMS: tuple[ClaimSpec, ...] = (
+    ClaimSpec("t1", verify_theorem1, {"k_max": 100, "n_max": 10_000}, boundary=True),
+    ClaimSpec("t2", verify_theorem2, {"k_max": 50, "n_max": 10_000}),
+    ClaimSpec("t3", verify_theorem3, {"k_max": 1_000_000}),
+    ClaimSpec("gap-interval", verify_gap_interval, {"n_max": 10_000_000},
+              boundary=True),
+    ClaimSpec("firoozbakht", verify_firoozbakht, {"limit": 100_000_000}),
+    ClaimSpec("gap-upper", verify_gap_upper, {"limit": 100_000_000}),
+    ClaimSpec("props", verify_basic_props, {"limit": 1_000_000}),
+    ClaimSpec("lemmas", verify_lemmas,
+              {"k_max": 10_000, "r_max": 100, "n_max": 1_000_000}),
+)
+
+
 __all__ = [
     "ClaimId", "Violation", "ClaimReport", "CompareRow", "CompareTable",
-    "VIOLATION_CAP",
+    "ClaimSpec", "CLAIMS", "VIOLATION_CAP",
     "verify_theorem1", "verify_theorem2", "verify_theorem3",
     "verify_gap_interval", "verify_firoozbakht", "verify_gap_upper",
     "verify_basic_props", "verify_lemmas", "compare_rules",

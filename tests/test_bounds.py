@@ -39,6 +39,21 @@ def test_f_of_k_array_matches_scalar():
     ks = np.arange(1, 5001, dtype=np.int64)
     got = f_of_k_array(ks)
     assert got.tolist() == [f_of_k(int(k)) for k in ks]
+    # k - 1, k and k + 1 around every breakpoint of f up to 2^62
+    starts = [k for k in range(2, 5001) if f_of_k(k) > f_of_k(k - 1)]
+    v = f_of_k(5000) + 1
+    while True:
+        lo, hi = 1, 2**62
+        if f_of_k(hi) < v:
+            break
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if f_of_k(mid) >= v else (mid, hi)
+        starts.append(hi)
+        v += 1
+    assert len(starts) >= 45
+    near = np.array([k + d for k in starts for d in (-1, 0, 1)], dtype=np.int64)
+    assert f_of_k_array(near).tolist() == [f_of_k(int(k)) for k in near]
     with pytest.raises(ValueError):
         f_of_k_array(np.array([0]))
 

@@ -178,7 +178,12 @@ def test_max_gap_values():
 
 
 def test_max_gap_matches_oracle_scan():
-    recs = list(iterate_gaps(10**4))
+    primes = primes_from_flags(naive_sieve(10**4))
+    recs = [GapRecord(n, p, q, q - p)
+            for n, (p, q) in enumerate(zip(primes, primes[1:]), 1)]
+    # the small segment size carries the last prime across about ten segments
+    for seg in (MIN_SEGMENT_SIZE, 1 << 21):
+        assert list(iterate_gaps(10**4, segment_size=seg)) == recs
     best = max(recs, key=lambda r: r.g_n)
     got = max_gap_up_to(10**4)
     assert got.g_n == best.g_n

@@ -1,15 +1,18 @@
 """Unit tests for the exhaustive claim checkers."""
 
 import math
+from time import perf_counter, sleep
 
 import pytest
 
+import primespan.verify as verify
 from primespan import (RULES, ClaimId, RuleName, ThresholdError, Violation,
                        compare_rules, f_of_k, verify_basic_props,
                        verify_firoozbakht, verify_gap_interval,
                        verify_gap_upper, verify_lemmas, verify_theorem1,
                        verify_theorem2, verify_theorem3)
-from primespan.cli import emit_report
+from primespan.cli import emit_report, emit_reports
+from primespan.verify import CLAIMS
 
 from oracles import (naive_sieve, oracle_f, oracle_next_prime,
                      primes_from_flags)
@@ -224,6 +227,47 @@ def test_reports_deterministic_across_workers():
         a, b = build(1), build(4)
         assert emit_report(a, "json") == emit_report(b, "json")
         assert emit_report(a, "csv") == emit_report(b, "csv")
+
+
+SMALL_PARAMS = {
+    "t1": {"k_max": 10, "n_max": 2000}, "t2": {"k_max": 10, "n_max": 2000},
+    "t3": {"k_max": 1000}, "gap-interval": {"n_max": 2000},
+    "firoozbakht": {"limit": 5000}, "gap-upper": {"limit": 5000},
+    "props": {"limit": 5000}, "lemmas": {"k_max": 10, "r_max": 5, "n_max": 2000},
+}
+
+
+@pytest.mark.parametrize("spec", CLAIMS, ids=lambda c: c.name)
+def test_progress_only_on_request_and_output_unchanged(spec, capsys):
+    payloads = {}
+    for flag in (True, False):
+        # a small segment size gives the pair streams several segments
+        reports = spec.run(SMALL_PARAMS[spec.name], "open", progress=flag,
+                           segment_size=1024)
+        payloads[flag] = emit_reports(reports, "json")
+        err = capsys.readouterr().err
+        assert bool(err) is flag
+        if flag:
+            assert err.endswith("\n")
+    assert payloads[True] == payloads[False]
+
+
+@pytest.mark.parametrize("verifier,args", [(verify_basic_props, (5000,)),
+                                           (verify_lemmas, (10, 5, 2000))])
+def test_family_elapsed_includes_shared_sieve(verifier, args, monkeypatch):
+    slow = 0.1
+    primes_for_indices = verify._primes_for_indices
+
+    def slow_primes(*a, **kw):
+        sleep(slow)
+        return primes_for_indices(*a, **kw)
+
+    monkeypatch.setattr(verify, "_primes_for_indices", slow_primes)
+    t0 = perf_counter()
+    reports = verifier(*args)
+    wall = perf_counter() - t0
+    assert min(r.elapsed for r in reports) >= slow / len(reports)
+    assert slow <= sum(r.elapsed for r in reports) <= wall
 
 
 def test_violation_fields():
