@@ -34,8 +34,10 @@ class LogBase(str, Enum):
     TEN = "log10"
 
     def fn(self):
-        """The numpy logarithm in this base; it takes scalars and arrays."""
-        return np.log if self is LogBase.NAT else np.log10
+        return math.log if self is LogBase.NAT else math.log10
+
+
+_NP_LOG = {LogBase.NAT: np.log, LogBase.TEN: np.log10}  # for the array forms
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,13 @@ def s_index(k: int) -> int:
     return f_of_k(k) - 1
 
 
-def mps_upper_bound_array(n: np.ndarray, k: int) -> np.ndarray:
-    """kn/9 + k^2 over an int64 array n."""
+def _one(x: int) -> np.ndarray:
+    """x as a length-1 array whose object dtype keeps Python-int arithmetic past int64."""
+    return np.array([x], dtype=object)
+
+
+def _mps_upper_bound_array(n: np.ndarray, k: int) -> np.ndarray:
+    """kn/9 + k^2 over an integer array n."""
     return k * n / 9.0 + k * k
 
 
@@ -122,11 +129,11 @@ def mps_upper_bound(n: int, k: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return float(mps_upper_bound_array(np.array([n], dtype=np.int64), k)[0])
+    return float(_mps_upper_bound_array(_one(n), k)[0])
 
 
-def nth_prime_bounds_array(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """n*ln(n*ln(n)/e) and n*ln(n*ln(n)) over an int64 array n."""
+def _nth_prime_bounds_array(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n*ln(n*ln(n)/e) and n*ln(n*ln(n)) over an integer array n."""
     nf = n.astype(np.float64)
     u = np.log(nf * np.log(nf))
     return nf * (u - 1.0), nf * u
@@ -136,7 +143,7 @@ def nth_prime_bounds(n: int) -> tuple[float, float]:
     """Bracket n*ln(n*ln(n)/e) < p_n < n*ln(n*ln(n)), valid from n = 6."""
     if n < 6:
         raise ValueError(f"n must be >= 6, got {n}")
-    lower, upper = nth_prime_bounds_array(np.array([n], dtype=np.int64))
+    lower, upper = _nth_prime_bounds_array(_one(n))
     return float(lower[0]), float(upper[0])
 
 
@@ -149,8 +156,8 @@ def firoozbakht_rhs(p_n: int, n: int) -> float:
     return math.exp((1.0 + 1.0 / n) * math.log(p_n))
 
 
-def gap_upper_bound_array(p_n: np.ndarray) -> np.ndarray:
-    """(ln p_n)^2 - ln p_n over an int64 array of primes."""
+def _gap_upper_bound_array(p_n: np.ndarray) -> np.ndarray:
+    """(ln p_n)^2 - ln p_n over an integer array of primes."""
     ln = np.log(p_n.astype(np.float64))
     return ln * ln - ln
 
@@ -159,7 +166,7 @@ def gap_upper_bound(p_n: int) -> float:
     """(ln p_n)^2 - ln p_n, the gap bound for indices n > 4 (p_n >= 11)."""
     if p_n < 11:
         raise ValueError(f"p_n must be >= 11 (index n > 4), got {p_n}")
-    return float(gap_upper_bound_array(np.array([p_n], dtype=np.int64))[0])
+    return float(_gap_upper_bound_array(_one(p_n))[0])
 
 
 def gap_lower_heuristic(p_n: int, eps: float) -> float:
@@ -232,14 +239,14 @@ def rule_g(rule: IntervalRule, n: int) -> float:
     raise ValueError(f"unknown rule {rule.name!r}")
 
 
-def lemma_lhs_array(p_m: np.ndarray, base: LogBase) -> np.ndarray:
-    """|L(p_m)^2 - L(p_m)| over an int64 array of primes, the left side of L1 and L2."""
-    lv = base.fn()(p_m.astype(np.float64))
+def _lemma_lhs_array(p_m: np.ndarray, base: LogBase) -> np.ndarray:
+    """|L(p_m)^2 - L(p_m)| over an integer array of primes, the left side of L1 and L2."""
+    lv = _NP_LOG[base](p_m.astype(np.float64))
     return np.abs(lv * lv - lv)
 
 
-def lemma_rhs_array(k, r, fk, p_m) -> np.ndarray:
-    """(k+4+r)(f(k)+1) - p_m over broadcast int64 arrays, the right side of L2.
+def _lemma_rhs_array(k, r, fk, p_m) -> np.ndarray:
+    """(k+4+r)(f(k)+1) - p_m over broadcast integer arrays, the right side of L2.
 
     L1 is the case r = -3, where m = f(k) + k - 3 and the factor is k + 1.
     """
@@ -249,8 +256,8 @@ def lemma_rhs_array(k, r, fk, p_m) -> np.ndarray:
 def _lemma_margin(k: int, r: int, base: LogBase, primes) -> Margin:
     fk = f_of_k(k)
     m = fk + k + r
-    p = np.array([nth_prime(m) if primes is None else primes[m - 1]], dtype=np.int64)
-    return Margin.of(lemma_lhs_array(p, base)[0], lemma_rhs_array(k, r, fk, p)[0], base)
+    p = _one(nth_prime(m) if primes is None else int(primes[m - 1]))
+    return Margin.of(_lemma_lhs_array(p, base)[0], _lemma_rhs_array(k, r, fk, p)[0], base)
 
 
 def lemma1_margin(k: int, base: LogBase = LogBase.NAT, *, primes=None) -> Margin:
@@ -273,9 +280,9 @@ def lemma2_margin(k: int, r: int, base: LogBase = LogBase.NAT, *, primes=None) -
     return _lemma_margin(k, r, base, primes)
 
 
-def lemma3_rhs_array(n: np.ndarray, base: LogBase) -> np.ndarray:
-    """(2n/9 + 4) * L(n*ln(n*ln n))^2 over an int64 array n, the right side of L3."""
-    lv = base.fn()(nth_prime_bounds_array(n)[1])
+def _lemma3_rhs_array(n: np.ndarray, base: LogBase) -> np.ndarray:
+    """(2n/9 + 4) * L(n*ln(n*ln n))^2 over an integer array n, the right side of L3."""
+    lv = _NP_LOG[base](_nth_prime_bounds_array(n)[1])
     return (2.0 * n.astype(np.float64) / 9.0 + 4.0) * lv * lv
 
 
@@ -283,16 +290,13 @@ def lemma3_margin(n: int, base: LogBase = LogBase.TEN) -> Margin:
     """n < (2n/9 + 4) * L(n*ln(n*ln n))^2 for n >= 5, base-10 log by default."""
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
-    return Margin.of(float(n), lemma3_rhs_array(np.array([n], dtype=np.int64), base)[0],
-                     base)
+    return Margin.of(float(n), _lemma3_rhs_array(_one(n), base)[0], base)
 
 
 __all__ = [
     "LogBase", "Margin", "RuleName", "IntervalRule", "RULES",
     "EXP_EULER_GAMMA", "CEIL_GUARD",
-    "f_of_k", "f_of_k_array", "s_index", "mps_upper_bound", "mps_upper_bound_array",
-    "nth_prime_bounds", "nth_prime_bounds_array", "firoozbakht_rhs",
-    "gap_upper_bound", "gap_upper_bound_array", "gap_lower_heuristic", "rule_g",
-    "lemma1_margin", "lemma2_margin", "lemma3_margin", "lemma_lhs_array",
-    "lemma_rhs_array", "lemma3_rhs_array",
+    "f_of_k", "f_of_k_array", "s_index", "mps_upper_bound", "nth_prime_bounds",
+    "firoozbakht_rhs", "gap_upper_bound", "gap_lower_heuristic", "rule_g",
+    "lemma1_margin", "lemma2_margin", "lemma3_margin",
 ]

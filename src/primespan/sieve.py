@@ -108,18 +108,18 @@ def _segment_flags(i_start: int, i_stop: int,
     return buf
 
 
-def _plan(lo: int, hi: int, segment_size: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """First slot, slot count, and byte-aligned chunk slot ranges for [lo, hi]."""
+def _plan(lo: int, hi: int, segment_size: int) -> tuple[int, int, int]:
+    """First slot, slot count, and slots per byte-aligned segment for [lo, hi]."""
     i0 = (lo | 1) >> 1
-    if hi < 1:
-        return i0, 0, []
     last_odd = hi if hi & 1 else hi - 1
-    if last_odd < (lo | 1):
-        return i0, 0, []
-    n_slots = (last_odd >> 1) - i0 + 1
-    seg_slots = max(8, ((segment_size // 2) // 8) * 8)
-    chunks = [(a, min(a + seg_slots, n_slots)) for a in range(0, n_slots, seg_slots)]
-    return i0, n_slots, chunks
+    n_slots = max(0, (last_odd >> 1) - i0 + 1)  # no odd number in [lo, hi] gives <= 0
+    return i0, n_slots, max(8, ((segment_size // 2) // 8) * 8)
+
+
+def _segment_count(lo: int, hi: int, segment_size: int) -> int:
+    """Number of segments the sieve splits [lo, hi] into, without building them."""
+    _, n_slots, seg_slots = _plan(lo, hi, segment_size)
+    return -(-n_slots // seg_slots)
 
 
 def _iter_flag_chunks(lo: int, hi: int, *, segment_size: int, workers: int,
@@ -130,30 +130,29 @@ def _iter_flag_chunks(lo: int, hi: int, *, segment_size: int, workers: int,
         raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    i0, n_slots, chunks = _plan(lo, hi, segment_size)
-    if not chunks:
+    i0, n_slots, seg_slots = _plan(lo, hi, segment_size)
+    if not n_slots:
         return
     root = math.isqrt(hi)
-    seg_cap = max(b - a for a, b in chunks)
-    _check_mem(3 * ((root + 1) >> 1) + workers * seg_cap + extra_mem)
+    _check_mem(3 * ((root + 1) >> 1) + workers * min(seg_slots, n_slots) + extra_mem)
     bp, bpsq = _base_primes(root)
 
     def make(chunk: tuple[int, int]) -> tuple[int, np.ndarray]:
         a, b = chunk
         return i0 + a, _segment_flags(i0 + a, i0 + b, bp, bpsq)
 
-    if workers == 1 or len(chunks) <= 1:
+    chunks = ((a, min(a + seg_slots, n_slots)) for a in range(0, n_slots, seg_slots))
+    if workers == 1 or n_slots <= seg_slots:
         for ch in chunks:
             yield make(ch)
         return
     with ThreadPoolExecutor(max_workers=workers) as ex:
         pending: deque = deque()
-        it = iter(chunks)
-        for ch in itertools.islice(it, workers + 2):
+        for ch in itertools.islice(chunks, workers + 2):
             pending.append(ex.submit(make, ch))
         while pending:
             out = pending.popleft().result()
-            nxt = next(it, None)
+            nxt = next(chunks, None)
             if nxt is not None:
                 pending.append(ex.submit(make, nxt))
             yield out
@@ -176,12 +175,7 @@ class PrimeTable:
         return (self.base | 1) >> 1
 
     def _n_slots(self) -> int:
-        if self.hi < 1:
-            return 0
-        last_odd = self.hi if self.hi & 1 else self.hi - 1
-        if last_odd < (self.base | 1):
-            return 0
-        return (last_odd >> 1) - self._first_slot + 1
+        return _plan(self.base, self.hi, 0)[1]
 
     def is_prime(self, x: int) -> bool:
         if x < self.base or x > self.hi:
@@ -322,11 +316,8 @@ def prime_count(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     """pi(x): the number of primes <= x."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    total = 1 if x >= 2 else 0
-    for _, buf in _iter_flag_chunks(0, x, segment_size=segment_size,
-                                    workers=workers, allow_large=allow_large):
-        total += int(np.count_nonzero(buf))
-    return total
+    return count_primes_in(Interval(0, x), segment_size=segment_size,
+                           workers=workers, allow_large=allow_large)
 
 
 def nth_prime(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -400,8 +391,7 @@ def log_primorial(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     parts = []
     for block in iter_prime_blocks(0, n, segment_size=segment_size,
                                    workers=workers, allow_large=allow_large):
-        if block.size:
-            parts.append(math.fsum(np.log(block.astype(np.float64)).tolist()))
+        parts.append(math.fsum(np.log(block.astype(np.float64)).tolist()))
     return math.fsum(parts)
 
 

@@ -25,12 +25,12 @@ import mpmath
 import numpy as np
 
 from .bounds import (LogBase, IntervalRule, RuleName, RULES, f_of_k, f_of_k_array,
-                     firoozbakht_rhs, gap_upper_bound_array, lemma3_rhs_array,
-                     lemma_lhs_array, lemma_rhs_array, mps_upper_bound_array,
-                     nth_prime_bounds_array, rule_g)
+                     firoozbakht_rhs, rule_g, _gap_upper_bound_array, _lemma3_rhs_array,
+                     _lemma_lhs_array, _lemma_rhs_array, _mps_upper_bound_array,
+                     _nth_prime_bounds_array)
 from .errors import ThresholdError
-from .sieve import (DEFAULT_SEGMENT_SIZE, _plan, _prime_bound, iter_prime_blocks,
-                    iter_prime_pairs, sieve_range)
+from .sieve import (DEFAULT_SEGMENT_SIZE, _prime_bound, _segment_count,
+                    iter_prime_blocks, iter_prime_pairs, sieve_range)
 
 VIOLATION_CAP = 1000
 _CHUNK_POINTS = 1 << 16
@@ -163,7 +163,7 @@ def _pairs(label: str, limit: int, *, segment_size: int, workers: int,
     faulting it back in.  With a function per segment, Firoozbakht at 1e9
     spent about 15% of its wall time in page faults.
     """
-    prog = _Progress(label, len(_plan(0, limit, segment_size)[2]), progress)
+    prog = _Progress(label, _segment_count(0, limit, segment_size), progress)
     for n0, pv in iter_prime_pairs(limit, segment_size=segment_size,
                                    workers=workers, allow_large=allow_large):
         yield n0, pv
@@ -280,7 +280,7 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
             ns = np.arange(1, n_max + 1, dtype=np.int64)
             cnt = (np.searchsorted(primes, k * ns, side="right")
                    - np.searchsorted(primes, ns, side="left"))
-            rhs = mps_upper_bound_array(ns, k)
+            rhs = _mps_upper_bound_array(ns, k)
             slack = rhs - cnt
             i = int(np.argmin(slack))
             s = float(slack[i])
@@ -457,7 +457,7 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
                 continue
             p = pv[skip:-1]
             g = (pv[skip + 1:] - p).astype(np.float64)
-            bound = gap_upper_bound_array(p)
+            bound = _gap_upper_bound_array(p)
             slack = bound - g
             i = int(np.argmin(slack))
             n = n0 + skip
@@ -540,7 +540,7 @@ def verify_basic_props(limit: int, *, workers: int = 1,
     # n ln(n ln n / e) < p_n < n ln(n ln n) over 6 <= n <= limit
     t0 = perf_counter()
     ns = np.arange(6, limit + 1, dtype=np.int64)
-    lower, upper = nth_prime_bounds_array(ns)
+    lower, upper = _nth_prime_bounds_array(ns)
     p = primes[5:limit].astype(np.float64)
     slack = np.minimum(p - lower, upper - p)
     i = int(np.argmin(slack))
@@ -569,7 +569,7 @@ def _lemma_sweep(claim_id, range_desc, p_m, rhs, param_fmt, cap, t0):
     """Judge |L(p)^2 - L(p)| < rhs under both log bases; natural log decides."""
     per_base = {}
     for base in LogBase:
-        lhs = lemma_lhs_array(p_m, base)
+        lhs = _lemma_lhs_array(p_m, base)
         slack = rhs - lhs
         i = int(np.argmin(slack))
         bad = np.flatnonzero(lhs >= rhs).tolist()
@@ -609,7 +609,7 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
     p1 = primes[fk + ks - 4]
     kl = ks.tolist()
     reports.append(_lemma_sweep(
-        ClaimId.L1, f"5<=k<={k_max}", p1, lemma_rhs_array(ks, -3, fk, p1),
+        ClaimId.L1, f"5<=k<={k_max}", p1, _lemma_rhs_array(ks, -3, fk, p1),
         lambda i: f"k={kl[i]}", cap, t0))
     prog.tick()
 
@@ -626,7 +626,7 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
 
     reports.append(_lemma_sweep(
         ClaimId.L2, f"5<=k<={k_max}; -2<=r<={r_max}", p2.ravel(),
-        lemma_rhs_array(kk, rr, ff, p2).ravel(), l2_param, cap, t0))
+        _lemma_rhs_array(kk, rr, ff, p2).ravel(), l2_param, cap, t0))
     prog.tick()
 
     # n < (2n/9 + 4) * L(n*ln(n*ln n))^2, n in [5, n_max], base-10 default
@@ -638,7 +638,7 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
         nf = ns.astype(np.float64)
         out = {}
         for base in LogBase:
-            rhs = lemma3_rhs_array(ns, base)
+            rhs = _lemma3_rhs_array(ns, base)
             slack = rhs - nf
             i = int(np.argmin(slack))
             bad = np.flatnonzero(nf >= rhs)

@@ -85,6 +85,21 @@ def test_mps_upper_bound():
         mps_upper_bound(10, 1)
 
 
+def test_scalar_bounds_beyond_int64():
+    # the scalar functions keep Python-int arithmetic past 2^63
+    for n, k in ((2**62, 2), (2**62 + 1, 2), (10**17, 100)):
+        assert mps_upper_bound(n, k) == k * n / 9 + k * k
+    assert mps_upper_bound(10**17, 100) > 1.1e18  # k*n is above 2^63
+    for x in (2**63 - 1, 2**63, 10**30):
+        ln = math.log(x)
+        assert gap_upper_bound(x) == pytest.approx(ln * ln - ln, rel=1e-15)
+        u = math.log(x * math.log(x))
+        assert nth_prime_bounds(x) == pytest.approx((x * (u - 1.0), x * u), rel=1e-15)
+        m = lemma3_margin(x)
+        assert m.lhs == float(x)
+        assert m.rhs == pytest.approx((2 * x / 9 + 4) * math.log10(x * u) ** 2, rel=1e-14)
+
+
 def test_nth_prime_bounds_bracket():
     primes = primes_from_flags(naive_sieve(30000))
     for n in range(6, 3001):

@@ -6,8 +6,8 @@ from time import perf_counter, sleep
 import pytest
 
 import primespan.verify as verify
-from primespan import (RULES, ClaimId, RuleName, ThresholdError, Violation,
-                       compare_rules, f_of_k, verify_basic_props,
+from primespan import (RULES, CapacityError, ClaimId, RuleName, ThresholdError,
+                       Violation, compare_rules, f_of_k, verify_basic_props,
                        verify_firoozbakht, verify_gap_interval,
                        verify_gap_upper, verify_lemmas, verify_theorem1,
                        verify_theorem2, verify_theorem3)
@@ -151,6 +151,17 @@ def test_gap_upper_small():
 def test_gap_upper_validation():
     with pytest.raises(ValueError):
         verify_gap_upper(12)
+
+
+@pytest.mark.parametrize("verifier", [verify_firoozbakht, verify_gap_upper])
+def test_pair_streams_reject_bad_input_up_front(verifier):
+    # the range and segment checks run before anything sized by them is built
+    with pytest.raises(CapacityError):
+        verifier(10**15)
+    with pytest.raises(CapacityError):
+        verifier(2**64, allow_large=True)
+    with pytest.raises(ValueError):
+        verifier(10**8, segment_size=0)
 
 
 def test_basic_props_small():
