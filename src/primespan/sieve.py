@@ -13,7 +13,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -26,8 +26,7 @@ DEFAULT_RANGE_LIMIT = 10**9
 HARD_RANGE_LIMIT = 2**63 - 1
 MEM_LIMIT_ENV = "PRIMESPAN_MEM_LIMIT"
 
-# popcount of each byte value, for counting set bits in packed bitmaps
-_BYTE_POP = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+_ALL_ONES = np.uint64(2**64 - 1)
 
 
 def _mem_limit() -> int | None:
@@ -124,7 +123,11 @@ def _segment_count(lo: int, hi: int, segment_size: int) -> int:
 
 def _iter_flag_chunks(lo: int, hi: int, *, segment_size: int, workers: int,
                       allow_large: bool, extra_mem: int = 0) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (global slot of buf[0], flags) covering the odd slots of [lo, hi] in order."""
+    """Iterate (global slot of buf[0], flags) covering the odd slots of [lo, hi] in order.
+
+    The range, the segment size and the memory budget are checked when this
+    is called, before the caller allocates anything sized by the range.
+    """
     _validate_range(lo, hi, allow_large)
     if segment_size < MIN_SEGMENT_SIZE:
         raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
@@ -132,14 +135,20 @@ def _iter_flag_chunks(lo: int, hi: int, *, segment_size: int, workers: int,
         raise ValueError(f"workers must be >= 1, got {workers}")
     i0, n_slots, seg_slots = _plan(lo, hi, segment_size)
     if not n_slots:
-        return
+        return iter(())
     root = math.isqrt(hi)
     _check_mem(3 * ((root + 1) >> 1) + workers * min(seg_slots, n_slots) + extra_mem)
-    bp, bpsq = _base_primes(root)
+    return _flag_chunks(i0, n_slots, seg_slots, _base_primes(root), workers)
+
+
+def _flag_chunks(i0: int, n_slots: int, seg_slots: int,
+                 base: tuple[np.ndarray, np.ndarray],
+                 workers: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield the flags of odd slots [i0, i0 + n_slots), one segment at a time."""
 
     def make(chunk: tuple[int, int]) -> tuple[int, np.ndarray]:
         a, b = chunk
-        return i0 + a, _segment_flags(i0 + a, i0 + b, bp, bpsq)
+        return i0 + a, _segment_flags(i0 + a, i0 + b, *base)
 
     chunks = ((a, min(a + seg_slots, n_slots)) for a in range(0, n_slots, seg_slots))
     if workers == 1 or n_slots <= seg_slots:
@@ -158,13 +167,25 @@ def _iter_flag_chunks(lo: int, hi: int, *, segment_size: int, workers: int,
             yield out
 
 
+def _rank_nbytes(bitmap_nbytes: int) -> int:
+    """Bytes of a PrimeTable's rank index over a bitmap of bitmap_nbytes bytes."""
+    return 8 * ((bitmap_nbytes >> 3) + 1)
+
+
 @dataclass(frozen=True)
 class PrimeTable:
-    """Bit-packed primality flags over [base, hi], odd numbers only."""
+    """Bit-packed primality flags over [base, hi], odd numbers only.
+
+    Bit j of bitmap, most significant bit first within each byte, is set
+    iff the odd number 2*(s+j)+1 is prime, where s is the first odd slot
+    at or above base.
+    """
 
     base: int
     hi: int
     bitmap: np.ndarray
+    # set bits before each whole 64-bit word of bitmap, and before its tail
+    _rank: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.base <= self.hi:
@@ -202,9 +223,55 @@ class PrimeTable:
     def count(self) -> int:
         """Number of primes in [base, hi]."""
         two = 1 if self.base <= 2 <= self.hi else 0
-        if self.bitmap.size == 0:
-            return two
-        return int(_BYTE_POP[self.bitmap].sum()) + two
+        return int(np.bitwise_count(self.bitmap).sum()) + two
+
+    def build_index(self) -> None:
+        """Build the rank index that pi reads; calls after the first do nothing.
+
+        The index is one int64 per 64-bit word of the bitmap, so it takes
+        the bitmap's size plus at most 8 bytes.  pi builds it on first use;
+        call this before sharing the table between threads, so that they
+        never both build it.
+        """
+        if self._rank is None:
+            rank = np.zeros((self.bitmap.size >> 3) + 1, dtype=np.int64)
+            np.cumsum(np.bitwise_count(self._full_words()), out=rank[1:])
+            object.__setattr__(self, "_rank", rank)
+
+    def _full_words(self) -> np.ndarray:
+        """The bitmap's whole 64-bit words, most significant bit first, as a view."""
+        return self.bitmap[: (self.bitmap.size >> 3) << 3].view(">u8")
+
+    def _words_at(self, w: np.ndarray) -> np.ndarray:
+        """64-bit word w of the bitmap for each w, zero-padded past its end."""
+        full = self._full_words()
+        tail = np.zeros(8, dtype=np.uint8)
+        tail[: self.bitmap.size & 7] = self.bitmap[full.size << 3 :]
+        tail = tail.view(">u8")[0]
+        if not full.size:
+            return np.full(w.shape, tail)
+        return np.where(w < full.size, full.take(w, mode="clip"), tail)
+
+    def pi(self, x) -> np.ndarray:
+        """Number of primes in [base, min(x, hi)] for each int64 x, as int64.
+
+        Equal to np.searchsorted(self.primes(), x, side="right") for every
+        x, negative or beyond hi included, without building the prime
+        array.  A query is a rank over the bitmap (Jacobson 1989; Vigna,
+        "Broadword implementation of rank/select queries", 2008): the
+        index's count before the word that holds x's odd slot, plus the
+        popcount of that word's leading bits.
+        """
+        self.build_index()
+        x = np.clip(np.asarray(x, dtype=np.int64), -1, self.hi)
+        # odd numbers in [base, x]: those up to x, less the slots below base
+        m = np.maximum(((x - 1) >> 1) + (1 - self._first_slot), 0)
+        w = m >> 6
+        lead = ~(_ALL_ONES >> (m & 63).astype(np.uint64))
+        counts = self._rank.take(w) + np.bitwise_count(self._words_at(w) & lead)
+        if self.base <= 2 <= self.hi:
+            counts += x >= 2
+        return counts
 
 
 @dataclass(frozen=True)
@@ -256,10 +323,12 @@ def sieve_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE, *,
         raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
     i0, n_slots, _ = _plan(lo, hi, segment_size)
     nbytes = (n_slots + 7) // 8
+    # the budget covers the rank index that PrimeTable.pi builds later
+    chunks = _iter_flag_chunks(lo, hi, segment_size=segment_size, workers=workers,
+                               allow_large=allow_large,
+                               extra_mem=nbytes + _rank_nbytes(nbytes))
     bitmap = np.zeros(nbytes, dtype=np.uint8)
-    for slot_start, buf in _iter_flag_chunks(lo, hi, segment_size=segment_size,
-                                             workers=workers, allow_large=allow_large,
-                                             extra_mem=nbytes):
+    for slot_start, buf in chunks:
         a = slot_start - i0
         packed = np.packbits(buf)
         bitmap[a >> 3 : (a >> 3) + packed.size] = packed

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterator
 
 import mpmath
 import numpy as np
@@ -28,9 +29,9 @@ from .bounds import (LogBase, IntervalRule, RuleName, RULES, f_of_k, f_of_k_arra
                      firoozbakht_rhs, rule_g, _gap_upper_bound_array, _lemma3_rhs_array,
                      _lemma_lhs_array, _lemma_rhs_array, _mps_upper_bound_array,
                      _nth_prime_bounds_array)
-from .errors import ThresholdError
-from .sieve import (DEFAULT_SEGMENT_SIZE, _prime_bound, _segment_count,
-                    iter_prime_blocks, iter_prime_pairs, sieve_range)
+from .errors import CapacityError, ThresholdError
+from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _prime_bound,
+                    _segment_count, iter_prime_blocks, iter_prime_pairs, sieve_range)
 
 VIOLATION_CAP = 1000
 _CHUNK_POINTS = 1 << 16
@@ -92,18 +93,16 @@ def _check_boundary(boundary: str) -> None:
         raise ValueError(f"boundary must be 'open' or 'closed', got {boundary!r}")
 
 
-def _chunk_ranges(lo: int, hi: int, points_per_unit: int = 1) -> list[tuple[int, int]]:
-    """Contiguous inclusive unit ranges covering [lo, hi], >= 2^16 points each."""
-    if lo > hi:
-        return []
+def _chunk_ranges(lo: int, hi: int,
+                  points_per_unit: int = 1) -> tuple[int, Iterator[tuple[int, int]]]:
+    """Contiguous inclusive unit ranges covering [lo, hi], >= 2^16 points each.
+
+    Returns their number, counted arithmetically, and an iterator that
+    makes them one at a time, so nothing is sized by the range up front.
+    """
     units = max(1, _CHUNK_POINTS // max(points_per_unit, 1))
-    out = []
-    a = lo
-    while a <= hi:
-        b = min(a + units - 1, hi)
-        out.append((a, b))
-        a = b + 1
-    return out
+    starts = range(lo, hi + 1, units)
+    return len(starts), ((a, min(a + units - 1, hi)) for a in starts)
 
 
 class _Progress:
@@ -138,16 +137,16 @@ class _Progress:
         sys.stderr.flush()
 
 
-def _run_ordered(fn, args_list, workers: int, progress: _Progress):
-    """Apply fn over args_list with results in argument order for any worker count."""
+def _run_ordered(fn, args, workers: int, progress: _Progress):
+    """Apply fn over the iterable args with results in argument order for any worker count."""
     results = []
-    if workers <= 1 or len(args_list) <= 1:
-        for a in args_list:
+    if workers <= 1:
+        for a in args:
             results.append(fn(a))
             progress.tick()
         return results
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        for res in ex.map(fn, args_list):
+        for res in ex.map(fn, args):
             results.append(res)
             progress.tick()
     return results
@@ -222,9 +221,13 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
     t0 = perf_counter()
     table = sieve_range(0, k_max * n_max, segment_size, workers=workers,
                         allow_large=allow_large)
-    primes = table.primes()
+    table.build_index()
     fks = f_of_k_array(np.arange(2, k_max + 1, dtype=np.int64))
-    lo_side, hi_side = ("right", "left") if boundary == "open" else ("left", "right")
+    # an open end leaves out its own point: (n, kn) counts pi(kn - 1) - pi(n)
+    shift = 1 if boundary == "open" else 0
+    # the count below the interval depends on n alone, so every k shares it
+    n_all = np.arange(int(fks[0]), n_max + 1, dtype=np.int64)
+    below = table.pi(n_all - 1 + shift)
 
     def work(kr):
         ka, kb = kr
@@ -232,10 +235,9 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
         best = None
         scanned = 0
         for k in range(ka, kb + 1):
-            fk = int(fks[k - 2])
-            ns = np.arange(fk, n_max + 1, dtype=np.int64)
-            cnt = (np.searchsorted(primes, k * ns, side=hi_side)
-                   - np.searchsorted(primes, ns, side=lo_side))
+            skip = int(fks[k - 2] - fks[0])
+            ns = n_all[skip:]
+            cnt = table.pi(k * ns - shift) - below[skip:]
             req = k - 1
             slack = cnt - req + 1
             i = int(np.argmin(slack))
@@ -247,8 +249,8 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
             scanned += int(ns.size)
         return v, best, scanned
 
-    chunks = _chunk_ranges(2, k_max, points_per_unit=n_max)
-    prog = _Progress("T1", len(chunks), progress)
+    n_chunks, chunks = _chunk_ranges(2, k_max, points_per_unit=n_max)
+    prog = _Progress("T1", n_chunks, progress)
     merged = _merge(_run_ordered(work, chunks, workers, prog), cap)
     notes = (f"boundary={boundary}-{boundary}"
              + ("; the strictest convention, so a pass implies every laxer one"
@@ -269,7 +271,9 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
     t0 = perf_counter()
     table = sieve_range(0, k_max * n_max, segment_size, workers=workers,
                         allow_large=allow_large)
-    primes = table.primes()
+    table.build_index()
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    below = table.pi(ns - 1)  # shared by every k
 
     def work(kr):
         ka, kb = kr
@@ -277,22 +281,21 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
         best = None
         scanned = 0
         for k in range(ka, kb + 1):
-            ns = np.arange(1, n_max + 1, dtype=np.int64)
-            cnt = (np.searchsorted(primes, k * ns, side="right")
-                   - np.searchsorted(primes, ns, side="left"))
+            cnt = table.pi(k * ns) - below
             rhs = _mps_upper_bound_array(ns, k)
             slack = rhs - cnt
             i = int(np.argmin(slack))
             s = float(slack[i])
             if best is None or s < best[0]:
                 best = (s, f"k={k};n={int(ns[i])}")
-            for j in np.flatnonzero(cnt > rhs).tolist():
+            # cnt > kn/9 + k^2, decided exactly in integers
+            for j in np.flatnonzero(9 * cnt > k * ns + 9 * k * k).tolist():
                 v.append(Violation(f"k={k};n={int(ns[j])}", int(cnt[j]), float(rhs[j])))
             scanned += int(ns.size)
         return v, best, scanned
 
-    chunks = _chunk_ranges(2, k_max, points_per_unit=n_max)
-    prog = _Progress("T2", len(chunks), progress)
+    n_chunks, chunks = _chunk_ranges(2, k_max, points_per_unit=n_max)
+    prog = _Progress("T2", n_chunks, progress)
     merged = _merge(_run_ordered(work, chunks, workers, prog), cap)
     notes = ("boundary=closed-closed; the adversarial convention for an upper bound",)
     return _report(ClaimId.T2, f"2<=k<={k_max}; 1<=n<={n_max}; boundary=closed",
@@ -310,37 +313,32 @@ def verify_theorem3(k_max: int, *, workers: int = 1,
     fks = f_of_k_array(np.arange(2, k_max + 1, dtype=np.int64))
     hi = k_max * (int(fks[-1]) + 1)
     table = sieve_range(0, hi, segment_size, workers=workers, allow_large=allow_large)
-    primes = table.primes()
+    table.build_index()
 
     def work(kr):
         ka, kb = kr
         ks = np.arange(ka, kb + 1, dtype=np.int64)
         f = fks[ka - 2 : kb - 1]
-        cnt = (np.searchsorted(primes, ks * (f + 1), side="left")
-               - np.searchsorted(primes, ks * f, side="right"))
+        cnt = table.pi(ks * (f + 1) - 1) - table.pi(ks * f)
         i = int(np.argmin(cnt))
         best = (int(cnt[i]), f"k={int(ks[i])}")
         v = [Violation(f"k={int(ks[j])}", int(cnt[j]), 1)
              for j in np.flatnonzero(cnt < 1).tolist()]
         return v, best, int(ks.size)
 
-    chunks = _chunk_ranges(2, k_max)
-    prog = _Progress("T3", len(chunks), progress)
+    n_chunks, chunks = _chunk_ranges(2, k_max)
+    prog = _Progress("T3", n_chunks, progress)
     merged = _merge(_run_ordered(work, chunks, workers, prog), cap)
     return _report(ClaimId.T3, f"2<=k<={k_max}; open interval k*f(k) .. k*(f(k)+1)",
                    merged, perf_counter() - t0)
 
 
-def _gap_interval_counts(primes: np.ndarray, ns: np.ndarray, boundary: str) -> np.ndarray:
+def _gap_interval_counts(table: PrimeTable, ns: np.ndarray, boundary: str) -> np.ndarray:
     """Primes in (n, n + n/f(n)) per n; p < n + n/f iff f*p <= n(f+1) - 1, exactly."""
     f = f_of_k_array(ns)
     if boundary == "open":
-        hi_int = (ns * (f + 1) - 1) // f
-        return (np.searchsorted(primes, hi_int, side="right")
-                - np.searchsorted(primes, ns, side="right"))
-    hi_int = (ns * (f + 1)) // f
-    return (np.searchsorted(primes, hi_int, side="right")
-            - np.searchsorted(primes, ns - 1, side="right"))
+        return table.pi((ns * (f + 1) - 1) // f) - table.pi(ns)
+    return table.pi(ns * (f + 1) // f) - table.pi(ns - 1)
 
 
 def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
@@ -360,28 +358,30 @@ def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
     # g(n) <= 1.5n since f >= 2, so primes to 1.5*n_max + 2 suffice
     table = sieve_range(0, n_max + n_max // 2 + 2, segment_size, workers=workers,
                         allow_large=allow_large)
-    primes = table.primes()
+    table.build_index()
 
     def work(nr):
         a, b = nr
         ns = np.arange(a, b + 1, dtype=np.int64)
-        cnt = _gap_interval_counts(primes, ns, boundary)
+        cnt = _gap_interval_counts(table, ns, boundary)
         i = int(np.argmin(cnt))
         best = (int(cnt[i]), f"n={int(ns[i])}")
         v = [Violation(f"n={int(ns[j])}", int(cnt[j]), 1)
              for j in np.flatnonzero(cnt < 1).tolist()]
         return v, best, int(ns.size)
 
-    chunks = _chunk_ranges(2, n_max)
-    prog = _Progress("GapInterval", len(chunks), progress)
+    n_chunks, chunks = _chunk_ranges(2, n_max)
+    prog = _Progress("GapInterval", n_chunks, progress)
     merged = _merge(_run_ordered(work, chunks, workers, prog), cap)
 
-    # lattice points n = k*f(k) <= n_max (k >= 2); f >= 2 bounds k by n_max/2,
-    # and k*f(k) is strictly increasing, so the points are sorted and distinct
-    ks = np.arange(2, n_max // 2 + 1, dtype=np.int64)
+    # lattice points n = k*f(k) <= n_max (k >= 2); k*f(k) is strictly
+    # increasing, so the points are sorted and distinct, and bisection finds
+    # the last one (f >= 2 bounds k by n_max/2)
+    k_last = bisect_right(range(n_max // 2 + 1), n_max, lo=2,
+                          key=lambda k: k * f_of_k(k)) - 1
+    ks = np.arange(2, k_last + 1, dtype=np.int64)
     lat = ks * f_of_k_array(ks)
-    lat = lat[lat <= n_max]
-    lattice_bad = int(np.count_nonzero(_gap_interval_counts(primes, lat, boundary) < 1))
+    lattice_bad = int(np.count_nonzero(_gap_interval_counts(table, lat, boundary) < 1))
     notes = (
         "the blanket claim is expected to fail at small n; the violations "
         "listed are genuine findings",
@@ -595,11 +595,15 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
         raise ValueError(f"r_max must be >= -2, got {r_max}")
     if n_max < 5:
         raise ValueError(f"n_max must be >= 5, got {n_max}")
+    if n_max - 5 > DEFAULT_RANGE_LIMIT and not allow_large:
+        raise CapacityError(
+            f"L3 range width {n_max - 5} exceeds the default limit {DEFAULT_RANGE_LIMIT}; "
+            "set allow_large (CLI flag --allow-large) to override")
     m_max = f_of_k(k_max) + k_max + r_max
     primes = _primes_for_indices(max(m_max, 6), segment_size=segment_size,
                                  workers=workers, allow_large=allow_large)
-    chunks = _chunk_ranges(5, n_max)
-    prog = _Progress("lemmas", 2 + len(chunks), progress)
+    n_chunks, chunks = _chunk_ranges(5, n_max)
+    prog = _Progress("lemmas", 2 + n_chunks, progress)
     reports = []
 
     # |L(p_m)^2 - L(p_m)| < (k+1)(f(k)+1) - p_m, m = f(k)+k-3, k in [5, k_max]

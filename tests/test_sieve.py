@@ -1,14 +1,18 @@
 """Unit tests for the segmented sieve and derived prime operations."""
 
 import math
+import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primespan import (CapacityError, GapRecord, Interval, count_primes_in,
                        iter_prime_blocks, iterate_gaps, log_primorial,
                        max_gap_up_to, nth_prime, prime_count, sieve_range)
-from primespan.sieve import MIN_SEGMENT_SIZE
+from primespan.sieve import DEFAULT_SEGMENT_SIZE, MIN_SEGMENT_SIZE, _plan
 
 from oracles import naive_sieve, primes_from_flags
 
@@ -70,6 +74,71 @@ def test_mem_limit_env(monkeypatch):
         sieve_range(0, 100)
     monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(10**12))
     assert sieve_range(0, 100).count() == 25
+
+
+def test_mem_limit_counts_rank_index(monkeypatch):
+    lo, hi = 0, 10**7
+    table = sieve_range(lo, hi)
+    table.build_index()
+    bitmap, index = table.bitmap.nbytes, table._rank.nbytes
+    # the estimate's other terms: base-prime sieve and primes, one segment
+    _, n_slots, seg_slots = _plan(lo, hi, DEFAULT_SEGMENT_SIZE)
+    other = 3 * ((math.isqrt(hi) + 1) >> 1) + min(seg_slots, n_slots)
+    for cap in (other + bitmap, other + bitmap + index - 1):
+        monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(cap))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                sieve_range(lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bitmap // 4  # refused before the bitmap was allocated
+    monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(other + bitmap + index))
+    assert sieve_range(lo, hi).count() == 664579
+
+
+def test_rank_index_size_and_reuse():
+    for hi in (0, 2, 64, 10**3, 10**6 + 1):
+        table = sieve_range(0, hi)
+        table.build_index()
+        rank = table._rank
+        assert rank.nbytes <= table.bitmap.nbytes + 8
+        if table.bitmap.nbytes >= 8:
+            assert rank.nbytes <= 2 * table.bitmap.nbytes
+        table.pi(np.arange(hi + 2))
+        table.build_index()
+        assert table._rank is rank
+
+
+def _oracle_pi(base, hi):
+    """x -> primes in [base, min(x, hi)] from a byte-per-integer sieve."""
+    cum = [0, *accumulate(naive_sieve(hi))]  # cum[i]: primes below i
+
+    def pi(x):
+        top = min(x, hi)
+        return cum[top + 1] - cum[base] if top >= base else 0
+    return pi
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.integers(0, 3000), words=st.integers(0, 5), skew=st.integers(-3, 3),
+       data=st.data())
+def test_pi_matches_searchsorted_and_oracle(base, words, skew, data):
+    # a 64-bit word of the bitmap holds 64 odd slots, 128 integers
+    hi = base + max(0, 128 * words + skew)
+    table = sieve_range(base, hi)
+    first = 2 * ((base | 1) >> 1) + 1  # the odd number in slot 0
+    edges = [first + 128 * j + d for j in range(words + 2) for d in (-2, -1, 0, 1)]
+    xs = edges + [base - 1, base, hi, hi + 1, 2, 1, 0, -1, -(2**63), 2**63 - 1]
+    xs += data.draw(st.lists(st.one_of(
+        st.integers(-(2**63), 2**63 - 1), st.integers(-50, base),
+        st.integers(hi, hi + 300), st.integers(base, hi)), max_size=40))
+    got = table.pi(np.array(xs, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == np.searchsorted(table.primes(), xs, side="right").tolist()
+    oracle = _oracle_pi(base, hi)
+    assert got.tolist() == [oracle(x) for x in xs]
 
 
 def test_is_prime_lookup():

@@ -1,13 +1,19 @@
 """Unit tests for the exhaustive claim checkers."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 from time import perf_counter, sleep
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import primespan.verify as verify
-from primespan import (RULES, CapacityError, ClaimId, RuleName, ThresholdError,
-                       Violation, compare_rules, f_of_k, verify_basic_props,
+from primespan import (RULES, CapacityError, ClaimId, PrimeTable, RuleName,
+                       ThresholdError, Violation, compare_rules, f_of_k,
+                       f_of_k_array, sieve_range, verify_basic_props,
                        verify_firoozbakht, verify_gap_interval,
                        verify_gap_upper, verify_lemmas, verify_theorem1,
                        verify_theorem2, verify_theorem3)
@@ -73,6 +79,50 @@ def test_theorem2_min_slack_site():
     assert r.min_slack == pytest.approx(2 * 37 / 9 + 4 - 10)
 
 
+def _theorem2_oracle(k_max, n_max, count):
+    """T2's violations, decided with exact rationals, and its float least slack.
+
+    The slack stays a float, as in the report: exact ties such as
+    k=2, n=10 and n=37 (both 2 + 2/9) are broken by float rounding.
+    """
+    bad, best = [], None
+    for k in range(2, k_max + 1):
+        for n in range(1, n_max + 1):
+            cnt = count(k, n)
+            if cnt > Fraction(k * n, 9) + k * k:
+                bad.append(f"k={k};n={n}")
+            slack = k * n / 9.0 + k * k - cnt
+            if best is None or slack < best[0]:
+                best = (slack, f"k={k};n={n}")
+    return bad, best
+
+
+def test_theorem2_exact_decision_matches_oracle(monkeypatch):
+    k_max, n_max = 6, 400
+    primes = primes_from_flags(naive_sieve(k_max * n_max))
+    r = verify_theorem2(k_max, n_max)
+    bad, best = _theorem2_oracle(
+        k_max, n_max, lambda k, n: sum(1 for p in primes if n <= p <= k * n))
+    assert bad == [] and r.holds
+    assert (r.min_slack, r.min_slack_at) == best
+
+    # a stand-in count of x // 4 integers up to x puts points above, below
+    # and exactly on kn/9 + k^2
+    monkeypatch.setattr(PrimeTable, "pi", lambda self, x: np.asarray(x) // 4)
+
+    def fake(k, n):
+        return k * n // 4 - (n - 1) // 4
+
+    bad, best = _theorem2_oracle(k_max, n_max, fake)
+    on_bound = [(k, n) for k in range(2, k_max + 1) for n in range(1, n_max + 1)
+                if 9 * fake(k, n) == k * n + 9 * k * k]
+    assert bad and on_bound
+    r = verify_theorem2(k_max, n_max, cap=10**6)
+    assert [v.param for v in r.violations] == bad
+    assert r.violations_total == len(bad) and not r.holds
+    assert (r.min_slack, r.min_slack_at) == best
+
+
 def test_theorem3_holds_small():
     r = verify_theorem3(10**4)
     assert r.holds and r.min_slack >= 1 and r.scanned == 9999
@@ -92,6 +142,76 @@ def test_gap_interval_violations_match_oracle():
             want.append(n)
     assert got == want == [2, 3, 5, 7, 8, 13, 19, 23, 24]
     assert not r.holds and r.min_slack == 0
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 5, 37, 100, 4321])
+def test_gap_interval_lattice_points_match_oracle(n_max):
+    r = verify_gap_interval(n_max)
+    want = sum(1 for k in range(2, n_max // 2 + 1) if k * oracle_f(k) <= n_max)
+    assert f"lattice cross-check: {want} points" in " ".join(r.notes)
+
+
+def _searchsorted_counts(table, lo, hi, boundary):
+    """Primes between lo and hi as the verifiers counted them from primes()."""
+    primes = table.primes()
+    lo_side, hi_side = ("right", "left") if boundary == "open" else ("left", "right")
+    return (np.searchsorted(primes, hi, side=hi_side)
+            - np.searchsorted(primes, lo, side=lo_side))
+
+
+def _gap_interval_searchsorted(table, ns, boundary):
+    """Primes in (n, n + n/f(n)) per n as GapInterval counted them from primes()."""
+    f = f_of_k_array(ns)
+    # the open interval ends below n + n/f, the closed one at or below it
+    hi = (ns * (f + 1) - 1) // f + 1 if boundary == "open" else ns * (f + 1) // f
+    return _searchsorted_counts(table, ns, hi, boundary)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_max=st.integers(2, 5000), boundary=st.sampled_from(["open", "closed"]))
+def test_gap_interval_counts_match_searchsorted(n_max, boundary):
+    table = sieve_range(0, n_max + n_max // 2 + 2)
+    ns = np.arange(2, n_max + 1, dtype=np.int64)
+    want = _gap_interval_searchsorted(table, ns, boundary)
+    assert verify._gap_interval_counts(table, ns, boundary).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("boundary", ["open", "closed"])
+def test_theorem1_and_gap_interval_match_searchsorted(boundary, workers):
+    # several chunks each, so two workers share the table
+    k_max, n_max = 60, 3000
+    table = sieve_range(0, k_max * n_max)
+    best = None
+    for k in range(2, k_max + 1):
+        ns = np.arange(f_of_k(k), n_max + 1, dtype=np.int64)
+        cnt = _searchsorted_counts(table, ns, k * ns, boundary)
+        i = int(np.argmin(cnt))
+        if best is None or cnt[i] - k + 2 < best[0]:
+            best = (int(cnt[i]) - k + 2, f"k={k};n={int(ns[i])}")
+    r = verify_theorem1(k_max, n_max, boundary, workers=workers)
+    assert r.holds and (r.min_slack, r.min_slack_at) == best
+
+    n_max = 3 * 65536 + 7
+    table = sieve_range(0, n_max + n_max // 2 + 2)
+    ns = np.arange(2, n_max + 1, dtype=np.int64)
+    cnt = _gap_interval_searchsorted(table, ns, boundary)
+    r = verify_gap_interval(n_max, boundary, workers=workers)
+    assert [v.param for v in r.violations] == [f"n={n}" for n in ns[cnt < 1].tolist()]
+    assert (r.min_slack, r.min_slack_at) == (int(cnt.min()), f"n={int(ns[np.argmin(cnt)])}")
+
+
+def test_counting_verifiers_build_no_prime_array(monkeypatch):
+    def refuse(self):
+        raise AssertionError("primes() called")
+
+    monkeypatch.setattr(PrimeTable, "primes", refuse)
+    verify_theorem1(10, 500)
+    verify_theorem1(10, 500, "closed")
+    verify_theorem2(10, 500)
+    verify_theorem3(1000)
+    verify_gap_interval(2000)
+    verify_gap_interval(2000, "closed")
 
 
 def test_gap_interval_lattice_note_clean():
@@ -226,6 +346,40 @@ def test_lemmas_validation():
         verify_lemmas(10, -3, 100)
     with pytest.raises(ValueError):
         verify_lemmas(10, 10, 4)
+
+
+def test_lemmas_l3_range_checked_before_any_sweep(monkeypatch):
+    class Stop(Exception):
+        pass
+
+    totals = []
+
+    def probe(label, total, enabled):
+        totals.append(total)
+        raise Stop
+
+    # a sweep that got as far as its progress bar would raise Stop instead
+    monkeypatch.setattr(verify, "_Progress", probe)
+    with pytest.raises(CapacityError):
+        verify_lemmas(10, 5, 10**15)
+    monkeypatch.setattr(verify, "DEFAULT_RANGE_LIMIT", 1000)
+    with pytest.raises(CapacityError):
+        verify_lemmas(10, 5, 1006)
+    with pytest.raises(Stop):
+        verify_lemmas(10, 5, 1005)
+    assert totals == [2 + 1]
+
+    # with allow_large the L3 chunks are counted, not listed
+    n_max = 10**11
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            verify_lemmas(10, 5, n_max, allow_large=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert totals[-1] == 2 + -(-(n_max - 4) // 65536)
+    assert peak < 10**6
 
 
 def test_reports_deterministic_across_workers():
