@@ -14,7 +14,8 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -121,6 +122,34 @@ def _segment_count(lo: int, hi: int, segment_size: int) -> int:
     return -(-n_slots // seg_slots)
 
 
+def _check_sieve(lo: int, hi: int, *, segment_size: int, workers: int,
+                 allow_large: bool, extra_mem: int = 0) -> int:
+    """Refuse a sieve of [lo, hi] before anything sized by the range is allocated.
+
+    Checks the range, the segment size, the worker count and the memory
+    budget, extra_mem included.  Returns the worker count clamped to the
+    machine's cores: every count gives the same output, and more threads
+    than cores only cost memory.
+    """
+    _validate_range(lo, hi, allow_large)
+    if segment_size < MIN_SEGMENT_SIZE:
+        raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
+    _, n_slots, seg_slots = _plan(lo, hi, segment_size)
+    if n_slots:
+        root = math.isqrt(hi)
+        _check_mem(3 * ((root + 1) >> 1) + workers * min(seg_slots, n_slots) + extra_mem)
+    return workers
+
+
+def _table_mem(lo: int, hi: int) -> int:
+    """Bytes of sieve_range's bitmap over [lo, hi] plus the rank index that pi builds."""
+    nbytes = (_plan(lo, hi, 0)[1] + 7) // 8
+    return nbytes + _rank_nbytes(nbytes)
+
+
 def _iter_flag_chunks(lo: int, hi: int, *, segment_size: int, workers: int,
                       allow_large: bool, extra_mem: int = 0) -> Iterator[tuple[int, np.ndarray]]:
     """Iterate (global slot of buf[0], flags) covering the odd slots of [lo, hi] in order.
@@ -128,17 +157,12 @@ def _iter_flag_chunks(lo: int, hi: int, *, segment_size: int, workers: int,
     The range, the segment size and the memory budget are checked when this
     is called, before the caller allocates anything sized by the range.
     """
-    _validate_range(lo, hi, allow_large)
-    if segment_size < MIN_SEGMENT_SIZE:
-        raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _check_sieve(lo, hi, segment_size=segment_size, workers=workers,
+                           allow_large=allow_large, extra_mem=extra_mem)
     i0, n_slots, seg_slots = _plan(lo, hi, segment_size)
     if not n_slots:
         return iter(())
-    root = math.isqrt(hi)
-    _check_mem(3 * ((root + 1) >> 1) + workers * min(seg_slots, n_slots) + extra_mem)
-    return _flag_chunks(i0, n_slots, seg_slots, _base_primes(root), workers)
+    return _flag_chunks(i0, n_slots, seg_slots, _base_primes(math.isqrt(hi)), workers)
 
 
 def _flag_chunks(i0: int, n_slots: int, seg_slots: int,
@@ -318,15 +342,11 @@ def sieve_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE, *,
     count.  Raises CapacityError when the range is wider than the default
     limit (without allow_large) or the memory budget is exceeded.
     """
-    _validate_range(lo, hi, allow_large)
-    if segment_size < MIN_SEGMENT_SIZE:
-        raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
     i0, n_slots, _ = _plan(lo, hi, segment_size)
     nbytes = (n_slots + 7) // 8
     # the budget covers the rank index that PrimeTable.pi builds later
     chunks = _iter_flag_chunks(lo, hi, segment_size=segment_size, workers=workers,
-                               allow_large=allow_large,
-                               extra_mem=nbytes + _rank_nbytes(nbytes))
+                               allow_large=allow_large, extra_mem=_table_mem(lo, hi))
     bitmap = np.zeros(nbytes, dtype=np.uint8)
     for slot_start, buf in chunks:
         a = slot_start - i0
@@ -351,6 +371,92 @@ def iter_prime_blocks(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_S
         yield np.array([2], dtype=np.int64)
 
 
+class _PairSegment(NamedTuple):
+    """The consecutive prime pairs (p, q) whose q lies in one sieve segment.
+
+    pv() builds the block iter_prime_pairs yields for the segment; the
+    other fields cost no per-prime work, so a caller that can rule the
+    segment out from them never builds it.
+    """
+
+    n0: int          # index n of the first pair's p_n
+    pairs: int       # how many pairs there are
+    p_lo: int        # the carried prime, the smallest p among them
+    p_hi: int        # the segment's last prime, the largest q among them
+    gap_bound: int   # at least q - p for every pair
+    pv: Callable[[], np.ndarray]
+
+
+def _longest_true_run(z: np.ndarray) -> int:
+    """Length of the longest run of True in the bool array z.
+
+    runs[j][i] says that z[i : i + 2**j] is all True; doubling finds the
+    largest such power, then a descent adds the smaller powers that fit.
+    """
+    if not z.any():
+        return 0
+    runs = [z]
+    while runs[-1].size > (k := 1 << (len(runs) - 1)):
+        longer = runs[-1][:-k] & runs[-1][k:]
+        if not longer.any():
+            break
+        runs.append(longer)
+    length, cur = 1 << (len(runs) - 1), runs[-1]
+    for j in range(len(runs) - 2, -1, -1):
+        k = 1 << j
+        if cur.size > k:
+            longer = cur[:-k] & runs[j][length:]
+            if longer.any():
+                length, cur = length + k, longer
+    return length
+
+
+def _last_true(flags: np.ndarray) -> int:
+    """Index of the last True in flags, which holds one, searched from its tail."""
+    k = 64
+    while not (tail := np.flatnonzero(flags[-k:])).size:
+        k *= 8
+    return max(flags.size - k, 0) + int(tail[-1])
+
+
+def _pair_block(carry: int, slot_start: int, flags: np.ndarray) -> np.ndarray:
+    """carry followed by the primes whose odd slots, from slot_start, are set in flags."""
+    odd = np.flatnonzero(flags)
+    pv = np.empty(odd.size + 1, dtype=np.int64)
+    pv[0] = carry
+    np.multiply(odd + slot_start, 2, out=pv[1:])
+    pv[1:] += 1
+    return pv
+
+
+def _pair_segments(limit: int, *, segment_size: int, workers: int,
+                   allow_large: bool) -> Iterator[_PairSegment]:
+    """Summarize the consecutive prime pairs with p_next <= limit, one sieve segment at a time.
+
+    This is the one place that stitches segments into pairs: a segment's
+    pairs start at the last prime before it, so each pair belongs to the
+    segment holding its q, and a segment without a prime has none.
+
+    gap_bound is exact for the pair that crosses into the segment.  Between
+    the segment's first and last primes, pack the flags into bytes of 8 odd
+    slots; if at most Z consecutive bytes are zero, two consecutive primes
+    there sit in bytes at most Z + 1 apart, so their gap is below 16(Z + 2).
+    """
+    carry, n0 = 2, 1
+    for slot_start, flags in _iter_flag_chunks(0, limit, segment_size=segment_size,
+                                               workers=workers, allow_large=allow_large):
+        count = int(np.count_nonzero(flags))
+        if not count:
+            continue
+        first, last = int(np.argmax(flags)), _last_true(flags)
+        zeros = _longest_true_run(np.packbits(flags[first : last + 1]) == 0)
+        p_hi = 2 * (slot_start + last) + 1
+        yield _PairSegment(n0, count, carry, p_hi,
+                           max(2 * (slot_start + first) + 1 - carry, 16 * (zeros + 2)),
+                           partial(_pair_block, carry, slot_start, flags))
+        carry, n0 = p_hi, n0 + count
+
+
 def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
                      workers: int = 1, allow_large: bool = False
                      ) -> Iterator[tuple[int, np.ndarray]]:
@@ -360,15 +466,9 @@ def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     each block starts with the previous block's last prime, so every pair
     appears exactly once and pv holds at least one pair.
     """
-    carry = None
-    n0 = 1
-    for block in iter_prime_blocks(0, limit, segment_size=segment_size,
-                                   workers=workers, allow_large=allow_large):
-        pv = block if carry is None else np.concatenate((carry, block))
-        if pv.size >= 2:
-            yield n0, pv
-            n0 += pv.size - 1
-        carry = block[-1:]
+    for seg in _pair_segments(limit, segment_size=segment_size, workers=workers,
+                              allow_large=allow_large):
+        yield seg.n0, seg.pv()
 
 
 def _prime_bound(n: int) -> int:
@@ -440,12 +540,16 @@ def max_gap_up_to(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     best = None  # (g, n, p, p_next)
-    for n0, pv in iter_prime_pairs(limit, segment_size=segment_size,
-                                   workers=workers, allow_large=allow_large):
+    for seg in _pair_segments(limit, segment_size=segment_size, workers=workers,
+                              allow_large=allow_large):
+        # no gap here is larger, and a tie keeps the earlier pair's smaller n
+        if best is not None and seg.gap_bound <= best[0]:
+            continue
+        pv = seg.pv()
         d = np.diff(pv)
         i = int(np.argmax(d))  # first occurrence keeps the smallest n
         if best is None or d[i] > best[0]:
-            best = (int(d[i]), n0 + i, int(pv[i]), int(pv[i + 1]))
+            best = (int(d[i]), seg.n0 + i, int(pv[i]), int(pv[i + 1]))
     if best is None:
         raise RuntimeError(f"no prime pair below {limit}")
     g, n, p, q = best

@@ -14,6 +14,7 @@ reruns, worker counts, and segment sizes.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -30,8 +31,9 @@ from .bounds import (LogBase, IntervalRule, RuleName, RULES, f_of_k, f_of_k_arra
                      _lemma_lhs_array, _lemma_rhs_array, _mps_upper_bound_array,
                      _nth_prime_bounds_array)
 from .errors import CapacityError, ThresholdError
-from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _prime_bound,
-                    _segment_count, iter_prime_blocks, iter_prime_pairs, sieve_range)
+from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _PairSegment,
+                    _check_sieve, _pair_segments, _prime_bound, _segment_count,
+                    _table_mem, iter_prime_blocks, sieve_range)
 
 VIOLATION_CAP = 1000
 _CHUNK_POINTS = 1 << 16
@@ -140,6 +142,7 @@ class _Progress:
 def _run_ordered(fn, args, workers: int, progress: _Progress):
     """Apply fn over the iterable args with results in argument order for any worker count."""
     results = []
+    workers = min(workers, os.cpu_count() or 1)  # the output is the same for any count
     if workers <= 1:
         for a in args:
             results.append(fn(a))
@@ -152,21 +155,46 @@ def _run_ordered(fn, args, workers: int, progress: _Progress):
     return results
 
 
-def _pairs(label: str, limit: int, *, segment_size: int, workers: int,
-           allow_large: bool, progress: bool | None):
-    """iter_prime_pairs up to limit, ticking progress once per sieve segment.
+def _segments(label: str, limit: int, *, segment_size: int, workers: int,
+              allow_large: bool, progress: bool | None) -> Iterator[_PairSegment]:
+    """The pair segments up to limit, ticking progress once per sieve segment.
 
-    Callers scan it in a loop, not in a function called per segment: the
-    loop's arrays live until the next segment replaces them, so malloc
+    Callers scan them in a loop, not in a function called per segment:
+    the loop's arrays live until the next segment replaces them, so malloc
     reuses their memory instead of returning it to the system and
     faulting it back in.  With a function per segment, Firoozbakht at 1e9
     spent about 15% of its wall time in page faults.
     """
     prog = _Progress(label, _segment_count(0, limit, segment_size), progress)
-    for n0, pv in iter_prime_pairs(limit, segment_size=segment_size,
-                                   workers=workers, allow_large=allow_large):
-        yield n0, pv
+    for seg in _pair_segments(limit, segment_size=segment_size, workers=workers,
+                              allow_large=allow_large):
+        yield seg
         prog.tick()
+
+
+# Relative error allowed for in a segment's slack floor: thousands of ulps,
+# where the floor and the scan's own float slacks each err by a few.
+_FLOOR_MARGIN = 2.0**-40
+
+
+def _slack_floor(claim_id: ClaimId, seg: _PairSegment) -> float:
+    """A certified lower bound on every slack the claim's scan computes in seg.
+
+    GapUpper: the bound ln^2 p - ln p grows for p >= 2, so ln^2 p - ln p - g
+    is at least the bound at p_lo less G = seg.gap_bound.  Firoozbakht:
+    (1 + 1/n) ln p - ln q = ln p / n - log1p(g/p), and log1p(x) <= x, so
+    it is at least ln p_lo / n_hi - G / p_lo.  The margin, 2^-40 of the
+    size of the terms, covers the float error of both this bound and the
+    scan's slacks, so a segment whose floor clears a threshold has no
+    computed slack at or below it.
+    """
+    l_hi, g = math.log(seg.p_hi), seg.gap_bound
+    if claim_id is ClaimId.GAP_UPPER:
+        lowest = float(_gap_upper_bound_array(np.array([seg.p_lo]))[0])
+        return lowest - g - _FLOOR_MARGIN * (l_hi * l_hi + l_hi + g)
+    n_hi = seg.n0 + seg.pairs - 1
+    g_rel = g / seg.p_lo
+    return math.log(seg.p_lo) / n_hi - g_rel - _FLOOR_MARGIN * (3 * l_hi + g_rel)
 
 
 def _share_setup(reports: list[ClaimReport], t0: float) -> tuple[ClaimReport, ...]:
@@ -310,8 +338,11 @@ def verify_theorem3(k_max: int, *, workers: int = 1,
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     t0 = perf_counter()
+    hi = k_max * (f_of_k(k_max) + 1)
+    # refuse before f_of_k_array allocates 8 bytes per k
+    _check_sieve(0, hi, segment_size=segment_size, workers=workers,
+                 allow_large=allow_large, extra_mem=_table_mem(0, hi))
     fks = f_of_k_array(np.arange(2, k_max + 1, dtype=np.int64))
-    hi = k_max * (int(fks[-1]) + 1)
     table = sieve_range(0, hi, segment_size, workers=workers, allow_large=allow_large)
     table.build_index()
 
@@ -407,7 +438,9 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
     """p_{n+1} < p_n^(1 + 1/n) for every pair with p_{n+1} <= limit.
 
     Compared in log space; slacks within 1e-12 relative are recomputed at
-    200-bit precision before being judged.
+    200-bit precision before being judged.  A segment whose slack floor
+    is above both the least slack so far and that guard can change
+    neither, so its pairs are counted without being built.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
@@ -416,9 +449,16 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
 
     def results():
         nonlocal rechecked
-        for n0, pv in _pairs("Firoozbakht", limit, segment_size=segment_size,
+        least = math.inf
+        for seg in _segments("Firoozbakht", limit, segment_size=segment_size,
                              workers=workers, allow_large=allow_large,
                              progress=progress):
+            # at least 1e-12 |rhs| for every pair; positive, so it also keeps 0
+            guard = 1e-12 * (1.0 + 1.0 / seg.n0) * math.log(seg.p_hi)
+            if _slack_floor(ClaimId.FIROOZBAKHT, seg) > max(least, guard):
+                yield (), None, seg.pairs
+                continue
+            n0, pv = seg.n0, seg.pv()
             lg = np.log(pv.astype(np.float64))
             nn = np.arange(n0, n0 + pv.size - 1, dtype=np.int64)
             rhs = (1.0 + 1.0 / nn.astype(np.float64)) * lg[:-1]
@@ -430,6 +470,7 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
                 rechecked += 1
                 if _firoozbakht_exact_slack(n, p, q) <= 0:
                     v.append(Violation(f"n={n};p_n={p}", q, firoozbakht_rhs(p, n)))
+            least = min(least, float(slack[i]))
             yield v, (float(slack[i]), f"n={n0 + i};p_n={int(pv[i])}"), int(pv.size) - 1
 
     merged = _merge(results(), cap)
@@ -443,26 +484,36 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
                      segment_size: int = DEFAULT_SEGMENT_SIZE,
                      cap: int = VIOLATION_CAP, allow_large: bool = False,
                      progress: bool | None = None) -> ClaimReport:
-    """g_n < (ln p_n)^2 - ln p_n for every n > 4 with p_next <= limit."""
+    """g_n < (ln p_n)^2 - ln p_n for every n > 4 with p_next <= limit.
+
+    A segment whose slack floor is above both 0 and the least slack so far
+    can change neither, so its pairs are counted without being built.
+    """
     if limit < 13:
         raise ValueError(f"limit must be >= 13, got {limit}")
     t0 = perf_counter()
 
     def results():
-        for n0, pv in _pairs("GapUpper", limit, segment_size=segment_size,
+        least = math.inf
+        for seg in _segments("GapUpper", limit, segment_size=segment_size,
                              workers=workers, allow_large=allow_large,
                              progress=progress):
-            skip = max(0, 5 - n0)  # the pairs with n <= 4 are outside the claim
-            if pv.size - 1 <= skip:
+            skip = max(0, 5 - seg.n0)  # the pairs with n <= 4 are outside the claim
+            if seg.pairs <= skip:
                 continue
+            if _slack_floor(ClaimId.GAP_UPPER, seg) > max(least, 0.0):
+                yield (), None, seg.pairs - skip
+                continue
+            pv = seg.pv()
             p = pv[skip:-1]
             g = (pv[skip + 1:] - p).astype(np.float64)
             bound = _gap_upper_bound_array(p)
             slack = bound - g
             i = int(np.argmin(slack))
-            n = n0 + skip
+            n = seg.n0 + skip
             v = [Violation(f"n={n + j};p_n={int(p[j])}", int(g[j]), float(bound[j]))
                  for j in np.flatnonzero(slack <= 0).tolist()]
+            least = min(least, float(slack[i]))
             best = (float(slack[i]), f"n={n + i};p_n={int(p[i])};g_n={int(g[i])}")
             yield v, best, int(p.size)
 

@@ -202,6 +202,14 @@ def test_sieve_capacity_exit_1(capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_verify_t3_capacity_exit_1(capsys):
+    # refused before the per-k array is built, not by numpy's MemoryError
+    code, out, err = run(capsys, "verify", "t3", "--k-max", str(10**15))
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_emit_report_formats_reject_unknown():
     r = verify_theorem3(100)
     with pytest.raises(ValueError):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from primespan import (CapacityError, GapRecord, Interval, count_primes_in,
                        iter_prime_blocks, iterate_gaps, log_primorial,
                        max_gap_up_to, nth_prime, prime_count, sieve_range)
-from primespan.sieve import DEFAULT_SEGMENT_SIZE, MIN_SEGMENT_SIZE, _plan
+from primespan.sieve import (DEFAULT_SEGMENT_SIZE, MIN_SEGMENT_SIZE, _longest_true_run,
+                             _pair_segments, _plan)
 
 from oracles import naive_sieve, primes_from_flags
 
@@ -258,6 +259,33 @@ def test_max_gap_matches_oracle_scan():
     assert got.g_n == best.g_n
     assert got == min((r for r in recs if r.g_n == best.g_n),
                       key=lambda r: r.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), max_size=80))
+def test_longest_true_run_matches_loop(bits):
+    longest = run = 0
+    for b in bits:
+        run = run + 1 if b else 0
+        longest = max(longest, run)
+    assert _longest_true_run(np.array(bits, dtype=bool)) == longest
+
+
+@pytest.mark.parametrize("limit,segment_size", [(2, 1024), (3, 1024), (10**5, 1024),
+                                                (10**5 + 3, 2048), (10**6, 1 << 16)])
+def test_pair_segment_summaries_match_blocks(limit, segment_size):
+    primes = primes_from_flags(naive_sieve(limit))
+    n0 = 1
+    for seg in _pair_segments(limit, segment_size=segment_size, workers=1,
+                              allow_large=False):
+        pv = seg.pv()
+        assert seg.n0 == n0 and pv.tolist() == primes[n0 - 1 : n0 + seg.pairs]
+        assert (seg.p_lo, seg.p_hi) == (pv[0], pv[-1])
+        # a bound on every gap, and within two packed bytes of the largest
+        gap = int(np.diff(pv).max())
+        assert gap <= seg.gap_bound < max(gap, 32) + 32
+        n0 += seg.pairs
+    assert n0 == max(len(primes), 1)
 
 
 def test_max_gap_segment_size_independent():

@@ -1,15 +1,21 @@
 """Unit tests for the exhaustive claim checkers."""
 
 import math
+import os
+import threading
 import tracemalloc
+from concurrent.futures import Future
+from dataclasses import replace
 from fractions import Fraction
 from time import perf_counter, sleep
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primespan.sieve as sieve
 import primespan.verify as verify
 from primespan import (RULES, CapacityError, ClaimId, PrimeTable, RuleName,
                        ThresholdError, Violation, compare_rules, f_of_k,
@@ -126,6 +132,64 @@ def test_theorem2_exact_decision_matches_oracle(monkeypatch):
 def test_theorem3_holds_small():
     r = verify_theorem3(10**4)
     assert r.holds and r.min_slack >= 1 and r.scanned == 9999
+
+
+def test_theorem3_refuses_before_allocating(monkeypatch):
+    # the range and the memory cap are checked before f_of_k_array builds
+    # 8 bytes per k: 8 PB at 10^15, and 80 MB at 10^7 against a 20 MB cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            verify_theorem3(10**15)
+        monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", "20000000")
+        with pytest.raises(CapacityError):
+            verify_theorem3(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_workers_clamped_to_cores(monkeypatch):
+    made = []
+
+    class Recording:
+        """Records the pool size asked for and runs each call at once, in this thread."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    want_table = sieve_range(0, 10**5, 1024).bitmap.tobytes()
+    want_report = verify_gap_interval(3 * 65536)
+    threads = threading.active_count()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sieve, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", Recording)
+    assert sieve_range(0, 10**5, 1024, workers=10**6).bitmap.tobytes() == want_table
+    assert made == [2]
+    assert verify_gap_interval(3 * 65536, workers=10**6) == replace(want_report,
+                                                                    elapsed=ANY)
+    assert made == [2, 2]
+    # an unknown core count runs serially
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    sieve_range(0, 10**5, 1024, workers=10**6)
+    verify_gap_interval(3 * 65536, workers=10**6)
+    assert made == [2, 2]
+    assert threading.active_count() == threads
 
 
 def test_gap_interval_violations_match_oracle():
@@ -473,3 +537,88 @@ def test_compare_rules_note_only_with_papergap_240():
     assert compare_rules(100, 200).notes == ()
     assert compare_rules(230, 250, [RULES[RuleName.BERTRAND]]).notes == ()
     assert compare_rules(230, 250).notes != ()
+
+
+def _exhaustive(monkeypatch):
+    """Make every pair-stream segment fail its skip test, so each one is scanned."""
+    monkeypatch.setattr(verify, "_slack_floor", lambda claim_id, seg: -math.inf)
+
+
+def _pair_stream_json(limit, **kw):
+    return emit_reports([verify_firoozbakht(limit, **kw), verify_gap_upper(limit, **kw)],
+                        "json")
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=st.integers(13, 3 * 10**6),
+       segment_size=st.sampled_from([1024, 2048, 4096, 1 << 16, 1 << 21]),
+       workers=st.sampled_from([1, 2]))
+def test_segment_skip_matches_exhaustive(limit, segment_size, workers):
+    kw = {"segment_size": segment_size, "workers": workers}
+    skipping = _pair_stream_json(limit, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        _exhaustive(mp)
+        assert _pair_stream_json(limit, **kw) == skipping
+
+
+@pytest.mark.parametrize("segment_size", [1024, 1 << 16])
+def test_slack_floor_below_every_slack(segment_size):
+    # each slack exactly as the scan computes it, against its segment's floor
+    for seg in verify._pair_segments(10**6, segment_size=segment_size, workers=1,
+                                     allow_large=False):
+        pv = seg.pv()
+        lg = np.log(pv.astype(np.float64))
+        n = np.arange(seg.n0, seg.n0 + seg.pairs, dtype=np.float64)
+        firoozbakht = (1.0 + 1.0 / n) * lg[:-1] - lg[1:]
+        assert verify._slack_floor(ClaimId.FIROOZBAKHT, seg) < firoozbakht.min()
+        if seg.n0 > 4:
+            gap_upper = lg[:-1] * lg[:-1] - lg[:-1] - np.diff(pv)
+            assert verify._slack_floor(ClaimId.GAP_UPPER, seg) < gap_upper.min()
+
+
+def _count_built(monkeypatch):
+    """Count the segments the verifiers see and the pair blocks they build."""
+    counts = {"segments": 0, "built": 0}
+    segments = verify._pair_segments
+
+    def counted(*args, **kw):
+        for seg in segments(*args, **kw):
+            counts["segments"] += 1
+
+            def pv(build=seg.pv):
+                counts["built"] += 1
+                return build()
+            yield seg._replace(pv=pv)
+
+    monkeypatch.setattr(verify, "_pair_segments", counted)
+    return counts
+
+
+def test_gap_upper_skips_most_segments(monkeypatch):
+    counts = _count_built(monkeypatch)
+    r = verify_gap_upper(10**6, segment_size=1024)
+    assert r.holds and r.scanned == 78498 - 1 - 4
+    assert counts["segments"] == 977
+    assert counts["built"] < counts["segments"] // 10
+    counts.update(segments=0, built=0)
+    _exhaustive(monkeypatch)
+    assert verify_gap_upper(10**6, segment_size=1024) == replace(r, elapsed=ANY)
+    assert counts["built"] == counts["segments"] == 977
+
+
+def test_gap_upper_skip_keeps_late_violations(monkeypatch):
+    # a lower, still increasing bound: gaps of 90 or more violate, and the
+    # first of them lies near 360653, late in the range
+    real = verify._gap_upper_bound_array
+    monkeypatch.setattr(verify, "_gap_upper_bound_array",
+                        lambda p: np.minimum(real(p), 90.0))
+    counts = _count_built(monkeypatch)
+    kw = {"limit": 10**6, "segment_size": 1024}
+    skipping = verify_gap_upper(**kw)
+    assert 0 < counts["built"] < counts["segments"]
+    assert not skipping.holds
+    assert min(_param_ints(skipping)) > 2 * 10**4
+    _exhaustive(monkeypatch)
+    exhaustive = verify_gap_upper(**kw)
+    assert skipping.violations == exhaustive.violations
+    assert emit_reports([skipping], "json") == emit_reports([exhaustive], "json")
