@@ -457,6 +457,23 @@ def _pair_segments(limit: int, *, segment_size: int, workers: int,
         carry, n0 = p_hi, n0 + count
 
 
+def _gap_cover(hi: int, *, segment_size: int, workers: int, allow_large: bool) -> int:
+    """A certified G: every open interval (a, b) with 2 <= a and b <= hi + 1 that
+    is longer than G holds a prime, and so at least floor((b - a) / (G + 1)) primes.
+
+    G is the largest segment gap bound of the pairs up to hi, or the distance
+    from the last prime p <= hi to hi + 1 if that is larger.  Proof: if a < p,
+    the prime after a lies within G of the prime at or below a, so below b;
+    if a >= p, then b - a <= hi + 1 - p <= G.  Cutting (a, b) into open pieces
+    of length G + 1 gives the count.  Needs hi >= 2.
+    """
+    cover, last = 0, 2
+    for seg in _pair_segments(hi, segment_size=segment_size, workers=workers,
+                              allow_large=allow_large):
+        cover, last = max(cover, seg.gap_bound), seg.p_hi
+    return max(cover, hi + 1 - last)
+
+
 def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
                      workers: int = 1, allow_large: bool = False
                      ) -> Iterator[tuple[int, np.ndarray]]:

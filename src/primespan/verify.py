@@ -1,9 +1,11 @@
 """Exhaustive range verification of every cataloged claim.
 
-Each checker scans its full parameter range, collects violations as data
+Each checker covers its full parameter range, collects violations as data
 (never as errors), and reports the minimum slack with the parameters that
-achieve it.  Claims that overstate their range are falsified honestly:
-violations found there are first-class results.
+achieve it.  A point or segment is left unevaluated only when a certified
+bound shows that it can change none of these.  Claims that overstate
+their range are falsified honestly: violations found there are
+first-class results.
 
 Parameter spaces are split into fixed contiguous chunks whose boundaries
 depend only on the range, never on the worker count, and chunk results
@@ -20,6 +22,7 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from time import perf_counter
 from typing import Callable, Iterator
 
@@ -32,8 +35,8 @@ from .bounds import (LogBase, IntervalRule, RuleName, RULES, f_of_k, f_of_k_arra
                      _nth_prime_bounds_array)
 from .errors import CapacityError, ThresholdError
 from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _PairSegment,
-                    _check_sieve, _pair_segments, _prime_bound, _segment_count,
-                    _table_mem, iter_prime_blocks, sieve_range)
+                    _gap_cover, _pair_segments, _prime_bound, _segment_count,
+                    iter_prime_blocks, sieve_range)
 
 VIOLATION_CAP = 1000
 _CHUNK_POINTS = 1 << 16
@@ -139,15 +142,19 @@ class _Progress:
         sys.stderr.flush()
 
 
+def _in_order(fn, args, progress: _Progress) -> Iterator:
+    """Apply fn over the iterable args in this thread, ticking progress after each."""
+    for a in args:
+        yield fn(a)
+        progress.tick()
+
+
 def _run_ordered(fn, args, workers: int, progress: _Progress):
     """Apply fn over the iterable args with results in argument order for any worker count."""
-    results = []
     workers = min(workers, os.cpu_count() or 1)  # the output is the same for any count
     if workers <= 1:
-        for a in args:
-            results.append(fn(a))
-            progress.tick()
-        return results
+        return list(_in_order(fn, args, progress))
+    results = []
     with ThreadPoolExecutor(max_workers=workers) as ex:
         for res in ex.map(fn, args):
             results.append(res)
@@ -220,6 +227,17 @@ def _merge(results, cap: int):
     return tuple(violations), total, best, scanned
 
 
+def _least_counted_slack(first) -> int:
+    """The slack a point must be certified to reach to be left uncounted.
+
+    first is the slack of the scan's first point, which is always counted.
+    A point certified at max(1, first) or above is no violation, and it
+    cannot hold the least slack alone: on a tie the first point, earlier in
+    scan order, keeps the site.  So the report is that of a full count.
+    """
+    return max(1, int(first))
+
+
 def _report(claim_id, range_desc, merged, elapsed, notes=()):
     violations, total, best, scanned = merged
     return ClaimReport(
@@ -240,21 +258,36 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
                     workers: int = 1, segment_size: int = DEFAULT_SEGMENT_SIZE,
                     cap: int = VIOLATION_CAP, allow_large: bool = False,
                     progress: bool | None = None) -> ClaimReport:
-    """At least k - 1 primes between n and kn for every n >= f(k)."""
+    """At least k - 1 primes between n and kn for every n >= f(k).
+
+    (n, kn) holds at least floor((k-1)n / (G+1)) primes, G being the gap
+    cover up to k_max*n_max.  So from n = ceil((G+1)(c+k-2)/(k-1)) on, with
+    c = _least_counted_slack(first point's slack), the slack is certified
+    to be at least c, and those points are counted as scanned without
+    being evaluated.
+    """
     _check_boundary(boundary)
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     if n_max < f_of_k(k_max):
         raise ValueError(f"n_max must be >= f(k_max) = {f_of_k(k_max)}, got {n_max}")
     t0 = perf_counter()
-    table = sieve_range(0, k_max * n_max, segment_size, workers=workers,
-                        allow_large=allow_large)
-    table.build_index()
-    fks = f_of_k_array(np.arange(2, k_max + 1, dtype=np.int64))
+    kw = {"segment_size": segment_size, "workers": workers, "allow_large": allow_large}
+    cover = _gap_cover(k_max * n_max, **kw)
+    ks = np.arange(2, k_max + 1, dtype=np.int64)
+    fks = f_of_k_array(ks)
+    n0 = int(fks[0])
     # an open end leaves out its own point: (n, kn) counts pi(kn - 1) - pi(n)
     shift = 1 if boundary == "open" else 0
+    # the slack cnt - k + 2 of the first point, k = 2 and n = f(2), is its count
+    first = sieve_range(0, 2 * n0, **kw)
+    need = _least_counted_slack(first.pi(2 * n0 - shift) - first.pi(n0 - 1 + shift))
+    # count each k's n below n_stop only; the first point always
+    n_stop = np.minimum(-(-(cover + 1) * (need + ks - 2) // (ks - 1)), n_max + 1)
+    n_stop[0] = max(int(n_stop[0]), n0 + 1)
+    table = sieve_range(0, int((ks * (n_stop - 1)).max()), **kw)
     # the count below the interval depends on n alone, so every k shares it
-    n_all = np.arange(int(fks[0]), n_max + 1, dtype=np.int64)
+    n_all = np.arange(n0, int(n_stop.max()), dtype=np.int64)
     below = table.pi(n_all - 1 + shift)
 
     def work(kr):
@@ -263,9 +296,12 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
         best = None
         scanned = 0
         for k in range(ka, kb + 1):
-            skip = int(fks[k - 2] - fks[0])
-            ns = n_all[skip:]
-            cnt = table.pi(k * ns - shift) - below[skip:]
+            f, stop = int(fks[k - 2]), int(n_stop[k - 2])
+            scanned += n_max - f + 1
+            if stop <= f:
+                continue
+            ns = n_all[f - n0 : stop - n0]
+            cnt = table.pi(k * ns - shift) - below[f - n0 : stop - n0]
             req = k - 1
             slack = cnt - req + 1
             i = int(np.argmin(slack))
@@ -274,12 +310,11 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
                 best = (s, f"k={k};n={int(ns[i])}")
             for j in np.flatnonzero(cnt < req).tolist():
                 v.append(Violation(f"k={k};n={int(ns[j])}", int(cnt[j]), req))
-            scanned += int(ns.size)
         return v, best, scanned
 
     n_chunks, chunks = _chunk_ranges(2, k_max, points_per_unit=n_max)
     prog = _Progress("T1", n_chunks, progress)
-    merged = _merge(_run_ordered(work, chunks, workers, prog), cap)
+    merged = _merge(_in_order(work, chunks, prog), cap)
     notes = (f"boundary={boundary}-{boundary}"
              + ("; the strictest convention, so a pass implies every laxer one"
                 if boundary == "open" else ""),)
@@ -330,36 +365,62 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
                    merged, perf_counter() - t0, notes)
 
 
+def _one_prime_work(counts, param: str, end: int):
+    """A chunk scan of a claim that asks for a prime in an interval per point.
+
+    counts(xs) gives the primes in each point's interval.  Points above end
+    are certified and counted as scanned without being evaluated.
+    """
+
+    def work(r):
+        a, b = r
+        if a > end:
+            return (), None, b - a + 1
+        xs = np.arange(a, min(b, end) + 1, dtype=np.int64)
+        cnt = counts(xs)
+        i = int(np.argmin(cnt))
+        best = (int(cnt[i]), f"{param}={int(xs[i])}")
+        v = [Violation(f"{param}={int(xs[j])}", int(cnt[j]), 1)
+             for j in np.flatnonzero(cnt < 1).tolist()]
+        return v, best, b - a + 1
+
+    return work
+
+
+def _theorem3_counts(table: PrimeTable, ks: np.ndarray) -> np.ndarray:
+    """Primes in the open interval (k f(k), k (f(k) + 1)) per k."""
+    f = f_of_k_array(ks)
+    return table.pi(ks * (f + 1) - 1) - table.pi(ks * f)
+
+
 def verify_theorem3(k_max: int, *, workers: int = 1,
                     segment_size: int = DEFAULT_SEGMENT_SIZE,
                     cap: int = VIOLATION_CAP, allow_large: bool = False,
                     progress: bool | None = None) -> ClaimReport:
-    """A prime strictly between k*f(k) and k*(f(k)+1) for every k >= 2."""
+    """A prime strictly between k*f(k) and k*(f(k)+1) for every k >= 2.
+
+    The interval has length k, so it holds at least floor(k/(G+1)) primes,
+    G being the gap cover up to the last interval's end.  Only the k below
+    c(G+1), c = _least_counted_slack(first point's slack), are evaluated.
+    Nothing sized by k_max is allocated: the gap cover streams the sieve,
+    and checks the range and the memory cap before its first segment.
+    """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     t0 = perf_counter()
-    hi = k_max * (f_of_k(k_max) + 1)
-    # refuse before f_of_k_array allocates 8 bytes per k
-    _check_sieve(0, hi, segment_size=segment_size, workers=workers,
-                 allow_large=allow_large, extra_mem=_table_mem(0, hi))
-    fks = f_of_k_array(np.arange(2, k_max + 1, dtype=np.int64))
-    table = sieve_range(0, hi, segment_size, workers=workers, allow_large=allow_large)
-    table.build_index()
+    kw = {"segment_size": segment_size, "workers": workers, "allow_large": allow_large}
 
-    def work(kr):
-        ka, kb = kr
-        ks = np.arange(ka, kb + 1, dtype=np.int64)
-        f = fks[ka - 2 : kb - 1]
-        cnt = table.pi(ks * (f + 1) - 1) - table.pi(ks * f)
-        i = int(np.argmin(cnt))
-        best = (int(cnt[i]), f"k={int(ks[i])}")
-        v = [Violation(f"k={int(ks[j])}", int(cnt[j]), 1)
-             for j in np.flatnonzero(cnt < 1).tolist()]
-        return v, best, int(ks.size)
+    def end(k: int) -> int:
+        return k * (f_of_k(k) + 1)
 
+    cover = _gap_cover(end(k_max), **kw)
+    first = _theorem3_counts(sieve_range(0, end(2), **kw), np.array([2], dtype=np.int64))
+    k_end = min(k_max, max(2, _least_counted_slack(first[0]) * (cover + 1) - 1))
+    work = _one_prime_work(partial(_theorem3_counts, sieve_range(0, end(k_end), **kw)),
+                           "k", k_end)
     n_chunks, chunks = _chunk_ranges(2, k_max)
     prog = _Progress("T3", n_chunks, progress)
-    merged = _merge(_run_ordered(work, chunks, workers, prog), cap)
+    merged = _merge(_in_order(work, chunks, prog), cap)
     return _report(ClaimId.T3, f"2<=k<={k_max}; open interval k*f(k) .. k*(f(k)+1)",
                    merged, perf_counter() - t0)
 
@@ -372,6 +433,15 @@ def _gap_interval_counts(table: PrimeTable, ns: np.ndarray, boundary: str) -> np
     return table.pi(ns * (f + 1) // f) - table.pi(ns - 1)
 
 
+def _last_lattice_k(n: int) -> int:
+    """The last k >= 1 with k*f(k) <= n, so 1 when no k >= 2 qualifies.
+
+    k*f(k) is strictly increasing, so bisection finds it; f >= 2 bounds k
+    by n/2.
+    """
+    return bisect_right(range(n // 2 + 1), n, lo=2, key=lambda k: k * f_of_k(k)) - 1
+
+
 def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
                         segment_size: int = DEFAULT_SEGMENT_SIZE,
                         cap: int = VIOLATION_CAP, allow_large: bool = False,
@@ -381,42 +451,43 @@ def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
     The blanket claim is expected to fail at some small n; those
     violations are honest findings, not errors.  The report also checks
     the lattice points n = k*f(k), where no violation occurs.
+
+    Under either boundary the interval holds the open integer interval
+    (n, n + ceil(n/f(n))), so at least floor(ceil(n/f(n))/(G+1)) primes, G
+    being the gap cover up to 1.5*n_max + 2.  Only the n below
+    c(G+1)f(n_max), c = _least_counted_slack(first point's slack), are
+    evaluated.
     """
     _check_boundary(boundary)
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     t0 = perf_counter()
-    # g(n) <= 1.5n since f >= 2, so primes to 1.5*n_max + 2 suffice
-    table = sieve_range(0, n_max + n_max // 2 + 2, segment_size, workers=workers,
-                        allow_large=allow_large)
-    table.build_index()
+    kw = {"segment_size": segment_size, "workers": workers, "allow_large": allow_large}
 
-    def work(nr):
-        a, b = nr
-        ns = np.arange(a, b + 1, dtype=np.int64)
-        cnt = _gap_interval_counts(table, ns, boundary)
-        i = int(np.argmin(cnt))
-        best = (int(cnt[i]), f"n={int(ns[i])}")
-        v = [Violation(f"n={int(ns[j])}", int(cnt[j]), 1)
-             for j in np.flatnonzero(cnt < 1).tolist()]
-        return v, best, int(ns.size)
+    def end(n: int) -> int:
+        return n + n // 2 + 2  # g(n) <= 1.5n since f >= 2
 
+    cover = _gap_cover(end(n_max), **kw)
+    first = _gap_interval_counts(sieve_range(0, end(2), **kw),
+                                 np.array([2], dtype=np.int64), boundary)
+    need = _least_counted_slack(first[0])
+    n_end = min(n_max, max(2, need * (cover + 1) * f_of_k(n_max) - 1))
+    table = sieve_range(0, end(n_end), **kw)
+    work = _one_prime_work(partial(_gap_interval_counts, table, boundary=boundary),
+                           "n", n_end)
     n_chunks, chunks = _chunk_ranges(2, n_max)
     prog = _Progress("GapInterval", n_chunks, progress)
-    merged = _merge(_run_ordered(work, chunks, workers, prog), cap)
+    merged = _merge(_in_order(work, chunks, prog), cap)
 
-    # lattice points n = k*f(k) <= n_max (k >= 2); k*f(k) is strictly
-    # increasing, so the points are sorted and distinct, and bisection finds
-    # the last one (f >= 2 bounds k by n_max/2)
-    k_last = bisect_right(range(n_max // 2 + 1), n_max, lo=2,
-                          key=lambda k: k * f_of_k(k)) - 1
-    ks = np.arange(2, k_last + 1, dtype=np.int64)
-    lat = ks * f_of_k_array(ks)
-    lattice_bad = int(np.count_nonzero(_gap_interval_counts(table, lat, boundary) < 1))
+    # lattice points n = k*f(k) <= n_max (k >= 2); those above n_end are
+    # certified like every other n, so only the ones below are counted
+    ks = np.arange(2, _last_lattice_k(n_end) + 1, dtype=np.int64)
+    lattice_bad = int(np.count_nonzero(
+        _gap_interval_counts(table, ks * f_of_k_array(ks), boundary) < 1))
     notes = (
         "the blanket claim is expected to fail at small n; the violations "
         "listed are genuine findings",
-        f"lattice cross-check: {lat.size} points n=k*f(k) in range, "
+        f"lattice cross-check: {_last_lattice_k(n_max) - 1} points n=k*f(k) in range, "
         f"{lattice_bad} violations among them",
         f"boundary={boundary}-{boundary}",
     )

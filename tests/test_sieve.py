@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from primespan import (CapacityError, GapRecord, Interval, count_primes_in,
                        iter_prime_blocks, iterate_gaps, log_primorial,
                        max_gap_up_to, nth_prime, prime_count, sieve_range)
-from primespan.sieve import (DEFAULT_SEGMENT_SIZE, MIN_SEGMENT_SIZE, _longest_true_run,
-                             _pair_segments, _plan)
+from primespan.sieve import (DEFAULT_SEGMENT_SIZE, MIN_SEGMENT_SIZE, _gap_cover,
+                             _longest_true_run, _pair_segments, _plan)
 
 from oracles import naive_sieve, primes_from_flags
 
@@ -286,6 +286,25 @@ def test_pair_segment_summaries_match_blocks(limit, segment_size):
         assert gap <= seg.gap_bound < max(gap, 32) + 32
         n0 += seg.pairs
     assert n0 == max(len(primes), 1)
+
+
+# 1327 starts a gap of 34 whose inside only the tail term covers: every
+# segment bound below it is 32; 1328 lies just past the prime
+@settings(max_examples=40, deadline=None)
+@given(hi=st.one_of(st.sampled_from([2, 3, 1327, 1328, 1359, 1360]),
+                    st.integers(2, 10**5)),
+       segment_size=st.sampled_from([1024, 2048, 4096]), data=st.data())
+def test_gap_cover_leaves_no_prime_free_interval(hi, segment_size, data):
+    flags = naive_sieve(hi)
+    cover = _gap_cover(hi, segment_size=segment_size, workers=1, allow_large=False)
+    # pi[x] counts the primes up to x; every (a, a + G + 1) with a + G <= hi
+    # holds a prime, and a longer interval holds one of these
+    pi = list(accumulate(flags))
+    assert [a for a in range(2, hi - cover + 1) if pi[a + cover] == pi[a]] == []
+    for _ in range(5):
+        a = data.draw(st.integers(2, hi))
+        b = data.draw(st.integers(a + 1, hi + 1))
+        assert pi[b - 1] - pi[a] >= (b - a) // (cover + 1)
 
 
 def test_max_gap_segment_size_independent():

@@ -135,19 +135,30 @@ def test_theorem3_holds_small():
 
 
 def test_theorem3_refuses_before_allocating(monkeypatch):
-    # the range and the memory cap are checked before f_of_k_array builds
-    # 8 bytes per k: 8 PB at 10^15, and 80 MB at 10^7 against a 20 MB cap
+    # the range and the memory cap are checked before anything sized by
+    # k_max is allocated: the range at 10^15, and at 10^7 the sieve stream's
+    # 1 MB segment against a 500 kB cap
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
             verify_theorem3(10**15)
-        monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", "20000000")
+        monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", "500000")
         with pytest.raises(CapacityError):
             verify_theorem3(10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+    # the stream and a small prefix table are all it allocates
+    monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", "20000000")
+    tracemalloc.start()
+    try:
+        r = verify_theorem3(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.holds and r.scanned == 10**7 - 1
+    assert peak < 10 * 10**6
 
 
 def test_workers_clamped_to_cores(monkeypatch):
@@ -174,20 +185,19 @@ def test_workers_clamped_to_cores(monkeypatch):
             return map(fn, args)
 
     want_table = sieve_range(0, 10**5, 1024).bitmap.tobytes()
-    want_report = verify_gap_interval(3 * 65536)
+    want_report = verify_theorem2(20, 10**4)
     threads = threading.active_count()
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sieve, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(verify, "ThreadPoolExecutor", Recording)
     assert sieve_range(0, 10**5, 1024, workers=10**6).bitmap.tobytes() == want_table
     assert made == [2]
-    assert verify_gap_interval(3 * 65536, workers=10**6) == replace(want_report,
-                                                                    elapsed=ANY)
+    assert verify_theorem2(20, 10**4, workers=10**6) == replace(want_report, elapsed=ANY)
     assert made == [2, 2]
     # an unknown core count runs serially
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     sieve_range(0, 10**5, 1024, workers=10**6)
-    verify_gap_interval(3 * 65536, workers=10**6)
+    verify_theorem2(20, 10**4, workers=10**6)
     assert made == [2, 2]
     assert threading.active_count() == threads
 
@@ -622,3 +632,57 @@ def test_gap_upper_skip_keeps_late_violations(monkeypatch):
     exhaustive = verify_gap_upper(**kw)
     assert skipping.violations == exhaustive.violations
     assert emit_reports([skipping], "json") == emit_reports([exhaustive], "json")
+
+
+def _index_claims_json(k3, n_gi, k1, n1, **kw):
+    reports = [verify_theorem3(k3, **kw)]
+    for boundary in ("open", "closed"):
+        reports += [verify_gap_interval(n_gi, boundary, **kw),
+                    verify_theorem1(k1, n1, boundary, **kw)]
+    return emit_reports(reports, "json")
+
+
+@settings(max_examples=40, deadline=None)
+@given(k3=st.integers(2, 30_000), n_gi=st.integers(2, 200_000),
+       k1=st.integers(2, 60), n1=st.integers(0, 3000),
+       segment_size=st.sampled_from([1024, 4096, 1 << 16, 1 << 21]),
+       workers=st.sampled_from([1, 2]))
+def test_index_prune_matches_exhaustive(k3, n_gi, k1, n1, segment_size, workers):
+    args = (k3, n_gi, k1, f_of_k(k1) + n1)
+    kw = {"segment_size": segment_size, "workers": workers}
+    pruned = _index_claims_json(*args, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        # a cover as long as the range certifies no point, so each one is counted
+        mp.setattr(verify, "_gap_cover", lambda hi, **_: hi)
+        assert _index_claims_json(*args, **kw) == pruned
+
+
+def _evaluated(monkeypatch):
+    """Record how many points each f_of_k_array and PrimeTable.pi call in verify gets."""
+    sizes = {"f": [], "pi": []}
+    f_array, pi = verify.f_of_k_array, PrimeTable.pi
+
+    def f_counted(k):
+        sizes["f"].append(np.size(k))
+        return f_array(k)
+
+    def pi_counted(self, x):
+        sizes["pi"].append(np.size(x))
+        return pi(self, x)
+
+    monkeypatch.setattr(verify, "f_of_k_array", f_counted)
+    monkeypatch.setattr(PrimeTable, "pi", pi_counted)
+    return sizes
+
+
+@pytest.mark.parametrize("verifier", [verify_theorem3, verify_gap_interval])
+def test_index_claims_evaluate_few_points(verifier, monkeypatch):
+    sizes = _evaluated(monkeypatch)
+    r = verifier(10**6)
+    assert r.scanned == 10**6 - 1
+    assert 0 < sum(sizes["f"]) < 10**4 and 0 < sum(sizes["pi"]) < 10**4
+    # the count is real: with nothing certified every point is evaluated
+    sizes["f"].clear()
+    monkeypatch.setattr(verify, "_gap_cover", lambda hi, **_: hi)
+    assert verifier(10**6) == replace(r, elapsed=ANY)
+    assert sum(sizes["f"]) >= 10**6 - 1
