@@ -374,9 +374,10 @@ def iter_prime_blocks(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_S
 class _PairSegment(NamedTuple):
     """The consecutive prime pairs (p, q) whose q lies in one sieve segment.
 
-    pv() builds the block iter_prime_pairs yields for the segment; the
-    other fields cost no per-prime work, so a caller that can rule the
-    segment out from them never builds it.
+    pv() builds the block iter_prime_pairs yields for the segment, sieving
+    it again if the segment came from the summary table; the other fields
+    cost no per-prime work, so a caller that can rule the segment out from
+    them never builds it.
     """
 
     n0: int          # index n of the first pair's p_n
@@ -429,6 +430,24 @@ def _pair_block(carry: int, slot_start: int, flags: np.ndarray) -> np.ndarray:
     return pv
 
 
+def _stored_block(carry: int, slot_start: int, seg_slots: int,
+                  base: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The pair block of a stored segment, sieved again from its first slot."""
+    flags = _segment_flags(slot_start, slot_start + seg_slots, *base)
+    return _pair_block(carry, slot_start, flags)
+
+
+# The pair stream's summary of every full segment from slot 0 that a stream
+# has run through to its end, at one segment length: (seg_slots, rows), row k
+# being (n0, pairs, p_lo, p_hi, gap_bound) of slots [k seg_slots, (k+1) seg_slots).
+# A segment without a prime has pairs = 0 and p_lo = p_hi = the carried prime.
+# A full segment's flags do not depend on the limit, so neither does its row.
+_NO_SUMMARIES: tuple[int, np.ndarray] = (0, np.empty((0, 5), dtype=np.int64))
+_summaries = _NO_SUMMARIES
+_SUMMARY_ROW_BYTES = 40
+_REPLAY_ROWS = 4096  # rows turned into Python ints at a time
+
+
 def _pair_segments(limit: int, *, segment_size: int, workers: int,
                    allow_large: bool) -> Iterator[_PairSegment]:
     """Summarize the consecutive prime pairs with p_next <= limit, one sieve segment at a time.
@@ -441,20 +460,55 @@ def _pair_segments(limit: int, *, segment_size: int, workers: int,
     the segment's first and last primes, pack the flags into bytes of 8 odd
     slots; if at most Z consecutive bytes are zero, two consecutive primes
     there sit in bytes at most Z + 1 apart, so their gap is below 16(Z + 2).
+
+    Full segments already in the summary table are yielded from their rows,
+    and only their pv() sieves; the stream sieves from the first segment
+    past the table.  A stream run to its end publishes the longer table.
     """
+    global _summaries
+    held_slots, stored = _summaries
+    _, n_slots, seg_slots = _plan(0, limit, segment_size)
+    full = n_slots // seg_slots
+    known = min(full, len(stored)) if held_slots == seg_slots else 0
+    grows = full > known
+    # the memory held: the stored table, and the longer one this stream fills
+    held = len(stored) + (full if grows else 0)
+    workers = _check_sieve(0, limit, segment_size=segment_size, workers=workers,
+                           allow_large=allow_large, extra_mem=_SUMMARY_ROW_BYTES * held)
+    if not n_slots:
+        return
+    base = _base_primes(math.isqrt(limit))
+    for a in range(0, known, _REPLAY_ROWS):
+        rows = stored[a : min(a + _REPLAY_ROWS, known)].tolist()
+        for k, (n0, pairs, p_lo, p_hi, gap) in enumerate(rows, a):
+            if pairs:
+                yield _PairSegment(n0, pairs, p_lo, p_hi, gap,
+                                   partial(_stored_block, p_lo, k * seg_slots, seg_slots, base))
     carry, n0 = 2, 1
-    for slot_start, flags in _iter_flag_chunks(0, limit, segment_size=segment_size,
-                                               workers=workers, allow_large=allow_large):
+    if known:
+        n0, pairs, _, carry, _ = stored[known - 1].tolist()
+        n0 += pairs
+    if grows:
+        table = np.empty((full, 5), dtype=np.int64)
+        table[:known] = stored[:known]
+    k = known
+    for slot_start, flags in _flag_chunks(known * seg_slots, n_slots - known * seg_slots,
+                                          seg_slots, base, workers):
         count = int(np.count_nonzero(flags))
-        if not count:
-            continue
-        first, last = int(np.argmax(flags)), _last_true(flags)
-        zeros = _longest_true_run(np.packbits(flags[first : last + 1]) == 0)
-        p_hi = 2 * (slot_start + last) + 1
-        yield _PairSegment(n0, count, carry, p_hi,
-                           max(2 * (slot_start + first) + 1 - carry, 16 * (zeros + 2)),
-                           partial(_pair_block, carry, slot_start, flags))
-        carry, n0 = p_hi, n0 + count
+        p_hi, gap = carry, 0
+        if count:
+            first, last = int(np.argmax(flags)), _last_true(flags)
+            zeros = _longest_true_run(np.packbits(flags[first : last + 1]) == 0)
+            p_hi = 2 * (slot_start + last) + 1
+            gap = max(2 * (slot_start + first) + 1 - carry, 16 * (zeros + 2))
+        if k < full:  # a full segment past the table, so the stream grows it
+            table[k] = (n0, count, carry, p_hi, gap)
+        if count:
+            yield _PairSegment(n0, count, carry, p_hi, gap,
+                               partial(_pair_block, carry, slot_start, flags))
+        carry, n0, k = p_hi, n0 + count, k + 1
+    if grows:
+        _summaries = (seg_slots, table)
 
 
 def _gap_cover(hi: int, *, segment_size: int, workers: int, allow_large: bool) -> int:

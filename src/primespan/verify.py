@@ -35,8 +35,8 @@ from .bounds import (LogBase, IntervalRule, RuleName, RULES, f_of_k, f_of_k_arra
                      _nth_prime_bounds_array)
 from .errors import CapacityError, ThresholdError
 from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _PairSegment,
-                    _gap_cover, _pair_segments, _prime_bound, _segment_count,
-                    iter_prime_blocks, sieve_range)
+                    _gap_cover, _iter_flag_chunks, _pair_segments, _prime_bound,
+                    _segment_count, sieve_range)
 
 VIOLATION_CAP = 1000
 _CHUNK_POINTS = 1 << 16
@@ -551,12 +551,27 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
                    merged, perf_counter() - t0, notes)
 
 
+# Relative width of GapUpper's near ties.  With l = ln p and u = 2^-53, a
+# log within 4 ulps gives ln^2 p - ln p to within 11u (l^2 + l); for p >= 11,
+# l > 2 makes l <= l^2 - l, so that is below 33u (l^2 - l), and 2^-46 = 128u.
+_GAP_UPPER_TIE = 2.0**-46
+
+
+def _gap_upper_exact_slack(p: int, g: int) -> float:
+    """(ln p)^2 - ln p - g at 200-bit precision, for near-tie rechecks."""
+    with mpmath.workprec(200):
+        lp = mpmath.log(p)
+        return float(lp * lp - lp - g)
+
+
 def verify_gap_upper(limit: int, *, workers: int = 1,
                      segment_size: int = DEFAULT_SEGMENT_SIZE,
                      cap: int = VIOLATION_CAP, allow_large: bool = False,
                      progress: bool | None = None) -> ClaimReport:
     """g_n < (ln p_n)^2 - ln p_n for every n > 4 with p_next <= limit.
 
+    A float slack within _GAP_UPPER_TIE times the bound of 0 may have the
+    wrong sign, so its pair is judged at 200-bit precision instead.
     A segment whose slack floor is above both 0 and the least slack so far
     can change neither, so its pairs are counted without being built.
     """
@@ -582,8 +597,10 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
             slack = bound - g
             i = int(np.argmin(slack))
             n = seg.n0 + skip
+            tol = _GAP_UPPER_TIE * bound
             v = [Violation(f"n={n + j};p_n={int(p[j])}", int(g[j]), float(bound[j]))
-                 for j in np.flatnonzero(slack <= 0).tolist()]
+                 for j in np.flatnonzero(slack <= tol).tolist()
+                 if slack[j] < -tol[j] or _gap_upper_exact_slack(int(p[j]), int(g[j])) <= 0]
             least = min(least, float(slack[i]))
             best = (float(slack[i]), f"n={n + i};p_n={int(p[i])};g_n={int(g[i])}")
             yield v, best, int(p.size)
@@ -596,12 +613,28 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
 
 def _primes_for_indices(n_index: int, *, segment_size: int, workers: int,
                         allow_large: bool) -> np.ndarray:
-    """The first n_index primes (and any extras below the sizing bound)."""
+    """The first n_index primes, written into one array as the sieve streams.
+
+    The array is checked against the memory cap with the sieve, before
+    it is allocated, and the stream stops at the n_index-th prime.
+    """
     bound = _prime_bound(n_index)
-    blocks = list(iter_prime_blocks(0, bound, segment_size=segment_size,
-                                    workers=workers, allow_large=allow_large))
-    primes = np.concatenate(blocks)
-    if primes.size < n_index:
+    chunks = _iter_flag_chunks(0, bound, segment_size=segment_size, workers=workers,
+                               allow_large=allow_large, extra_mem=8 * n_index)
+    primes = np.empty(n_index, dtype=np.int64)
+    primes[0] = 2
+    filled = 1
+    for slot_start, flags in chunks:
+        odd = np.flatnonzero(flags)[: n_index - filled]
+        out = primes[filled : filled + odd.size]
+        np.add(odd, slot_start, out=out)
+        out *= 2
+        out += 1
+        filled += odd.size
+        if filled == n_index:
+            break
+        del flags, odd, out  # freed before the next segment is sieved, not after
+    if filled < n_index:
         raise RuntimeError(f"prime bound {bound} too small for index {n_index}")
     return primes
 

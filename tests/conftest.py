@@ -6,10 +6,19 @@ from pathlib import Path
 
 import pytest
 
+import primespan.sieve as sieve
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 _results: dict[int, bool] = {}
+
+
+@pytest.fixture
+def cold_summaries(monkeypatch):
+    """Start the test with an empty pair-segment summary table, so that what
+    it counts does not depend on which tests ran before it."""
+    monkeypatch.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
 
 
 @pytest.hookimpl(hookwrapper=True)

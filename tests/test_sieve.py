@@ -1,14 +1,17 @@
 """Unit tests for the segmented sieve and derived prime operations."""
 
 import math
+import sys
 import tracemalloc
-from itertools import accumulate
+from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate, islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primespan.sieve as sieve
 from primespan import (CapacityError, GapRecord, Interval, count_primes_in,
                        iter_prime_blocks, iterate_gaps, log_primorial,
                        max_gap_up_to, nth_prime, prime_count, sieve_range)
@@ -305,6 +308,120 @@ def test_gap_cover_leaves_no_prime_free_interval(hi, segment_size, data):
         a = data.draw(st.integers(2, hi))
         b = data.draw(st.integers(a + 1, hi + 1))
         assert pi[b - 1] - pi[a] >= (b - a) // (cover + 1)
+
+
+def _stream(limit, segment_size, workers=1):
+    """Each pair segment up to limit: its summary, its block, its first odd slot,
+    and whether its block was sieved again from a stored row."""
+    return [(tuple(seg[:5]), seg.pv().tolist(), seg.pv.args[1],
+             seg.pv.func is sieve._stored_block)
+            for seg in _pair_segments(limit, segment_size=segment_size,
+                                      workers=workers, allow_large=False)]
+
+
+def _full_segments(limit, segment_size):
+    _, n_slots, seg_slots = _plan(0, limit, segment_size)
+    return n_slots // seg_slots
+
+
+@pytest.mark.usefixtures("cold_summaries")
+@pytest.mark.parametrize("first,limit,segment_size", [
+    (10**5, 10**5, 1024), (10**5, 10**5 + 4097, 2048), (3 * 10**5, 10**5, 4096),
+    (10**5, 3 * 10**5, 1 << 16), (10**6, 10**6, 1 << 16)])
+def test_stored_segments_rebuild_their_blocks(first, limit, segment_size):
+    fresh = _stream(limit, segment_size)
+    assert not any(stored for *_, stored in fresh)
+    sieve._summaries = sieve._NO_SUMMARIES
+    _stream(first, segment_size)
+    # the full segments below both limits come from the table; their
+    # summaries and re-sieved blocks equal those of a stream from scratch
+    known = _full_segments(min(first, limit), segment_size)
+    seg_slots = _plan(0, 0, segment_size)[2]
+    warm = _stream(limit, segment_size, workers=2)
+    assert [row[:3] for row in warm] == [row[:3] for row in fresh]
+    assert [stored for *_, stored in warm] == [
+        slot < known * seg_slots for _, _, slot, _ in warm]
+    assert any(stored for *_, stored in warm)
+    assert len(sieve._summaries[1]) == _full_segments(max(first, limit), segment_size)
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_unfinished_stream_publishes_nothing(monkeypatch):
+    _stream(10**5, 1024)
+    before = sieve._summaries
+    rows = before[1].copy()
+    # closed past the stored segments, in the middle of the ones it sieves
+    stream = _pair_segments(3 * 10**5, segment_size=1024, workers=1, allow_large=False)
+    assert len(list(islice(stream, 150))) == 150 > len(rows)
+    stream.close()
+    assert sieve._summaries is before
+    # a sieve that fails part way through the segments past the table
+    real, calls = sieve._segment_flags, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) > 10:
+            raise RuntimeError("sieve failed")
+        return real(*args)
+
+    monkeypatch.setattr(sieve, "_segment_flags", failing)
+    with pytest.raises(RuntimeError, match="sieve failed"):
+        max_gap_up_to(3 * 10**5, segment_size=1024, workers=2)
+    assert sieve._summaries is before and np.array_equal(before[1], rows)
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_mem_limit_counts_summary_table(monkeypatch):
+    want = max_gap_up_to(2 * 10**6)  # no full 2^20-slot segment: nothing is stored
+    assert len(sieve._summaries[1]) == 0
+
+    def estimate(limit, rows):
+        _, n_slots, seg_slots = _plan(0, limit, 1024)
+        return 3 * ((math.isqrt(limit) + 1) >> 1) + min(seg_slots, n_slots) + 40 * rows
+
+    def run_at(cap, limit):
+        monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(cap))
+        return max_gap_up_to(limit, segment_size=1024)
+
+    full = _full_segments(10**6, 1024)
+    # the table a cold stream fills, then the table a warm one holds
+    for _ in range(2):
+        with pytest.raises(CapacityError):
+            run_at(estimate(10**6, full) - 1, 10**6)
+        assert run_at(estimate(10**6, full), 10**6) == GapRecord(40933, 492113, 492227, 114)
+    assert sieve._summaries[1].nbytes == 40 * full
+    # a stream past the table holds the old table and fills the longer one
+    longer = full + _full_segments(2 * 10**6, 1024)
+    with pytest.raises(CapacityError):
+        run_at(estimate(2 * 10**6, longer) - 1, 2 * 10**6)
+    assert run_at(estimate(2 * 10**6, longer), 2 * 10**6) == want
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_concurrent_streams_share_the_table():
+    # more streams than cores, switching threads often, each publishing
+    # the table the others read: every stream still equals a cold one
+    jobs = [(limit, size) for limit in (10**5, 2 * 10**5, 3 * 10**5)
+            for size in (1024, 2048)] * 2
+    want = {}
+    for job in set(jobs):
+        sieve._summaries = sieve._NO_SUMMARIES
+        want[job] = _stream(*job)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as ex:
+            runs = [(job, ex.submit(_stream, *job)) for job in jobs]
+            for job, run in runs:
+                got = run.result(timeout=60)
+                assert [row[:2] for row in got] == [row[:2] for row in want[job]]
+    finally:
+        sys.setswitchinterval(switch)
+    # the table left is that of a finished stream
+    seg_slots, rows = sieve._summaries
+    cold = [row[0] for row in want[3 * 10**5, 2 * seg_slots]
+            if row[2] < len(rows) * seg_slots]
+    assert [tuple(r) for r in rows.tolist() if r[1]] == cold
 
 
 def test_max_gap_segment_size_independent():

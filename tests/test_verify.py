@@ -161,6 +161,7 @@ def test_theorem3_refuses_before_allocating(monkeypatch):
     assert peak < 10 * 10**6
 
 
+@pytest.mark.usefixtures("cold_summaries")
 def test_workers_clamped_to_cores(monkeypatch):
     made = []
 
@@ -604,6 +605,7 @@ def _count_built(monkeypatch):
     return counts
 
 
+@pytest.mark.usefixtures("cold_summaries")
 def test_gap_upper_skips_most_segments(monkeypatch):
     counts = _count_built(monkeypatch)
     r = verify_gap_upper(10**6, segment_size=1024)
@@ -616,6 +618,7 @@ def test_gap_upper_skips_most_segments(monkeypatch):
     assert counts["built"] == counts["segments"] == 977
 
 
+@pytest.mark.usefixtures("cold_summaries")
 def test_gap_upper_skip_keeps_late_violations(monkeypatch):
     # a lower, still increasing bound: gaps of 90 or more violate, and the
     # first of them lies near 360653, late in the range
@@ -675,6 +678,7 @@ def _evaluated(monkeypatch):
     return sizes
 
 
+@pytest.mark.usefixtures("cold_summaries")
 @pytest.mark.parametrize("verifier", [verify_theorem3, verify_gap_interval])
 def test_index_claims_evaluate_few_points(verifier, monkeypatch):
     sizes = _evaluated(monkeypatch)
@@ -686,3 +690,101 @@ def test_index_claims_evaluate_few_points(verifier, monkeypatch):
     monkeypatch.setattr(verify, "_gap_cover", lambda hi, **_: hi)
     assert verifier(10**6) == replace(r, elapsed=ANY)
     assert sum(sizes["f"]) >= 10**6 - 1
+
+
+# Calls that stream the pair segments, each over about [0, x]
+_TABLE_CALLS = {
+    "Firoozbakht": lambda x, **kw: verify_firoozbakht(x, **kw),
+    "GapUpper": lambda x, **kw: verify_gap_upper(x, **kw),
+    "T3": lambda x, **kw: verify_theorem3(max(2, x // 20), **kw),
+    "GapInterval": lambda x, **kw: verify_gap_interval(max(2, 2 * x // 3), **kw),
+    "T1": lambda x, **kw: verify_theorem1(
+        k := 2 + x % 30, max(f_of_k(k), x // k), **kw),
+    "max_gap_up_to": lambda x, **kw: sieve.max_gap_up_to(x, **kw),
+}
+
+
+def _table_call_bytes(name, x, **kw):
+    out = _TABLE_CALLS[name](x, **kw)
+    return repr(out).encode() if name == "max_gap_up_to" else emit_reports([out], "json")
+
+
+_SIZES = [1024, 4096, 1 << 16, 1 << 21]
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=st.sampled_from(sorted(_TABLE_CALLS)), second=st.sampled_from(sorted(_TABLE_CALLS)),
+       x1=st.integers(13, 3 * 10**6), x2=st.integers(13, 3 * 10**6),
+       segment_size=st.sampled_from(_SIZES),
+       first_size=st.one_of(st.none(), st.sampled_from(_SIZES)),
+       workers=st.sampled_from([1, 2]))
+def test_summary_table_warm_matches_cold(first, second, x1, x2, segment_size, first_size,
+                                         workers):
+    kw = {"segment_size": segment_size, "workers": workers}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
+        _TABLE_CALLS[first](x1, segment_size=first_size or segment_size, workers=workers)
+        warm = _table_call_bytes(second, x2, **kw)
+        mp.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
+        assert _table_call_bytes(second, x2, **kw) == warm
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_second_pair_stream_sieves_few_segments(monkeypatch):
+    real, calls = sieve._segment_flags, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(sieve, "_segment_flags", counted)
+    kw = {"segment_size": 1024}
+    cold = verify_gap_upper(10**6, **kw)
+    assert len(calls) == 977
+    monkeypatch.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
+    verify_firoozbakht(10**6, **kw)
+    calls.clear()
+    warm = verify_gap_upper(10**6, **kw)
+    assert warm == replace(cold, elapsed=ANY)
+    assert 0 < len(calls) < 977 // 10
+
+
+def test_primes_for_indices_holds_one_array(monkeypatch):
+    kw = {"segment_size": sieve.DEFAULT_SEGMENT_SIZE, "workers": 1, "allow_large": False}
+    tracemalloc.start()
+    try:
+        primes = verify._primes_for_indices(10**6, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert primes.size == 10**6 and primes[-1] == 15485863
+    assert primes[:6].tolist() == [2, 3, 5, 7, 11, 13]
+    assert peak < 1.3 * primes.nbytes
+    # the cap covers the array, and refuses before it is allocated
+    monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(primes.nbytes))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            verify._primes_for_indices(10**6, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    monkeypatch.delenv("PRIMESPAN_MEM_LIMIT")
+    monkeypatch.setattr(verify, "_prime_bound", lambda n: 100)
+    with pytest.raises(RuntimeError, match="prime bound 100 too small"):
+        verify._primes_for_indices(100, **kw)
+
+
+def test_gap_upper_rechecks_near_ties(monkeypatch):
+    # a stand-in bound equal to the gap of 14 after p_30 = 113: its float
+    # slack is 0, but ln^2 113 - ln 113 = 17.6 at 200 bits clears the pair
+    real = verify._gap_upper_bound_array
+    monkeypatch.setattr(verify, "_gap_upper_bound_array",
+                        lambda p: np.where(p == 113, 14.0, real(p)))
+    r = verify_gap_upper(1000)
+    assert r.holds and r.min_slack == 0.0 and r.min_slack_at == "n=30;p_n=113;g_n=14"
+    # the bare float test would report it
+    monkeypatch.setattr(verify, "_gap_upper_exact_slack", lambda p, g: 0.0)
+    bare = verify_gap_upper(1000)
+    assert [v.param for v in bare.violations] == ["n=30;p_n=113"]
