@@ -15,7 +15,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Generator, Iterator, NamedTuple
 
 import numpy as np
 
@@ -79,21 +79,47 @@ def _base_primes(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return odd, odd * odd
 
 
+# The pre-sieve tile: odd slots 0 .. 15014 with every odd multiple of 3, 5, 7,
+# 11 and 13 crossed off, the primes included, laid out twice.  Slot i + 15015
+# is crossed off exactly when slot i is, so the 15015 slots from i % 15015,
+# repeated, give any run of slots from i with those primes sieved out.
+_TILE_PRIMES = (3, 5, 7, 11, 13)
+_TILE_PERIOD = math.prod(_TILE_PRIMES)
+
+
+def _tile() -> np.ndarray:
+    tile = np.ones(_TILE_PERIOD, dtype=bool)
+    for p in _TILE_PRIMES:
+        tile[p >> 1 :: p] = False
+    return np.concatenate((tile, tile))
+
+
+_TILE = _tile()
+# Slots 0 .. 6 are 1, 3, .., 13: the tile crosses off the tile primes, and 1 is no prime
+_TILE_HEAD = np.array([False, True, True, True, False, True, True])
+
+
 def _segment_flags(i_start: int, i_stop: int,
                    odd_primes: np.ndarray, odd_primes_sq: np.ndarray) -> np.ndarray:
-    """Primality flags for global odd slots [i_start, i_stop); slot i is 2*i+1."""
+    """Primality flags for global odd slots [i_start, i_stop); slot i is 2*i+1.
+
+    odd_primes are the odd primes from 3 on, as _base_primes gives them; the
+    tile crosses off the first five, so only those from 17 on are sieved.
+    """
     size = i_stop - i_start
-    buf = np.ones(size, dtype=bool)
     if size <= 0:
-        return buf
-    if i_start == 0:
-        buf[0] = False
+        return np.ones(0, dtype=bool)
+    a = i_start % _TILE_PERIOD
+    buf = np.resize(_TILE[a : a + _TILE_PERIOD], size)  # the period, repeated
+    if i_start < _TILE_HEAD.size:
+        n = min(size, _TILE_HEAD.size - i_start)
+        buf[:n] = _TILE_HEAD[i_start : i_start + n]
     lo_num = 2 * i_start + 1
     hi_num = 2 * i_stop - 1
     n_app = int(np.searchsorted(odd_primes_sq, hi_num, side="right"))
-    if n_app == 0:
+    p = odd_primes[len(_TILE_PRIMES) : n_app]
+    if not p.size:
         return buf
-    p = odd_primes[:n_app]
     # First odd multiple of p at or above max(p*p, lo_num), as an offset
     # from lo_num.  Offsets stay below the segment span plus 2p, so the
     # arithmetic cannot overflow int64 even at the top of the range.
@@ -430,10 +456,10 @@ def _pair_block(carry: int, slot_start: int, flags: np.ndarray) -> np.ndarray:
     return pv
 
 
-def _stored_block(carry: int, slot_start: int, seg_slots: int,
+def _stored_block(carry: int, slot_start: int, n_slots: int,
                   base: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The pair block of a stored segment, sieved again from its first slot."""
-    flags = _segment_flags(slot_start, slot_start + seg_slots, *base)
+    """The pair block of the n_slots odd slots from slot_start, sieved again."""
+    flags = _segment_flags(slot_start, slot_start + n_slots, *base)
     return _pair_block(carry, slot_start, flags)
 
 
@@ -448,8 +474,9 @@ _SUMMARY_ROW_BYTES = 40
 _REPLAY_ROWS = 4096  # rows turned into Python ints at a time
 
 
-def _pair_segments(limit: int, *, segment_size: int, workers: int,
-                   allow_large: bool) -> Iterator[_PairSegment]:
+def _pair_segments(limit: int, *, segment_size: int, workers: int, allow_large: bool,
+                   extra_mem: int = 0
+                   ) -> Generator[_PairSegment, None, tuple[np.ndarray, tuple | None]]:
     """Summarize the consecutive prime pairs with p_next <= limit, one sieve segment at a time.
 
     This is the one place that stitches segments into pairs: a segment's
@@ -463,7 +490,10 @@ def _pair_segments(limit: int, *, segment_size: int, workers: int,
 
     Full segments already in the summary table are yielded from their rows,
     and only their pv() sieves; the stream sieves from the first segment
-    past the table.  A stream run to its end publishes the longer table.
+    past the table.  A stream run to its end publishes the longer table,
+    and returns the rows of its full segments and the row of its partial
+    last segment, or None if it has none.  extra_mem is checked against the
+    memory budget with the sieve and the table.
     """
     global _summaries
     held_slots, stored = _summaries
@@ -474,9 +504,11 @@ def _pair_segments(limit: int, *, segment_size: int, workers: int,
     # the memory held: the stored table, and the longer one this stream fills
     held = len(stored) + (full if grows else 0)
     workers = _check_sieve(0, limit, segment_size=segment_size, workers=workers,
-                           allow_large=allow_large, extra_mem=_SUMMARY_ROW_BYTES * held)
+                           allow_large=allow_large,
+                           extra_mem=_SUMMARY_ROW_BYTES * held + extra_mem)
+    table = stored[:known]
     if not n_slots:
-        return
+        return table, None
     base = _base_primes(math.isqrt(limit))
     for a in range(0, known, _REPLAY_ROWS):
         rows = stored[a : min(a + _REPLAY_ROWS, known)].tolist()
@@ -491,24 +523,65 @@ def _pair_segments(limit: int, *, segment_size: int, workers: int,
     if grows:
         table = np.empty((full, 5), dtype=np.int64)
         table[:known] = stored[:known]
-    k = known
+    k, last = known, None
     for slot_start, flags in _flag_chunks(known * seg_slots, n_slots - known * seg_slots,
                                           seg_slots, base, workers):
         count = int(np.count_nonzero(flags))
         p_hi, gap = carry, 0
         if count:
-            first, last = int(np.argmax(flags)), _last_true(flags)
-            zeros = _longest_true_run(np.packbits(flags[first : last + 1]) == 0)
-            p_hi = 2 * (slot_start + last) + 1
+            first, final = int(np.argmax(flags)), _last_true(flags)
+            zeros = _longest_true_run(np.packbits(flags[first : final + 1]) == 0)
+            p_hi = 2 * (slot_start + final) + 1
             gap = max(2 * (slot_start + first) + 1 - carry, 16 * (zeros + 2))
+        row = (n0, count, carry, p_hi, gap)
         if k < full:  # a full segment past the table, so the stream grows it
-            table[k] = (n0, count, carry, p_hi, gap)
+            table[k] = row
+        else:
+            last = row
         if count:
-            yield _PairSegment(n0, count, carry, p_hi, gap,
-                               partial(_pair_block, carry, slot_start, flags))
+            yield _PairSegment(*row, partial(_pair_block, carry, slot_start, flags))
         carry, n0, k = p_hi, n0 + count, k + 1
     if grows:
         _summaries = (seg_slots, table)
+    return table, last
+
+
+# Bytes per segment of _pair_rows' output and of what a caller derives from
+# it: the int64 row, and three arrays of one float64 or int64 per segment
+# (slack floors, guards and the order of the floors)
+_ROW_WORK_BYTES = _SUMMARY_ROW_BYTES + 3 * 8
+
+
+def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int, workers: int,
+               allow_large: bool) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
+    """Run the pair stream up to limit to its end, calling tick once per segment it yields.
+
+    Returns rows, an int64 array of one row (n0, pairs, p_lo, p_hi,
+    gap_bound) per sieve segment from slot 0, the last one cut at limit,
+    and block(k), which sieves segment k again into the block
+    iter_prime_pairs yields for it.  Rows and the arrays a caller derives
+    from them are checked against the memory budget with the stream,
+    before any of them is allocated.
+    """
+    _, n_slots, seg_slots = _plan(0, limit, segment_size)
+    n_segments = -(-n_slots // seg_slots)
+    stream = _pair_segments(limit, segment_size=segment_size, workers=workers,
+                            allow_large=allow_large, extra_mem=_ROW_WORK_BYTES * n_segments)
+    while True:
+        try:
+            next(stream)
+        except StopIteration as end:
+            table, last = end.value
+            break
+        tick()
+    rows = table if last is None else np.concatenate((table, [last]))
+    base = _base_primes(math.isqrt(limit))
+
+    def block(k: int) -> np.ndarray:
+        a = k * seg_slots
+        return _stored_block(int(rows[k, 2]), a, min(seg_slots, n_slots - a), base)
+
+    return rows, block
 
 
 def _gap_cover(hi: int, *, segment_size: int, workers: int, allow_large: bool) -> int:

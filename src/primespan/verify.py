@@ -34,9 +34,9 @@ from .bounds import (LogBase, IntervalRule, RuleName, RULES, f_of_k, f_of_k_arra
                      _lemma_lhs_array, _lemma_rhs_array, _mps_upper_bound_array,
                      _nth_prime_bounds_array)
 from .errors import CapacityError, ThresholdError
-from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _PairSegment,
-                    _gap_cover, _iter_flag_chunks, _pair_segments, _prime_bound,
-                    _segment_count, sieve_range)
+from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _gap_cover,
+                    _iter_flag_chunks, _pair_rows, _prime_bound, _segment_count,
+                    sieve_range)
 
 VIOLATION_CAP = 1000
 _CHUNK_POINTS = 1 << 16
@@ -162,46 +162,70 @@ def _run_ordered(fn, args, workers: int, progress: _Progress):
     return results
 
 
-def _segments(label: str, limit: int, *, segment_size: int, workers: int,
-              allow_large: bool, progress: bool | None) -> Iterator[_PairSegment]:
-    """The pair segments up to limit, ticking progress once per sieve segment.
-
-    Callers scan them in a loop, not in a function called per segment:
-    the loop's arrays live until the next segment replaces them, so malloc
-    reuses their memory instead of returning it to the system and
-    faulting it back in.  With a function per segment, Firoozbakht at 1e9
-    spent about 15% of its wall time in page faults.
-    """
-    prog = _Progress(label, _segment_count(0, limit, segment_size), progress)
-    for seg in _pair_segments(limit, segment_size=segment_size, workers=workers,
-                              allow_large=allow_large):
-        yield seg
-        prog.tick()
-
-
 # Relative error allowed for in a segment's slack floor: thousands of ulps,
 # where the floor and the scan's own float slacks each err by a few.
 _FLOOR_MARGIN = 2.0**-40
 
 
-def _slack_floor(claim_id: ClaimId, seg: _PairSegment) -> float:
-    """A certified lower bound on every slack the claim's scan computes in seg.
+def _slack_floor(claim_id: ClaimId, rows: np.ndarray) -> np.ndarray:
+    """A certified lower bound on every slack the claim's scan computes in each segment.
 
-    GapUpper: the bound ln^2 p - ln p grows for p >= 2, so ln^2 p - ln p - g
-    is at least the bound at p_lo less G = seg.gap_bound.  Firoozbakht:
-    (1 + 1/n) ln p - ln q = ln p / n - log1p(g/p), and log1p(x) <= x, so
-    it is at least ln p_lo / n_hi - G / p_lo.  The margin, 2^-40 of the
-    size of the terms, covers the float error of both this bound and the
-    scan's slacks, so a segment whose floor clears a threshold has no
-    computed slack at or below it.
+    rows are _pair_rows' (n0, pairs, p_lo, p_hi, G) rows, G being
+    the segment's gap bound.  GapUpper: the bound ln^2 p - ln p grows for
+    p >= 2, so ln^2 p - ln p - g is at least the bound at p_lo less G.
+    Firoozbakht: (1 + 1/n) ln p - ln q = ln p / n - log1p(g/p), and
+    log1p(x) <= x, so it is at least ln p_lo / n_hi - G / p_lo.  The
+    margin, 2^-40 of the size of the terms, covers the float error of both
+    this bound and the scan's slacks, so a segment whose floor clears a
+    threshold has no computed slack at or below it.
     """
-    l_hi, g = math.log(seg.p_hi), seg.gap_bound
+    n0, pairs, p_lo, p_hi, g = rows.T
+    l_hi, g = np.log(p_hi.astype(np.float64)), g.astype(np.float64)
     if claim_id is ClaimId.GAP_UPPER:
-        lowest = float(_gap_upper_bound_array(np.array([seg.p_lo]))[0])
-        return lowest - g - _FLOOR_MARGIN * (l_hi * l_hi + l_hi + g)
-    n_hi = seg.n0 + seg.pairs - 1
-    g_rel = g / seg.p_lo
-    return math.log(seg.p_lo) / n_hi - g_rel - _FLOOR_MARGIN * (3 * l_hi + g_rel)
+        return _gap_upper_bound_array(p_lo) - g - _FLOOR_MARGIN * (l_hi * l_hi + l_hi + g)
+    g_rel = g / p_lo
+    return np.log(p_lo.astype(np.float64)) / (n0 + pairs - 1) - g_rel \
+        - _FLOOR_MARGIN * (3 * l_hi + g_rel)
+
+
+def _best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
+                segment_size: int, workers: int, allow_large: bool,
+                progress: bool | None, cap: int):
+    """Merge scan(n0, pv) over the pair segments that can change the report.
+
+    The pair stream runs to its end first, ticking progress once per
+    segment, and gives every segment's summary row; the pairs with
+    n < first_n are outside the claim.  Then segments are built: every one
+    whose slack floor is at or below guard(rows), which covers each
+    violation and each near tie, then the rest in ascending floor order
+    while the floor is at most the least slack found.  A segment left out
+    has a floor above the final least slack, so each slack in it is
+    larger.  Results merge in scan order, so the earliest site wins ties
+    as in a scan of every pair, and the pairs left out count as scanned.
+    """
+    prog = _Progress(claim_id.value, _segment_count(0, limit, segment_size), progress)
+    rows, block = _pair_rows(limit, prog.tick, segment_size=segment_size, workers=workers,
+                             allow_large=allow_large)
+    n0 = rows[:, 0]
+    counted = np.maximum(rows[:, 1] - np.maximum(first_n - n0, 0), 0)
+    floors = np.where(counted > 0, _slack_floor(claim_id, rows), np.inf)
+    built = {}
+    least = math.inf
+
+    def build(k: int) -> None:
+        nonlocal least
+        built[k] = out = scan(int(n0[k]), block(k))
+        least = min(least, out[1][0])
+
+    for k in np.flatnonzero(floors <= guard(rows)).tolist():
+        build(k)
+    for k in map(int, np.argsort(floors)):
+        if floors[k] > least:
+            break
+        if k not in built:
+            build(k)
+    rest = int(counted.sum()) - sum(s for _, _, s in built.values())
+    return _merge([built[k] for k in sorted(built)] + [((), None, rest)], cap)
 
 
 def _share_setup(reports: list[ClaimReport], t0: float) -> tuple[ClaimReport, ...]:
@@ -502,6 +526,11 @@ def _firoozbakht_exact_slack(n: int, p: int, q: int) -> float:
         return float((1 + mpmath.mpf(1) / n) * mpmath.log(p) - mpmath.log(q))
 
 
+# Relative width of Firoozbakht's near ties: a float slack at or below this
+# share of the right side is judged again at 200-bit precision.
+_FIROOZBAKHT_TIE = 1e-12
+
+
 def verify_firoozbakht(limit: int, *, workers: int = 1,
                        segment_size: int = DEFAULT_SEGMENT_SIZE,
                        cap: int = VIOLATION_CAP, allow_large: bool = False,
@@ -509,42 +538,37 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
     """p_{n+1} < p_n^(1 + 1/n) for every pair with p_{n+1} <= limit.
 
     Compared in log space; slacks within 1e-12 relative are recomputed at
-    200-bit precision before being judged.  A segment whose slack floor
-    is above both the least slack so far and that guard can change
-    neither, so its pairs are counted without being built.
+    200-bit precision before being judged.  Pairs are built best first
+    (see _best_first): a segment whose slack floor is above that guard and
+    the least slack found can change neither, so its pairs are counted
+    without being built.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     t0 = perf_counter()
     rechecked = 0
 
-    def results():
-        nonlocal rechecked
-        least = math.inf
-        for seg in _segments("Firoozbakht", limit, segment_size=segment_size,
-                             workers=workers, allow_large=allow_large,
-                             progress=progress):
-            # at least 1e-12 |rhs| for every pair; positive, so it also keeps 0
-            guard = 1e-12 * (1.0 + 1.0 / seg.n0) * math.log(seg.p_hi)
-            if _slack_floor(ClaimId.FIROOZBAKHT, seg) > max(least, guard):
-                yield (), None, seg.pairs
-                continue
-            n0, pv = seg.n0, seg.pv()
-            lg = np.log(pv.astype(np.float64))
-            nn = np.arange(n0, n0 + pv.size - 1, dtype=np.int64)
-            rhs = (1.0 + 1.0 / nn.astype(np.float64)) * lg[:-1]
-            slack = rhs - lg[1:]
-            i = int(np.argmin(slack))
-            v = []
-            for j in np.flatnonzero(slack <= 1e-12 * np.abs(rhs)).tolist():
-                n, p, q = n0 + j, int(pv[j]), int(pv[j + 1])
-                rechecked += 1
-                if _firoozbakht_exact_slack(n, p, q) <= 0:
-                    v.append(Violation(f"n={n};p_n={p}", q, firoozbakht_rhs(p, n)))
-            least = min(least, float(slack[i]))
-            yield v, (float(slack[i]), f"n={n0 + i};p_n={int(pv[i])}"), int(pv.size) - 1
+    def guard(rows):
+        # at least _FIROOZBAKHT_TIE |rhs| for every pair of the segment
+        return _FIROOZBAKHT_TIE * (1.0 + 1.0 / rows[:, 0]) * np.log(rows[:, 3].astype(np.float64))
 
-    merged = _merge(results(), cap)
+    def scan(n0, pv):
+        nonlocal rechecked
+        lg = np.log(pv.astype(np.float64))
+        nn = np.arange(n0, n0 + pv.size - 1, dtype=np.int64)
+        rhs = (1.0 + 1.0 / nn.astype(np.float64)) * lg[:-1]
+        slack = rhs - lg[1:]
+        i = int(np.argmin(slack))
+        v = []
+        for j in np.flatnonzero(slack <= _FIROOZBAKHT_TIE * np.abs(rhs)).tolist():
+            n, p, q = n0 + j, int(pv[j]), int(pv[j + 1])
+            rechecked += 1
+            if _firoozbakht_exact_slack(n, p, q) <= 0:
+                v.append(Violation(f"n={n};p_n={p}", q, firoozbakht_rhs(p, n)))
+        return v, (float(slack[i]), f"n={n0 + i};p_n={int(pv[i])}"), int(pv.size) - 1
+
+    merged = _best_first(ClaimId.FIROOZBAKHT, limit, 1, guard, scan, segment_size=segment_size,
+                         workers=workers, allow_large=allow_large, progress=progress, cap=cap)
     notes = (f"log-space comparison with 1e-12 relative guard; "
              f"{rechecked} near-ties rechecked at 200-bit precision",)
     return _report(ClaimId.FIROOZBAKHT, f"pairs with p_next<={limit}",
@@ -572,40 +596,31 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
 
     A float slack within _GAP_UPPER_TIE times the bound of 0 may have the
     wrong sign, so its pair is judged at 200-bit precision instead.
-    A segment whose slack floor is above both 0 and the least slack so far
-    can change neither, so its pairs are counted without being built.
+    Pairs are built best first (see _best_first): a segment whose slack
+    floor is above both 0 and the least slack found can change neither,
+    so its pairs are counted without being built.
     """
     if limit < 13:
         raise ValueError(f"limit must be >= 13, got {limit}")
     t0 = perf_counter()
 
-    def results():
-        least = math.inf
-        for seg in _segments("GapUpper", limit, segment_size=segment_size,
-                             workers=workers, allow_large=allow_large,
-                             progress=progress):
-            skip = max(0, 5 - seg.n0)  # the pairs with n <= 4 are outside the claim
-            if seg.pairs <= skip:
-                continue
-            if _slack_floor(ClaimId.GAP_UPPER, seg) > max(least, 0.0):
-                yield (), None, seg.pairs - skip
-                continue
-            pv = seg.pv()
-            p = pv[skip:-1]
-            g = (pv[skip + 1:] - p).astype(np.float64)
-            bound = _gap_upper_bound_array(p)
-            slack = bound - g
-            i = int(np.argmin(slack))
-            n = seg.n0 + skip
-            tol = _GAP_UPPER_TIE * bound
-            v = [Violation(f"n={n + j};p_n={int(p[j])}", int(g[j]), float(bound[j]))
-                 for j in np.flatnonzero(slack <= tol).tolist()
-                 if slack[j] < -tol[j] or _gap_upper_exact_slack(int(p[j]), int(g[j])) <= 0]
-            least = min(least, float(slack[i]))
-            best = (float(slack[i]), f"n={n + i};p_n={int(p[i])};g_n={int(g[i])}")
-            yield v, best, int(p.size)
+    def scan(n0, pv):
+        skip = max(0, 5 - n0)  # the pairs with n <= 4 are outside the claim
+        p = pv[skip:-1]
+        g = (pv[skip + 1:] - p).astype(np.float64)
+        bound = _gap_upper_bound_array(p)
+        slack = bound - g
+        i = int(np.argmin(slack))
+        n = n0 + skip
+        tol = _GAP_UPPER_TIE * bound
+        v = [Violation(f"n={n + j};p_n={int(p[j])}", int(g[j]), float(bound[j]))
+             for j in np.flatnonzero(slack <= tol).tolist()
+             if slack[j] < -tol[j] or _gap_upper_exact_slack(int(p[j]), int(g[j])) <= 0]
+        return v, (float(slack[i]), f"n={n + i};p_n={int(p[i])};g_n={int(g[i])}"), int(p.size)
 
-    merged = _merge(results(), cap)
+    merged = _best_first(ClaimId.GAP_UPPER, limit, 5, lambda rows: 0.0, scan,
+                         segment_size=segment_size, workers=workers,
+                         allow_large=allow_large, progress=progress, cap=cap)
     return _report(ClaimId.GAP_UPPER,
                    f"indices n>4 with p_next<={limit}; natural log",
                    merged, perf_counter() - t0)
@@ -657,16 +672,20 @@ def verify_basic_props(limit: int, *, workers: int = 1,
     reports = []
 
     # n + 1 <= p_n over 1 <= n <= limit; slack p_n - n is the distance to violation
+    def prop4(nr):
+        a, b = nr
+        ns = np.arange(a, b + 1, dtype=np.int64)
+        pn = primes[a - 1 : b]
+        slack = pn - ns
+        i = int(np.argmin(slack))
+        v = [Violation(f"n={a + j}", int(pn[j]), a + j + 1)
+             for j in np.flatnonzero(pn < ns + 1).tolist()]
+        return v, (int(slack[i]), f"n={a + i}"), b - a + 1
+
     t0 = perf_counter()
-    pn = primes[:limit]
-    ns = np.arange(1, limit + 1, dtype=np.int64)
-    slack = pn - ns
-    i = int(np.argmin(slack))
-    best = (int(slack[i]), f"n={int(ns[i])}")
-    bad = np.flatnonzero(pn < ns + 1).tolist()
-    v = [Violation(f"n={int(ns[j])}", int(pn[j]), int(ns[j] + 1)) for j in bad[:cap]]
     reports.append(_report(ClaimId.PROP4, f"1<=n<={limit}",
-                           (tuple(v), len(bad), best, limit), perf_counter() - t0))
+                           _merge(map(prop4, _chunk_ranges(1, limit)[1]), cap),
+                           perf_counter() - t0))
     prog.tick()
 
     # theta(n) <= n*ln4 over 2 <= n <= limit; theta only jumps at primes and
@@ -693,19 +712,20 @@ def verify_basic_props(limit: int, *, workers: int = 1,
     prog.tick()
 
     # n ln(n ln n / e) < p_n < n ln(n ln n) over 6 <= n <= limit
+    def bracket(nr):
+        a, b = nr
+        lower, upper = _nth_prime_bounds_array(np.arange(a, b + 1, dtype=np.int64))
+        p = primes[a - 1 : b].astype(np.float64)
+        slack = np.minimum(p - lower, upper - p)
+        i = int(np.argmin(slack))
+        v = [Violation(f"n={a + j}", float(p[j]),
+                       f"({float(lower[j])!r}; {float(upper[j])!r})")
+             for j in np.flatnonzero((p <= lower) | (p >= upper)).tolist()]
+        return v, (float(slack[i]), f"n={a + i}"), b - a + 1
+
     t0 = perf_counter()
-    ns = np.arange(6, limit + 1, dtype=np.int64)
-    lower, upper = _nth_prime_bounds_array(ns)
-    p = primes[5:limit].astype(np.float64)
-    slack = np.minimum(p - lower, upper - p)
-    i = int(np.argmin(slack))
-    best = (float(slack[i]), f"n={int(ns[i])}")
-    bad = np.flatnonzero((p <= lower) | (p >= upper)).tolist()
-    v = [Violation(f"n={int(ns[j])}", float(p[j]),
-                   f"({float(lower[j])!r}; {float(upper[j])!r})")
-         for j in bad[:cap]]
     reports.append(_report(ClaimId.NTH_PRIME_BOUNDS, f"6<=n<={limit}",
-                           (tuple(v), len(bad), best, limit - 5),
+                           _merge(map(bracket, _chunk_ranges(6, limit)[1]), cap),
                            perf_counter() - t0))
     prog.tick()
     return _share_setup(reports, t_call)

@@ -45,6 +45,18 @@ def naive_sieve(limit: int) -> bytearray:
     return flags
 
 
+def naive_sieve_window(lo: int, hi: int) -> bytearray:
+    """flags[i] == 1 iff lo + i is prime, for lo <= lo + i <= hi: the window
+    with the multiples of naive_sieve's primes up to sqrt(hi) crossed off."""
+    flags = bytearray([1]) * (hi - lo + 1)
+    for x in range(lo, min(hi, 1) + 1):
+        flags[x - lo] = 0
+    for p in primes_from_flags(naive_sieve(math.isqrt(hi))):
+        start = max(p * p, -(-lo // p) * p)
+        flags[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
+    return flags
+
+
 def primes_from_flags(flags: bytearray) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 

@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from itertools import accumulate, islice
 
 import numpy as np
@@ -18,7 +19,7 @@ from primespan import (CapacityError, GapRecord, Interval, count_primes_in,
 from primespan.sieve import (DEFAULT_SEGMENT_SIZE, MIN_SEGMENT_SIZE, _gap_cover,
                              _longest_true_run, _pair_segments, _plan)
 
-from oracles import naive_sieve, primes_from_flags
+from oracles import naive_sieve, naive_sieve_window, primes_from_flags
 
 PRIMES_200 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
               61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127,
@@ -174,6 +175,35 @@ def test_offset_range_matches_oracle():
     flags = naive_sieve(5000)
     want = [p for p in primes_from_flags(flags) if 1234 <= p <= 4321]
     assert sieve_range(1234, 4321).primes().tolist() == want
+
+
+_TILE_PERIOD = 3 * 5 * 7 * 11 * 13  # the pre-sieve tile's period, in odd slots
+
+
+@cache
+def _oracle_flags() -> bytearray:
+    return naive_sieve(2 * (10**6 + 61 * _TILE_PERIOD + 70_000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(i_start=st.one_of(st.just(0), st.integers(0, 8), st.integers(0, 10**6),
+                         st.builds(lambda m, d: max(0, m * _TILE_PERIOD + d),
+                                   st.integers(1, 60), st.integers(-9, 9))),
+       size=st.one_of(st.integers(1, _TILE_PERIOD - 1), st.integers(_TILE_PERIOD, 70_000)))
+def test_segment_flags_match_oracle(i_start, size):
+    i_stop = i_start + size
+    got = sieve._segment_flags(i_start, i_stop, *sieve._base_primes(math.isqrt(2 * i_stop - 1)))
+    want = _oracle_flags()[2 * i_start + 1 : 2 * i_stop : 2]
+    assert got.astype(np.uint8).tobytes() == bytes(want)
+
+
+@settings(max_examples=6, deadline=None)
+@given(base=st.integers(10**12 - 10**5, 10**12 + 10**5), width=st.integers(0, 3000))
+def test_sieve_range_high_base_matches_oracle(base, width):
+    flags = naive_sieve_window(base, base + width)
+    want = [base + i for i, f in enumerate(flags) if f]
+    got = sieve_range(base, base + width, MIN_SEGMENT_SIZE)
+    assert got.primes().tolist() == want
 
 
 def test_iter_prime_blocks_concatenates():

@@ -27,7 +27,7 @@ from primespan.cli import emit_report, emit_reports
 from primespan.verify import CLAIMS
 
 from oracles import (naive_sieve, oracle_f, oracle_next_prime,
-                     primes_from_flags)
+                     primes_from_flags, trial_division_is_prime)
 
 
 def _param_ints(report, key="n"):
@@ -551,8 +551,9 @@ def test_compare_rules_note_only_with_papergap_240():
 
 
 def _exhaustive(monkeypatch):
-    """Make every pair-stream segment fail its skip test, so each one is scanned."""
-    monkeypatch.setattr(verify, "_slack_floor", lambda claim_id, seg: -math.inf)
+    """Give every pair-stream segment a slack floor of -inf, so each one is built."""
+    monkeypatch.setattr(verify, "_slack_floor",
+                        lambda claim_id, rows: np.full(len(rows), -math.inf))
 
 
 def _pair_stream_json(limit, **kw):
@@ -575,33 +576,40 @@ def test_segment_skip_matches_exhaustive(limit, segment_size, workers):
 @pytest.mark.parametrize("segment_size", [1024, 1 << 16])
 def test_slack_floor_below_every_slack(segment_size):
     # each slack exactly as the scan computes it, against its segment's floor
-    for seg in verify._pair_segments(10**6, segment_size=segment_size, workers=1,
-                                     allow_large=False):
-        pv = seg.pv()
+    rows, block = verify._pair_rows(10**6, lambda: None, segment_size=segment_size,
+                                    workers=1, allow_large=False)
+    floors = {claim: verify._slack_floor(claim, rows)
+              for claim in (ClaimId.FIROOZBAKHT, ClaimId.GAP_UPPER)}
+    for k, (n0, pairs, *_) in enumerate(rows.tolist()):
+        if not pairs:
+            continue
+        pv = block(k)
         lg = np.log(pv.astype(np.float64))
-        n = np.arange(seg.n0, seg.n0 + seg.pairs, dtype=np.float64)
+        n = np.arange(n0, n0 + pairs, dtype=np.float64)
         firoozbakht = (1.0 + 1.0 / n) * lg[:-1] - lg[1:]
-        assert verify._slack_floor(ClaimId.FIROOZBAKHT, seg) < firoozbakht.min()
-        if seg.n0 > 4:
+        assert floors[ClaimId.FIROOZBAKHT][k] < firoozbakht.min()
+        if n0 > 4:
             gap_upper = lg[:-1] * lg[:-1] - lg[:-1] - np.diff(pv)
-            assert verify._slack_floor(ClaimId.GAP_UPPER, seg) < gap_upper.min()
+            assert floors[ClaimId.GAP_UPPER][k] < gap_upper.min()
 
 
 def _count_built(monkeypatch):
-    """Count the segments the verifiers see and the pair blocks they build."""
-    counts = {"segments": 0, "built": 0}
-    segments = verify._pair_segments
+    """Count the segments the verifiers summarize and the pair blocks they build,
+    and list the built segments in build order."""
+    counts = {"segments": 0, "built": 0, "order": []}
+    pair_rows = verify._pair_rows
 
     def counted(*args, **kw):
-        for seg in segments(*args, **kw):
-            counts["segments"] += 1
+        rows, block = pair_rows(*args, **kw)
+        counts["segments"] += len(rows)
 
-            def pv(build=seg.pv):
-                counts["built"] += 1
-                return build()
-            yield seg._replace(pv=pv)
+        def built(k):
+            counts["built"] += 1
+            counts["order"].append(k)
+            return block(k)
+        return rows, built
 
-    monkeypatch.setattr(verify, "_pair_segments", counted)
+    monkeypatch.setattr(verify, "_pair_rows", counted)
     return counts
 
 
@@ -615,6 +623,19 @@ def test_gap_upper_skips_most_segments(monkeypatch):
     counts.update(segments=0, built=0)
     _exhaustive(monkeypatch)
     assert verify_gap_upper(10**6, segment_size=1024) == replace(r, elapsed=ANY)
+    assert counts["built"] == counts["segments"] == 977
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_firoozbakht_builds_few_segments(monkeypatch):
+    counts = _count_built(monkeypatch)
+    r = verify_firoozbakht(10**6, segment_size=1024)
+    assert r.holds and r.scanned == 78498 - 1
+    assert counts["segments"] == 977
+    assert 0 < counts["built"] < counts["segments"] // 20
+    counts.update(segments=0, built=0)
+    _exhaustive(monkeypatch)
+    assert verify_firoozbakht(10**6, segment_size=1024) == replace(r, elapsed=ANY)
     assert counts["built"] == counts["segments"] == 977
 
 
@@ -635,6 +656,52 @@ def test_gap_upper_skip_keeps_late_violations(monkeypatch):
     exhaustive = verify_gap_upper(**kw)
     assert skipping.violations == exhaustive.violations
     assert emit_reports([skipping], "json") == emit_reports([exhaustive], "json")
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_firoozbakht_best_first_keeps_late_violations(monkeypatch):
+    # a stand-in guard of 1e-5 makes near ties of the pairs late in the range,
+    # and a stand-in recheck makes those with a gap of 50 or more violations
+    monkeypatch.setattr(verify, "_FIROOZBAKHT_TIE", 1e-5)
+    monkeypatch.setattr(verify, "_firoozbakht_exact_slack",
+                        lambda n, p, q: -1.0 if q - p >= 50 else 1.0)
+    counts = _count_built(monkeypatch)
+    kw = {"limit": 10**6, "segment_size": 1024, "cap": 5}
+    best_first = verify_firoozbakht(**kw)
+    assert 0 < counts["built"] < counts["segments"]
+    assert len(best_first.violations) == 5 < best_first.violations_total
+    sites = [int(v.param.split(";")[0].removeprefix("n=")) for v in best_first.violations]
+    assert sites == sorted(sites) and sites[0] > 2 * 10**4
+    _exhaustive(monkeypatch)
+    exhaustive = verify_firoozbakht(**kw)
+    assert best_first.violations == exhaustive.violations
+    assert best_first.violations_total == exhaustive.violations_total
+    assert emit_reports([best_first], "json") == emit_reports([exhaustive], "json")
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_best_first_tie_keeps_earlier_site(monkeypatch):
+    # stand-ins: the twin pairs after 1019 and 5009, in segments 0 and 4 of
+    # 1024 integers, both have the least slack 7 - 2 = 5, and the later
+    # segment has the lower floor, so it is built first
+    ties = (1019, 5009)
+    assert all(trial_division_is_prime(p) and trial_division_is_prime(p + 2) for p in ties)
+    monkeypatch.setattr(verify, "_gap_upper_bound_array",
+                        lambda p: np.where(np.isin(p, ties), 7.0, 1000.0))
+
+    def floors(claim_id, rows):
+        out = np.full(len(rows), 500.0)
+        for p, floor in zip(ties, (2.0, 1.0)):
+            out[(rows[:, 2] <= p) & (p < rows[:, 3])] = floor
+        return out
+
+    monkeypatch.setattr(verify, "_slack_floor", floors)
+    counts = _count_built(monkeypatch)
+    r = verify_gap_upper(10**5, segment_size=1024)
+    assert counts["order"] == [4, 0]
+    assert (r.min_slack, r.min_slack_at) == (5.0, "n=171;p_n=1019;g_n=2")
+    _exhaustive(monkeypatch)
+    assert verify_gap_upper(10**5, segment_size=1024) == replace(r, elapsed=ANY)
 
 
 def _index_claims_json(k3, n_gi, k1, n1, **kw):
@@ -738,15 +805,32 @@ def test_second_pair_stream_sieves_few_segments(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sieve, "_segment_flags", counted)
+    counts = _count_built(monkeypatch)
     kw = {"segment_size": 1024}
     cold = verify_gap_upper(10**6, **kw)
-    assert len(calls) == 977
+    # the stream sieves every segment, and each built one is sieved again
+    assert 0 < counts["built"] and len(calls) == 977 + counts["built"]
     monkeypatch.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
     verify_firoozbakht(10**6, **kw)
     calls.clear()
     warm = verify_gap_upper(10**6, **kw)
     assert warm == replace(cold, elapsed=ANY)
     assert 0 < len(calls) < 977 // 10
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_mem_limit_counts_pair_rows(monkeypatch):
+    # the sieve, the summary table it fills, and 64 bytes per segment for
+    # the rows and the floors, guards and order derived from them
+    _, n_slots, seg_slots = sieve._plan(0, 10**6, 1024)
+    full, segments = n_slots // seg_slots, -(-n_slots // seg_slots)
+    need = 3 * ((math.isqrt(10**6) + 1) >> 1) + seg_slots + 40 * full + 64 * segments
+    monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need - 1))
+    with pytest.raises(CapacityError):
+        verify_gap_upper(10**6, segment_size=1024)
+    assert sieve._summaries is sieve._NO_SUMMARIES
+    monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need))
+    assert verify_gap_upper(10**6, segment_size=1024).holds
 
 
 def test_primes_for_indices_holds_one_array(monkeypatch):
@@ -774,6 +858,18 @@ def test_primes_for_indices_holds_one_array(monkeypatch):
     monkeypatch.setattr(verify, "_prime_bound", lambda n: 100)
     with pytest.raises(RuntimeError, match="prime bound 100 too small"):
         verify._primes_for_indices(100, **kw)
+
+
+def test_basic_props_peak_below_two_prime_arrays():
+    # the first 10^6 primes take 8 MB as int64; the checks over n go in chunks
+    tracemalloc.start()
+    try:
+        reports = verify_basic_props(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.holds for r in reports)
+    assert peak < 2 * 8 * 10**6
 
 
 def test_gap_upper_rechecks_near_ties(monkeypatch):
