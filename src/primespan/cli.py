@@ -4,7 +4,7 @@ Exit codes: 0 clean, 1 when a verification run finds violations or a
 resource/IO limit is hit, 2 on usage errors.  Progress and timing go to
 standard error so standard output stays machine-parseable.  Serialized
 reports exclude wall time unless --include-timing is given, keeping
-output byte-identical across reruns and worker counts.
+output byte-identical across reruns.  --workers is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
+from typing import Iterable
 
 from .bounds import RULES, IntervalRule, RuleName
 from .errors import PrimespanError, ThresholdError
@@ -162,16 +164,22 @@ def _positive(name: str, value: int | None) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
-def _write_output(payload: bytes, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(payload.decode("utf-8"))
-        return
-    with open(out, "wb") as fh:
-        fh.write(payload)
+def _write_lines(lines: Iterable[str], out: str | None, head: str = "") -> None:
+    """Write head, then each string of lines as it comes, to the file out or stdout.
+
+    The first string is made before out is opened, so input that the
+    library refuses when the stream starts writes nothing and creates no
+    file.
+    """
+    lines = iter(lines)
+    first = next(lines, "")
+    with (nullcontext(sys.stdout) if out is None
+          else open(out, "w", encoding="utf-8", newline="")) as fh:
+        fh.write(head + first)
+        fh.writelines(lines)
 
 
 def _cmd_verify(args) -> int:
-    _positive("--workers", args.workers)
     if args.cap < 0:
         raise ValueError(f"--cap must be >= 0, got {args.cap}")
     # merge and check every claim's parameters before any computation starts;
@@ -189,20 +197,18 @@ def _cmd_verify(args) -> int:
         plans.append((spec, params))
     reports: list[ClaimReport] = []
     for spec, params in plans:
-        batch = spec.run(params, args.boundary, workers=args.workers,
-                         segment_size=args.segment_size, cap=args.cap,
-                         allow_large=args.allow_large, progress=args.progress)
+        batch = spec.run(params, args.boundary, segment_size=args.segment_size,
+                         cap=args.cap, allow_large=args.allow_large,
+                         progress=args.progress)
         for r in batch:
             print(f"# {r.claim_id.value} elapsed {r.elapsed:.2f}s",
                   file=sys.stderr)
         reports.extend(batch)
     payload = emit_reports(reports, args.format, include_timing=args.include_timing)
+    _write_lines([payload.decode("utf-8")], args.out)
     if args.out is not None:
-        _write_output(payload, args.out)
         for r in reports:
             print(f"summary: {_summary_text(r)}")
-    else:
-        _write_output(payload, None)
     return 1 if any(not r.holds for r in reports) else 0
 
 
@@ -222,66 +228,57 @@ def _parse_rules(spec: str | None) -> list[IntervalRule] | None:
 
 def _cmd_compare(args) -> int:
     table = compare_rules(args.n_from, args.n_to, _parse_rules(args.rules),
-                          segment_size=args.segment_size, workers=args.workers,
-                          allow_large=args.allow_large)
+                          segment_size=args.segment_size, allow_large=args.allow_large)
     if args.format == "csv":
         for note in table.notes:
             print(f"note: {note}", file=sys.stderr)
-    _write_output(emit_compare(table, args.format), args.out)
+    _write_lines([emit_compare(table, args.format).decode("utf-8")], args.out)
     return 0
 
 
 def _gaps_lines(records, fmt: str):
     if fmt == "csv":
-        yield "n,p_n,p_next,g_n\n"
-        for r in records:
-            yield f"{r.n},{r.p_n},{r.p_next},{r.g_n}\n"
-    else:
-        for r in records:
-            yield f"n={r.n} p_n={r.p_n} p_next={r.p_next} g_n={r.g_n}\n"
+        return (f"{r.n},{r.p_n},{r.p_next},{r.g_n}\n" for r in records)
+    return (f"n={r.n} p_n={r.p_n} p_next={r.p_next} g_n={r.g_n}\n" for r in records)
 
 
 def _cmd_gaps(args) -> int:
-    kw = {"segment_size": args.segment_size, "workers": args.workers,
-          "allow_large": args.allow_large}
+    kw = {"segment_size": args.segment_size, "allow_large": args.allow_large}
     if args.max_only:
         records = [max_gap_up_to(args.limit, **kw)]
     else:
         records = iterate_gaps(args.limit, **kw)
-    lines = _gaps_lines(records, args.format)
-    if args.out is None:
-        for line in lines:
-            sys.stdout.write(line)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            for line in lines:
-                fh.write(line)
+    head = "n,p_n,p_next,g_n\n" if args.format == "csv" else ""
+    _write_lines(_gaps_lines(records, args.format), args.out, head)
     return 0
 
 
+# Primes per string written.  A block holds a segment's primes, and formatting
+# takes about 100 bytes of Python objects per prime, so whole blocks would
+# hold several times the segment.
+_PRIMES_PER_WRITE = 1 << 12
+
+
+def _prime_lines(blocks):
+    for block in blocks:
+        for a in range(0, block.size, _PRIMES_PER_WRITE):
+            yield "".join(f"{p}\n" for p in block[a : a + _PRIMES_PER_WRITE].tolist())
+
+
 def _cmd_sieve(args) -> int:
-    kw = {"segment_size": args.segment_size, "workers": args.workers,
-          "allow_large": args.allow_large}
+    kw = {"segment_size": args.segment_size, "allow_large": args.allow_large}
     if args.nth is not None:
         if args.lo is not None or args.hi is not None:
             raise ValueError("--nth does not take a LO HI range")
         _positive("--nth", args.nth)
-        out = f"{nth_prime(args.nth, **kw)}\n"
+        lines = [f"{nth_prime(args.nth, **kw)}\n"]
     elif args.lo is None or args.hi is None:
         raise ValueError("sieve requires LO HI positional bounds or --nth N")
     elif args.count:
-        out = f"{count_primes_in(Interval(args.lo, args.hi), **kw)}\n"
+        lines = [f"{count_primes_in(Interval(args.lo, args.hi), **kw)}\n"]
     else:
-        chunks = []
-        for block in iter_prime_blocks(args.lo, args.hi, **kw):
-            if block.size:
-                chunks.append("\n".join(str(p) for p in block.tolist()))
-        out = "\n".join(chunks) + "\n" if chunks else ""
-    if args.out is None:
-        sys.stdout.write(out)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(out)
+        lines = _prime_lines(iter_prime_blocks(args.lo, args.hi, **kw))
+    _write_lines(lines, args.out)
     return 0
 
 
@@ -289,7 +286,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE,
                    help="sieve window in integers (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads (default %(default)s)")
+                   help="accepted and ignored: every command runs in one thread")
     p.add_argument("--allow-large", action="store_true",
                    help="permit ranges wider than 1e9 integers")
     p.add_argument("--out", default=None, metavar="FILE",
@@ -375,6 +372,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _positive("--workers", args.workers)
         return args.fn(args)
     except (ValueError, ThresholdError) as exc:
         print(f"error: {exc}", file=sys.stderr)

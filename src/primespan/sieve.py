@@ -3,16 +3,14 @@
 Only odd numbers are stored: bit j of a table whose first odd slot is s
 covers the integer 2*(s+j)+1, and the prime 2 is reconstructed from the
 range bounds.  Segments are aligned to multiples of 8 odd slots so the
-packed bitmap is byte-identical for every segment size and worker count.
+packed bitmap is byte-identical for every segment size.  Everything runs
+in the calling thread; the public functions accept workers= and ignore it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Generator, Iterator, NamedTuple
@@ -148,26 +146,38 @@ def _segment_count(lo: int, hi: int, segment_size: int) -> int:
     return -(-n_slots // seg_slots)
 
 
-def _check_sieve(lo: int, hi: int, *, segment_size: int, workers: int,
-                 allow_large: bool, extra_mem: int = 0) -> int:
+# Bytes a sieve stream holds per base prime: the int64 prime and square that
+# _base_primes keeps, and what _segment_flags works through for each: int64
+# offsets and two lists of Python ints (a pointer and a 28-byte int each)
+_BASE_PRIME_BYTES = 16 + 3 * 8 + 2 * (8 + 28)
+
+
+def _stream_mem(lo: int, hi: int, segment_size: int) -> int:
+    """Bytes a stream of segment flags over [lo, hi] holds at its peak.
+
+    A consumer's loop variable keeps one segment while the next is
+    sieved, and each segment is cut from whole periods of the pre-sieve
+    tile; add the base primes and _segment_flags' work on each of them.
+    """
+    _, n_slots, seg_slots = _plan(lo, hi, segment_size)
+    root = math.isqrt(hi)
+    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962)
+    n_base = int(1.25506 * root / math.log(root)) + 1 if root > 1 else 0
+    return 2 * (min(seg_slots, n_slots) + _TILE_PERIOD) + _BASE_PRIME_BYTES * n_base
+
+
+def _check_sieve(lo: int, hi: int, *, segment_size: int, allow_large: bool,
+                 extra_mem: int = 0) -> None:
     """Refuse a sieve of [lo, hi] before anything sized by the range is allocated.
 
-    Checks the range, the segment size, the worker count and the memory
-    budget, extra_mem included.  Returns the worker count clamped to the
-    machine's cores: every count gives the same output, and more threads
-    than cores only cost memory.
+    Checks the range, the segment size and the memory budget: the stream
+    (see _stream_mem) and extra_mem, the caller's own arrays.
     """
     _validate_range(lo, hi, allow_large)
     if segment_size < MIN_SEGMENT_SIZE:
         raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
-    _, n_slots, seg_slots = _plan(lo, hi, segment_size)
-    if n_slots:
-        root = math.isqrt(hi)
-        _check_mem(3 * ((root + 1) >> 1) + workers * min(seg_slots, n_slots) + extra_mem)
-    return workers
+    if _plan(lo, hi, segment_size)[1]:
+        _check_mem(_stream_mem(lo, hi, segment_size) + extra_mem)
 
 
 def _table_mem(lo: int, hi: int) -> int:
@@ -176,45 +186,26 @@ def _table_mem(lo: int, hi: int) -> int:
     return nbytes + _rank_nbytes(nbytes)
 
 
-def _iter_flag_chunks(lo: int, hi: int, *, segment_size: int, workers: int,
-                      allow_large: bool, extra_mem: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+def _iter_flag_chunks(lo: int, hi: int, *, segment_size: int, allow_large: bool,
+                      extra_mem: int = 0) -> Iterator[tuple[int, np.ndarray]]:
     """Iterate (global slot of buf[0], flags) covering the odd slots of [lo, hi] in order.
 
     The range, the segment size and the memory budget are checked when this
     is called, before the caller allocates anything sized by the range.
     """
-    workers = _check_sieve(lo, hi, segment_size=segment_size, workers=workers,
-                           allow_large=allow_large, extra_mem=extra_mem)
+    _check_sieve(lo, hi, segment_size=segment_size, allow_large=allow_large,
+                 extra_mem=extra_mem)
     i0, n_slots, seg_slots = _plan(lo, hi, segment_size)
     if not n_slots:
         return iter(())
-    return _flag_chunks(i0, n_slots, seg_slots, _base_primes(math.isqrt(hi)), workers)
+    return _flag_chunks(i0, n_slots, seg_slots, _base_primes(math.isqrt(hi)))
 
 
 def _flag_chunks(i0: int, n_slots: int, seg_slots: int,
-                 base: tuple[np.ndarray, np.ndarray],
-                 workers: int) -> Iterator[tuple[int, np.ndarray]]:
+                 base: tuple[np.ndarray, np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
     """Yield the flags of odd slots [i0, i0 + n_slots), one segment at a time."""
-
-    def make(chunk: tuple[int, int]) -> tuple[int, np.ndarray]:
-        a, b = chunk
-        return i0 + a, _segment_flags(i0 + a, i0 + b, *base)
-
-    chunks = ((a, min(a + seg_slots, n_slots)) for a in range(0, n_slots, seg_slots))
-    if workers == 1 or n_slots <= seg_slots:
-        for ch in chunks:
-            yield make(ch)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        pending: deque = deque()
-        for ch in itertools.islice(chunks, workers + 2):
-            pending.append(ex.submit(make, ch))
-        while pending:
-            out = pending.popleft().result()
-            nxt = next(chunks, None)
-            if nxt is not None:
-                pending.append(ex.submit(make, nxt))
-            yield out
+    for a in range(i0, i0 + n_slots, seg_slots):
+        yield a, _segment_flags(a, min(a + seg_slots, i0 + n_slots), *base)
 
 
 def _rank_nbytes(bitmap_nbytes: int) -> int:
@@ -364,15 +355,15 @@ def sieve_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE, *,
                 workers: int = 1, allow_large: bool = False) -> PrimeTable:
     """Sieve [lo, hi] into a queryable PrimeTable.
 
-    The result is byte-identical for every valid segment_size and worker
-    count.  Raises CapacityError when the range is wider than the default
-    limit (without allow_large) or the memory budget is exceeded.
+    The result is byte-identical for every valid segment_size.  Raises
+    CapacityError when the range is wider than the default limit
+    (without allow_large) or the memory budget is exceeded.
     """
     i0, n_slots, _ = _plan(lo, hi, segment_size)
     nbytes = (n_slots + 7) // 8
     # the budget covers the rank index that PrimeTable.pi builds later
-    chunks = _iter_flag_chunks(lo, hi, segment_size=segment_size, workers=workers,
-                               allow_large=allow_large, extra_mem=_table_mem(lo, hi))
+    chunks = _iter_flag_chunks(lo, hi, segment_size=segment_size, allow_large=allow_large,
+                               extra_mem=_table_mem(lo, hi))
     bitmap = np.zeros(nbytes, dtype=np.uint8)
     for slot_start, buf in chunks:
         a = slot_start - i0
@@ -386,7 +377,7 @@ def iter_prime_blocks(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_S
     """Stream non-empty sorted int64 prime arrays covering [lo, hi] in order."""
     pending_two = lo <= 2 <= hi
     for slot_start, buf in _iter_flag_chunks(lo, hi, segment_size=segment_size,
-                                             workers=workers, allow_large=allow_large):
+                                             allow_large=allow_large):
         vals = (np.flatnonzero(buf).astype(np.int64) + slot_start) * 2 + 1
         if pending_two:
             vals = np.concatenate((np.array([2], dtype=np.int64), vals))
@@ -474,8 +465,7 @@ _SUMMARY_ROW_BYTES = 40
 _REPLAY_ROWS = 4096  # rows turned into Python ints at a time
 
 
-def _pair_segments(limit: int, *, segment_size: int, workers: int, allow_large: bool,
-                   extra_mem: int = 0
+def _pair_segments(limit: int, *, segment_size: int, allow_large: bool, extra_mem: int = 0
                    ) -> Generator[_PairSegment, None, tuple[np.ndarray, tuple | None]]:
     """Summarize the consecutive prime pairs with p_next <= limit, one sieve segment at a time.
 
@@ -503,9 +493,8 @@ def _pair_segments(limit: int, *, segment_size: int, workers: int, allow_large: 
     grows = full > known
     # the memory held: the stored table, and the longer one this stream fills
     held = len(stored) + (full if grows else 0)
-    workers = _check_sieve(0, limit, segment_size=segment_size, workers=workers,
-                           allow_large=allow_large,
-                           extra_mem=_SUMMARY_ROW_BYTES * held + extra_mem)
+    _check_sieve(0, limit, segment_size=segment_size, allow_large=allow_large,
+                 extra_mem=_SUMMARY_ROW_BYTES * held + extra_mem)
     table = stored[:known]
     if not n_slots:
         return table, None
@@ -525,7 +514,7 @@ def _pair_segments(limit: int, *, segment_size: int, workers: int, allow_large: 
         table[:known] = stored[:known]
     k, last = known, None
     for slot_start, flags in _flag_chunks(known * seg_slots, n_slots - known * seg_slots,
-                                          seg_slots, base, workers):
+                                          seg_slots, base):
         count = int(np.count_nonzero(flags))
         p_hi, gap = carry, 0
         if count:
@@ -552,7 +541,7 @@ def _pair_segments(limit: int, *, segment_size: int, workers: int, allow_large: 
 _ROW_WORK_BYTES = _SUMMARY_ROW_BYTES + 3 * 8
 
 
-def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int, workers: int,
+def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
                allow_large: bool) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
     """Run the pair stream up to limit to its end, calling tick once per segment it yields.
 
@@ -565,8 +554,8 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int, worke
     """
     _, n_slots, seg_slots = _plan(0, limit, segment_size)
     n_segments = -(-n_slots // seg_slots)
-    stream = _pair_segments(limit, segment_size=segment_size, workers=workers,
-                            allow_large=allow_large, extra_mem=_ROW_WORK_BYTES * n_segments)
+    stream = _pair_segments(limit, segment_size=segment_size, allow_large=allow_large,
+                            extra_mem=_ROW_WORK_BYTES * n_segments)
     while True:
         try:
             next(stream)
@@ -584,7 +573,7 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int, worke
     return rows, block
 
 
-def _gap_cover(hi: int, *, segment_size: int, workers: int, allow_large: bool) -> int:
+def _gap_cover(hi: int, *, segment_size: int, allow_large: bool) -> int:
     """A certified G: every open interval (a, b) with 2 <= a and b <= hi + 1 that
     is longer than G holds a prime, and so at least floor((b - a) / (G + 1)) primes.
 
@@ -595,8 +584,7 @@ def _gap_cover(hi: int, *, segment_size: int, workers: int, allow_large: bool) -
     of length G + 1 gives the count.  Needs hi >= 2.
     """
     cover, last = 0, 2
-    for seg in _pair_segments(hi, segment_size=segment_size, workers=workers,
-                              allow_large=allow_large):
+    for seg in _pair_segments(hi, segment_size=segment_size, allow_large=allow_large):
         cover, last = max(cover, seg.gap_bound), seg.p_hi
     return max(cover, hi + 1 - last)
 
@@ -610,8 +598,7 @@ def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     each block starts with the previous block's last prime, so every pair
     appears exactly once and pv holds at least one pair.
     """
-    for seg in _pair_segments(limit, segment_size=segment_size, workers=workers,
-                              allow_large=allow_large):
+    for seg in _pair_segments(limit, segment_size=segment_size, allow_large=allow_large):
         yield seg.n0, seg.pv()
 
 
@@ -630,7 +617,7 @@ def prime_count(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     return count_primes_in(Interval(0, x), segment_size=segment_size,
-                           workers=workers, allow_large=allow_large)
+                           allow_large=allow_large)
 
 
 def nth_prime(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -644,7 +631,7 @@ def nth_prime(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     target = n - 1  # odd primes to skip past
     seen = 0
     for slot_start, buf in _iter_flag_chunks(0, bound, segment_size=segment_size,
-                                             workers=workers, allow_large=allow_large):
+                                             allow_large=allow_large):
         c = int(np.count_nonzero(buf))
         if seen + c >= target:
             idx = int(np.flatnonzero(buf)[target - seen - 1])
@@ -661,7 +648,7 @@ def count_primes_in(iv: Interval, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
         return 0
     total = 1 if a <= 2 <= b else 0
     for _, buf in _iter_flag_chunks(a, b, segment_size=segment_size,
-                                    workers=workers, allow_large=allow_large):
+                                    allow_large=allow_large):
         total += int(np.count_nonzero(buf))
     return total
 
@@ -672,7 +659,7 @@ def iterate_gaps(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     for n0, pv in iter_prime_pairs(limit, segment_size=segment_size,
-                                   workers=workers, allow_large=allow_large):
+                                   allow_large=allow_large):
         ps = pv.tolist()
         for n, (p, q) in enumerate(zip(ps, ps[1:]), n0):
             yield GapRecord(n, p, q, q - p)
@@ -684,8 +671,7 @@ def max_gap_up_to(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     best = None  # (g, n, p, p_next)
-    for seg in _pair_segments(limit, segment_size=segment_size, workers=workers,
-                              allow_large=allow_large):
+    for seg in _pair_segments(limit, segment_size=segment_size, allow_large=allow_large):
         # no gap here is larger, and a tie keeps the earlier pair's smaller n
         if best is not None and seg.gap_bound <= best[0]:
             continue
@@ -707,7 +693,7 @@ def log_primorial(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
         raise ValueError(f"n must be >= 2, got {n}")
     parts = []
     for block in iter_prime_blocks(0, n, segment_size=segment_size,
-                                   workers=workers, allow_large=allow_large):
+                                   allow_large=allow_large):
         parts.append(math.fsum(np.log(block.astype(np.float64)).tolist()))
     return math.fsum(parts)
 

@@ -7,19 +7,18 @@ bound shows that it can change none of these.  Claims that overstate
 their range are falsified honestly: violations found there are
 first-class results.
 
-Parameter spaces are split into fixed contiguous chunks whose boundaries
-depend only on the range, never on the worker count, and chunk results
-are merged in chunk order, so every report is byte-identical across
-reruns, worker counts, and segment sizes.
+Every scan runs in the calling thread.  Parameter spaces are split into
+fixed contiguous chunks whose boundaries depend only on the range, and
+chunk results are merged in chunk order, so every report is
+byte-identical across reruns and segment sizes.  The verifiers accept
+workers= and ignore it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -149,19 +148,6 @@ def _in_order(fn, args, progress: _Progress) -> Iterator:
         progress.tick()
 
 
-def _run_ordered(fn, args, workers: int, progress: _Progress):
-    """Apply fn over the iterable args with results in argument order for any worker count."""
-    workers = min(workers, os.cpu_count() or 1)  # the output is the same for any count
-    if workers <= 1:
-        return list(_in_order(fn, args, progress))
-    results = []
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for res in ex.map(fn, args):
-            results.append(res)
-            progress.tick()
-    return results
-
-
 # Relative error allowed for in a segment's slack floor: thousands of ulps,
 # where the floor and the scan's own float slacks each err by a few.
 _FLOOR_MARGIN = 2.0**-40
@@ -189,8 +175,7 @@ def _slack_floor(claim_id: ClaimId, rows: np.ndarray) -> np.ndarray:
 
 
 def _best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
-                segment_size: int, workers: int, allow_large: bool,
-                progress: bool | None, cap: int):
+                segment_size: int, allow_large: bool, progress: bool | None, cap: int):
     """Merge scan(n0, pv) over the pair segments that can change the report.
 
     The pair stream runs to its end first, ticking progress once per
@@ -204,7 +189,7 @@ def _best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
     as in a scan of every pair, and the pairs left out count as scanned.
     """
     prog = _Progress(claim_id.value, _segment_count(0, limit, segment_size), progress)
-    rows, block = _pair_rows(limit, prog.tick, segment_size=segment_size, workers=workers,
+    rows, block = _pair_rows(limit, prog.tick, segment_size=segment_size,
                              allow_large=allow_large)
     n0 = rows[:, 0]
     counted = np.maximum(rows[:, 1] - np.maximum(first_n - n0, 0), 0)
@@ -296,7 +281,7 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
     if n_max < f_of_k(k_max):
         raise ValueError(f"n_max must be >= f(k_max) = {f_of_k(k_max)}, got {n_max}")
     t0 = perf_counter()
-    kw = {"segment_size": segment_size, "workers": workers, "allow_large": allow_large}
+    kw = {"segment_size": segment_size, "allow_large": allow_large}
     cover = _gap_cover(k_max * n_max, **kw)
     ks = np.arange(2, k_max + 1, dtype=np.int64)
     fks = f_of_k_array(ks)
@@ -356,9 +341,7 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     t0 = perf_counter()
-    table = sieve_range(0, k_max * n_max, segment_size, workers=workers,
-                        allow_large=allow_large)
-    table.build_index()
+    table = sieve_range(0, k_max * n_max, segment_size, allow_large=allow_large)
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     below = table.pi(ns - 1)  # shared by every k
 
@@ -383,7 +366,7 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
 
     n_chunks, chunks = _chunk_ranges(2, k_max, points_per_unit=n_max)
     prog = _Progress("T2", n_chunks, progress)
-    merged = _merge(_run_ordered(work, chunks, workers, prog), cap)
+    merged = _merge(_in_order(work, chunks, prog), cap)
     notes = ("boundary=closed-closed; the adversarial convention for an upper bound",)
     return _report(ClaimId.T2, f"2<=k<={k_max}; 1<=n<={n_max}; boundary=closed",
                    merged, perf_counter() - t0, notes)
@@ -432,7 +415,7 @@ def verify_theorem3(k_max: int, *, workers: int = 1,
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     t0 = perf_counter()
-    kw = {"segment_size": segment_size, "workers": workers, "allow_large": allow_large}
+    kw = {"segment_size": segment_size, "allow_large": allow_large}
 
     def end(k: int) -> int:
         return k * (f_of_k(k) + 1)
@@ -486,7 +469,7 @@ def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     t0 = perf_counter()
-    kw = {"segment_size": segment_size, "workers": workers, "allow_large": allow_large}
+    kw = {"segment_size": segment_size, "allow_large": allow_large}
 
     def end(n: int) -> int:
         return n + n // 2 + 2  # g(n) <= 1.5n since f >= 2
@@ -568,7 +551,7 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
         return v, (float(slack[i]), f"n={n0 + i};p_n={int(pv[i])}"), int(pv.size) - 1
 
     merged = _best_first(ClaimId.FIROOZBAKHT, limit, 1, guard, scan, segment_size=segment_size,
-                         workers=workers, allow_large=allow_large, progress=progress, cap=cap)
+                         allow_large=allow_large, progress=progress, cap=cap)
     notes = (f"log-space comparison with 1e-12 relative guard; "
              f"{rechecked} near-ties rechecked at 200-bit precision",)
     return _report(ClaimId.FIROOZBAKHT, f"pairs with p_next<={limit}",
@@ -619,23 +602,22 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
         return v, (float(slack[i]), f"n={n + i};p_n={int(p[i])};g_n={int(g[i])}"), int(p.size)
 
     merged = _best_first(ClaimId.GAP_UPPER, limit, 5, lambda rows: 0.0, scan,
-                         segment_size=segment_size, workers=workers,
-                         allow_large=allow_large, progress=progress, cap=cap)
+                         segment_size=segment_size, allow_large=allow_large,
+                         progress=progress, cap=cap)
     return _report(ClaimId.GAP_UPPER,
                    f"indices n>4 with p_next<={limit}; natural log",
                    merged, perf_counter() - t0)
 
 
-def _primes_for_indices(n_index: int, *, segment_size: int, workers: int,
-                        allow_large: bool) -> np.ndarray:
+def _primes_for_indices(n_index: int, *, segment_size: int, allow_large: bool) -> np.ndarray:
     """The first n_index primes, written into one array as the sieve streams.
 
     The array is checked against the memory cap with the sieve, before
     it is allocated, and the stream stops at the n_index-th prime.
     """
     bound = _prime_bound(n_index)
-    chunks = _iter_flag_chunks(0, bound, segment_size=segment_size, workers=workers,
-                               allow_large=allow_large, extra_mem=8 * n_index)
+    chunks = _iter_flag_chunks(0, bound, segment_size=segment_size, allow_large=allow_large,
+                               extra_mem=8 * n_index)
     primes = np.empty(n_index, dtype=np.int64)
     primes[0] = 2
     filled = 1
@@ -666,8 +648,7 @@ def verify_basic_props(limit: int, *, workers: int = 1,
     t_call = perf_counter()
     if limit < 6:
         raise ValueError(f"limit must be >= 6, got {limit}")
-    primes = _primes_for_indices(limit, segment_size=segment_size,
-                                 workers=workers, allow_large=allow_large)
+    primes = _primes_for_indices(limit, segment_size=segment_size, allow_large=allow_large)
     prog = _Progress("props", 3, progress)
     reports = []
 
@@ -776,7 +757,7 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
             "set allow_large (CLI flag --allow-large) to override")
     m_max = f_of_k(k_max) + k_max + r_max
     primes = _primes_for_indices(max(m_max, 6), segment_size=segment_size,
-                                 workers=workers, allow_large=allow_large)
+                                 allow_large=allow_large)
     n_chunks, chunks = _chunk_ranges(5, n_max)
     prog = _Progress("lemmas", 2 + n_chunks, progress)
     reports = []
@@ -826,7 +807,7 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
             out[base] = (viols, (float(slack[i]), f"n={int(ns[i])}"), int(ns.size))
         return out
 
-    per_chunk = _run_ordered(l3_work, chunks, workers, prog)
+    per_chunk = list(_in_order(l3_work, chunks, prog))
     per_base = {base: _merge([c[base] for c in per_chunk], cap) for base in LogBase}
     reports.append(_two_base_report(ClaimId.L3, f"5<=n<={n_max}", per_base,
                                     LogBase.TEN, t0))
@@ -863,8 +844,7 @@ def compare_rules(n_lo: int, n_hi: int, rules: list[IntervalRule] | None = None,
             raise ThresholdError(
                 f"rule {rule.name.value} requires n >= {rule.n_min}, got n_lo={n_lo}")
     # the next prime after any n <= n_hi lies within 2*n_hi by the 2n rule
-    table = sieve_range(0, 2 * n_hi + 2, segment_size, workers=workers,
-                        allow_large=allow_large)
+    table = sieve_range(0, 2 * n_hi + 2, segment_size, allow_large=allow_large)
     primes = table.primes()
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     nxt = primes[np.searchsorted(primes, ns, side="right")]

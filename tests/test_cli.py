@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,10 @@ def test_gaps_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "gaps", "--limit", "30", "--out", str(path))
     assert code == 0 and out == ""
     assert path.read_text().splitlines()[-1] == "9,23,29,6"
+    # a refused limit creates no file, not even one with the header
+    refused = tmp_path / "refused.csv"
+    assert run(capsys, "gaps", "--limit", "2", "--out", str(refused))[0] == 2
+    assert not refused.exists()
 
 
 def test_sieve_list(capsys):
@@ -195,11 +200,31 @@ def test_sieve_usage_errors(capsys):
     assert run(capsys, "sieve", "10", "5")[0] == 2
 
 
-def test_sieve_capacity_exit_1(capsys, monkeypatch):
+def test_sieve_capacity_exit_1(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", "64")
     code, _, err = run(capsys, "sieve", "0", "10000000", "--count")
     assert code == 1
     assert "error:" in err
+    # a refused listing writes nothing and creates no file
+    path = tmp_path / "primes.txt"
+    assert run(capsys, "sieve", "0", "10000000")[:2] == (1, "")
+    assert run(capsys, "sieve", "0", "10000000", "--out", str(path))[:2] == (1, "")
+    assert not path.exists()
+
+
+def test_sieve_streams_its_output(tmp_path, capsys):
+    path = tmp_path / "primes.txt"
+    tracemalloc.start()
+    try:
+        code = run(capsys, "sieve", "0", "10000000", "--segment-size", "65536",
+                   "--out", str(path))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = path.read_bytes()
+    assert code == 0 and data.count(b"\n") == 664579 and data.endswith(b"9999991\n")
+    assert peak < len(data) // 4
+    assert run(capsys, "sieve", "0", "100")[1] == data[: data.index(b"101\n")].decode()
 
 
 def test_verify_t3_capacity_exit_1(capsys):

@@ -1,6 +1,7 @@
 """Unit tests for the segmented sieve and derived prime operations."""
 
 import math
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -86,9 +87,8 @@ def test_mem_limit_counts_rank_index(monkeypatch):
     table = sieve_range(lo, hi)
     table.build_index()
     bitmap, index = table.bitmap.nbytes, table._rank.nbytes
-    # the estimate's other terms: base-prime sieve and primes, one segment
-    _, n_slots, seg_slots = _plan(lo, hi, DEFAULT_SEGMENT_SIZE)
-    other = 3 * ((math.isqrt(hi) + 1) >> 1) + min(seg_slots, n_slots)
+    # the estimate's other term: the stream of segments and base primes
+    other = sieve._stream_mem(lo, hi, DEFAULT_SEGMENT_SIZE)
     for cap in (other + bitmap, other + bitmap + index - 1):
         monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(cap))
         tracemalloc.start()
@@ -101,6 +101,35 @@ def test_mem_limit_counts_rank_index(monkeypatch):
         assert peak < bitmap // 4  # refused before the bitmap was allocated
     monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(other + bitmap + index))
     assert sieve_range(lo, hi).count() == 664579
+
+
+def _estimate(call):
+    """The bytes a call's memory check asks for, read from its refusal under a 1-byte cap."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PRIMESPAN_MEM_LIMIT", "1")
+        with pytest.raises(CapacityError, match=r"needs about \d+ bytes") as refused:
+            call()
+    return int(re.search(r"needs about (\d+) bytes", str(refused.value)).group(1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: prime_count(2 * 10**8),
+    lambda: prime_count(10**5, segment_size=1024),
+    lambda: count_primes_in(Interval(10**8, 2 * 10**8)),
+    lambda: count_primes_in(Interval(10**12, 10**12 + 4000), segment_size=1024),
+], ids=["pi-2e8", "pi-1e5-small-segments", "1e8-2e8", "1e12-narrow"])
+def test_stream_peak_within_estimate(call, monkeypatch):
+    # a counting stream allocates nothing but the stream, so the estimate
+    # the cap is checked against bounds its whole traced peak
+    need = _estimate(call)
+    monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need))
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
 
 
 def test_rank_index_size_and_reuse():
@@ -309,8 +338,7 @@ def test_longest_true_run_matches_loop(bits):
 def test_pair_segment_summaries_match_blocks(limit, segment_size):
     primes = primes_from_flags(naive_sieve(limit))
     n0 = 1
-    for seg in _pair_segments(limit, segment_size=segment_size, workers=1,
-                              allow_large=False):
+    for seg in _pair_segments(limit, segment_size=segment_size, allow_large=False):
         pv = seg.pv()
         assert seg.n0 == n0 and pv.tolist() == primes[n0 - 1 : n0 + seg.pairs]
         assert (seg.p_lo, seg.p_hi) == (pv[0], pv[-1])
@@ -329,7 +357,7 @@ def test_pair_segment_summaries_match_blocks(limit, segment_size):
        segment_size=st.sampled_from([1024, 2048, 4096]), data=st.data())
 def test_gap_cover_leaves_no_prime_free_interval(hi, segment_size, data):
     flags = naive_sieve(hi)
-    cover = _gap_cover(hi, segment_size=segment_size, workers=1, allow_large=False)
+    cover = _gap_cover(hi, segment_size=segment_size, allow_large=False)
     # pi[x] counts the primes up to x; every (a, a + G + 1) with a + G <= hi
     # holds a prime, and a longer interval holds one of these
     pi = list(accumulate(flags))
@@ -340,13 +368,12 @@ def test_gap_cover_leaves_no_prime_free_interval(hi, segment_size, data):
         assert pi[b - 1] - pi[a] >= (b - a) // (cover + 1)
 
 
-def _stream(limit, segment_size, workers=1):
+def _stream(limit, segment_size):
     """Each pair segment up to limit: its summary, its block, its first odd slot,
     and whether its block was sieved again from a stored row."""
     return [(tuple(seg[:5]), seg.pv().tolist(), seg.pv.args[1],
              seg.pv.func is sieve._stored_block)
-            for seg in _pair_segments(limit, segment_size=segment_size,
-                                      workers=workers, allow_large=False)]
+            for seg in _pair_segments(limit, segment_size=segment_size, allow_large=False)]
 
 
 def _full_segments(limit, segment_size):
@@ -367,7 +394,7 @@ def test_stored_segments_rebuild_their_blocks(first, limit, segment_size):
     # summaries and re-sieved blocks equal those of a stream from scratch
     known = _full_segments(min(first, limit), segment_size)
     seg_slots = _plan(0, 0, segment_size)[2]
-    warm = _stream(limit, segment_size, workers=2)
+    warm = _stream(limit, segment_size)
     assert [row[:3] for row in warm] == [row[:3] for row in fresh]
     assert [stored for *_, stored in warm] == [
         slot < known * seg_slots for _, _, slot, _ in warm]
@@ -381,7 +408,7 @@ def test_unfinished_stream_publishes_nothing(monkeypatch):
     before = sieve._summaries
     rows = before[1].copy()
     # closed past the stored segments, in the middle of the ones it sieves
-    stream = _pair_segments(3 * 10**5, segment_size=1024, workers=1, allow_large=False)
+    stream = _pair_segments(3 * 10**5, segment_size=1024, allow_large=False)
     assert len(list(islice(stream, 150))) == 150 > len(rows)
     stream.close()
     assert sieve._summaries is before
@@ -406,8 +433,7 @@ def test_mem_limit_counts_summary_table(monkeypatch):
     assert len(sieve._summaries[1]) == 0
 
     def estimate(limit, rows):
-        _, n_slots, seg_slots = _plan(0, limit, 1024)
-        return 3 * ((math.isqrt(limit) + 1) >> 1) + min(seg_slots, n_slots) + 40 * rows
+        return sieve._stream_mem(0, limit, 1024) + 40 * rows
 
     def run_at(cap, limit):
         monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(cap))

@@ -1,10 +1,8 @@
 """Unit tests for the exhaustive claim checkers."""
 
 import math
-import os
 import threading
 import tracemalloc
-from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
 from time import perf_counter, sleep
@@ -161,46 +159,43 @@ def test_theorem3_refuses_before_allocating(monkeypatch):
     assert peak < 10 * 10**6
 
 
+# Every public sieve entry point, called with a worker count, as comparable data
+_SIEVE_CALLS = {
+    "sieve_range": lambda w: sieve_range(0, 10**5, 1024, workers=w).bitmap.tobytes(),
+    "iter_prime_blocks": lambda w: [b.tolist() for b in sieve.iter_prime_blocks(
+        0, 10**5, segment_size=1024, workers=w)],
+    "iter_prime_pairs": lambda w: [(n0, pv.tolist()) for n0, pv in sieve.iter_prime_pairs(
+        10**5, segment_size=1024, workers=w)],
+    "prime_count": lambda w: sieve.prime_count(10**5, segment_size=1024, workers=w),
+    "nth_prime": lambda w: sieve.nth_prime(9000, segment_size=1024, workers=w),
+    "count_primes_in": lambda w: sieve.count_primes_in(
+        sieve.Interval(10**4, 10**5), segment_size=1024, workers=w),
+    "iterate_gaps": lambda w: list(sieve.iterate_gaps(10**5, segment_size=1024, workers=w)),
+    "max_gap_up_to": lambda w: sieve.max_gap_up_to(10**5, segment_size=1024, workers=w),
+    "log_primorial": lambda w: sieve.log_primorial(10**5, segment_size=1024, workers=w),
+}
+
+
 @pytest.mark.usefixtures("cold_summaries")
-def test_workers_clamped_to_cores(monkeypatch):
-    made = []
+def test_workers_start_no_thread(monkeypatch):
+    # several segments and chunks each, so a pool would have had work to share
+    def claim_bytes(spec, w):
+        return emit_reports(spec.run(SMALL_PARAMS[spec.name], "open", workers=w,
+                                     segment_size=1024), "json")
 
-    class Recording:
-        """Records the pool size asked for and runs each call at once, in this thread."""
+    want = {name: call(1) for name, call in _SIEVE_CALLS.items()}
+    want_claims = {spec.name: claim_bytes(spec, 1) for spec in CLAIMS}
+    want_compare = compare_rules(240, 5000, segment_size=1024)
 
-        def __init__(self, max_workers):
-            made.append(max_workers)
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            done = Future()
-            done.set_result(fn(*args))
-            return done
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    want_table = sieve_range(0, 10**5, 1024).bitmap.tobytes()
-    want_report = verify_theorem2(20, 10**4)
-    threads = threading.active_count()
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sieve, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", Recording)
-    assert sieve_range(0, 10**5, 1024, workers=10**6).bitmap.tobytes() == want_table
-    assert made == [2]
-    assert verify_theorem2(20, 10**4, workers=10**6) == replace(want_report, elapsed=ANY)
-    assert made == [2, 2]
-    # an unknown core count runs serially
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    sieve_range(0, 10**5, 1024, workers=10**6)
-    verify_theorem2(20, 10**4, workers=10**6)
-    assert made == [2, 2]
-    assert threading.active_count() == threads
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for name, call in _SIEVE_CALLS.items():
+        assert call(2) == want[name], name
+    for spec in CLAIMS:
+        assert claim_bytes(spec, 2) == want_claims[spec.name], spec.name
+    assert compare_rules(240, 5000, segment_size=1024, workers=2) == want_compare
 
 
 def test_gap_interval_violations_match_oracle():
@@ -254,7 +249,7 @@ def test_gap_interval_counts_match_searchsorted(n_max, boundary):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("boundary", ["open", "closed"])
 def test_theorem1_and_gap_interval_match_searchsorted(boundary, workers):
-    # several chunks each, so two workers share the table
+    # several chunks each
     k_max, n_max = 60, 3000
     table = sieve_range(0, k_max * n_max)
     best = None
@@ -577,7 +572,7 @@ def test_segment_skip_matches_exhaustive(limit, segment_size, workers):
 def test_slack_floor_below_every_slack(segment_size):
     # each slack exactly as the scan computes it, against its segment's floor
     rows, block = verify._pair_rows(10**6, lambda: None, segment_size=segment_size,
-                                    workers=1, allow_large=False)
+                                    allow_large=False)
     floors = {claim: verify._slack_floor(claim, rows)
               for claim in (ClaimId.FIROOZBAKHT, ClaimId.GAP_UPPER)}
     for k, (n0, pairs, *_) in enumerate(rows.tolist()):
@@ -824,7 +819,7 @@ def test_mem_limit_counts_pair_rows(monkeypatch):
     # the rows and the floors, guards and order derived from them
     _, n_slots, seg_slots = sieve._plan(0, 10**6, 1024)
     full, segments = n_slots // seg_slots, -(-n_slots // seg_slots)
-    need = 3 * ((math.isqrt(10**6) + 1) >> 1) + seg_slots + 40 * full + 64 * segments
+    need = sieve._stream_mem(0, 10**6, 1024) + 40 * full + 64 * segments
     monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need - 1))
     with pytest.raises(CapacityError):
         verify_gap_upper(10**6, segment_size=1024)
@@ -834,7 +829,7 @@ def test_mem_limit_counts_pair_rows(monkeypatch):
 
 
 def test_primes_for_indices_holds_one_array(monkeypatch):
-    kw = {"segment_size": sieve.DEFAULT_SEGMENT_SIZE, "workers": 1, "allow_large": False}
+    kw = {"segment_size": sieve.DEFAULT_SEGMENT_SIZE, "allow_large": False}
     tracemalloc.start()
     try:
         primes = verify._primes_for_indices(10**6, **kw)
