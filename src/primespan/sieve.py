@@ -93,6 +93,7 @@ def _tile() -> np.ndarray:
 
 
 _TILE = _tile()
+_TILE_SURVIVORS = int(np.count_nonzero(_TILE[:_TILE_PERIOD]))
 # Slots 0 .. 6 are 1, 3, .., 13: the tile crosses off the tile primes, and 1 is no prime
 _TILE_HEAD = np.array([False, True, True, True, False, True, True])
 
@@ -372,18 +373,38 @@ def sieve_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE, *,
     return PrimeTable(base=int(lo), hi=int(hi), bitmap=bitmap)
 
 
+def _block_bound(slots: int) -> int:
+    """An upper bound on the primes among any `slots` consecutive odd slots.
+
+    Each whole or partial period of the pre-sieve tile holds at most
+    _TILE_SURVIVORS slots that the tile leaves set; the only other
+    primes are the tile's own.
+    """
+    return -(-slots // _TILE_PERIOD) * _TILE_SURVIVORS + len(_TILE_PRIMES)
+
+
 def iter_prime_blocks(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
                       workers: int = 1, allow_large: bool = False) -> Iterator[np.ndarray]:
-    """Stream non-empty sorted int64 prime arrays covering [lo, hi] in order."""
+    """Stream non-empty sorted int64 prime arrays covering [lo, hi] in order.
+
+    The memory cap counts two blocks of a segment's most primes: the one
+    the caller holds and the next one.
+    """
     pending_two = lo <= 2 <= hi
+    _, n_slots, seg_slots = _plan(lo, hi, segment_size)
+    block = 8 * _block_bound(min(seg_slots, n_slots))
     for slot_start, buf in _iter_flag_chunks(lo, hi, segment_size=segment_size,
-                                             allow_large=allow_large):
-        vals = (np.flatnonzero(buf).astype(np.int64) + slot_start) * 2 + 1
+                                             allow_large=allow_large, extra_mem=2 * block):
+        vals = np.flatnonzero(buf)
+        vals += slot_start
+        vals *= 2
+        vals += 1
         if pending_two:
             vals = np.concatenate((np.array([2], dtype=np.int64), vals))
             pending_two = False
         if vals.size:
             yield vals
+        del buf, vals  # so only the caller holds a block while the next is sieved
     if pending_two:
         yield np.array([2], dtype=np.int64)
 
@@ -571,22 +592,6 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
         return _stored_block(int(rows[k, 2]), a, min(seg_slots, n_slots - a), base)
 
     return rows, block
-
-
-def _gap_cover(hi: int, *, segment_size: int, allow_large: bool) -> int:
-    """A certified G: every open interval (a, b) with 2 <= a and b <= hi + 1 that
-    is longer than G holds a prime, and so at least floor((b - a) / (G + 1)) primes.
-
-    G is the largest segment gap bound of the pairs up to hi, or the distance
-    from the last prime p <= hi to hi + 1 if that is larger.  Proof: if a < p,
-    the prime after a lies within G of the prime at or below a, so below b;
-    if a >= p, then b - a <= hi + 1 - p <= G.  Cutting (a, b) into open pieces
-    of length G + 1 gives the count.  Needs hi >= 2.
-    """
-    cover, last = 0, 2
-    for seg in _pair_segments(hi, segment_size=segment_size, allow_large=allow_large):
-        cover, last = max(cover, seg.gap_bound), seg.p_hi
-    return max(cover, hi + 1 - last)
 
 
 def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,

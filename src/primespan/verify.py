@@ -21,21 +21,22 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import cache, partial
+from itertools import chain
 from time import perf_counter
 from typing import Callable, Iterator
 
 import mpmath
 import numpy as np
 
-from .bounds import (LogBase, IntervalRule, RuleName, RULES, f_of_k, f_of_k_array,
-                     firoozbakht_rhs, rule_g, _gap_upper_bound_array, _lemma3_rhs_array,
-                     _lemma_lhs_array, _lemma_rhs_array, _mps_upper_bound_array,
-                     _nth_prime_bounds_array)
+from .bounds import (LogBase, IntervalRule, PRIME_INTERVAL_RULE, RuleName, RULES, f_of_k,
+                     f_of_k_array, firoozbakht_rhs, rule_g, _f_levels, _gap_upper_bound_array,
+                     _lemma3_rhs_array, _lemma_lhs_array, _lemma_rhs_array,
+                     _mps_upper_bound_array, _nth_prime_bounds_array, _pi_lower_array,
+                     _pi_upper_array, _prime_interval_end_array)
 from .errors import CapacityError, ThresholdError
-from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _gap_cover,
-                    _iter_flag_chunks, _pair_rows, _prime_bound, _segment_count,
-                    sieve_range)
+from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _iter_flag_chunks,
+                    _pair_rows, _prime_bound, _segment_count, _validate_range, sieve_range)
 
 VIOLATION_CAP = 1000
 _CHUNK_POINTS = 1 << 16
@@ -97,23 +98,21 @@ def _check_boundary(boundary: str) -> None:
         raise ValueError(f"boundary must be 'open' or 'closed', got {boundary!r}")
 
 
-def _chunk_ranges(lo: int, hi: int,
-                  points_per_unit: int = 1) -> tuple[int, Iterator[tuple[int, int]]]:
-    """Contiguous inclusive unit ranges covering [lo, hi], >= 2^16 points each.
+def _chunk_ranges(lo: int, hi: int) -> tuple[int, Iterator[tuple[int, int]]]:
+    """Contiguous inclusive ranges of _CHUNK_POINTS points covering [lo, hi].
 
     Returns their number, counted arithmetically, and an iterator that
     makes them one at a time, so nothing is sized by the range up front.
     """
-    units = max(1, _CHUNK_POINTS // max(points_per_unit, 1))
-    starts = range(lo, hi + 1, units)
-    return len(starts), ((a, min(a + units - 1, hi)) for a in starts)
+    starts = range(lo, hi + 1, _CHUNK_POINTS)
+    return len(starts), ((a, min(a + _CHUNK_POINTS - 1, hi)) for a in starts)
 
 
 class _Progress:
     """Step-level progress and ETA on stderr; stdout stays machine-parseable.
 
-    A step is a chunk of a parameter range, a sieve segment of a pair
-    stream, or one report of a family.
+    A step is a chunk of the points a claim counts, a sieve segment of a
+    pair stream, or one report of a family.
     """
 
     def __init__(self, label: str, total: int, enabled: bool | None):
@@ -263,26 +262,91 @@ def _report(claim_id, range_desc, merged, elapsed, notes=()):
     )
 
 
+def _first_certified(ok, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row, the least x in [lo, hi] at which ok holds, or hi + 1 if none.
+
+    ok maps an int64 array of one point per row to a bool array, and is
+    monotone on each row's [lo, hi]: false, then true to hi.  Bisection
+    returns only a point where ok was seen to hold, so every point from
+    the returned one to hi is certified.  Every point before it is counted.
+    """
+    a, b = lo - 1, hi + 1
+    while (live := b - a > 1).any():
+        mid = np.where(live, a + (b - a) // 2, lo)
+        good = ok(mid) & live
+        a, b = np.where(live & ~good, mid, a), np.where(good, mid, b)
+    return b
+
+
+def _counted_end(ok, lo: int, hi: int) -> int:
+    """The last point of [lo, hi] to count: every point after it is certified.
+
+    ok is monotone on each run of points with one value of f (see
+    _first_certified); lo, the first point, is always counted.
+    """
+    a, b = _f_levels(lo, hi)
+    t = _first_certified(ok, a, b)
+    return max([lo] + (t[t > a] - 1).tolist())
+
+
+def _count_rows(label: str, row, ks: np.ndarray, lo: np.ndarray, stop: np.ndarray,
+                scanned: int, cap: int, progress: bool | None, head=()):
+    """Merge row(k, n) over the points lo <= n < stop of each k, in k order.
+
+    head holds results counted already, which merge first, and the points
+    that neither counts make up the rest of scanned.  row gets batches of
+    whole rows, each cut once it reaches _CHUNK_POINTS points, as int64
+    arrays of one k and one n per point.  Progress ticks per batch.
+    """
+    live = np.flatnonzero(stop > lo)
+    sizes = (stop - lo)[live]
+    cut = np.flatnonzero(np.diff((np.cumsum(sizes) - 1) // _CHUNK_POINTS)) + 1
+    edges = [0, *cut.tolist(), live.size] if live.size else [0]
+
+    def batch(r):
+        rows, size = live[r[0] : r[1]], sizes[r[0] : r[1]]
+        shift = np.repeat(lo[rows] - (np.cumsum(size) - size), size)
+        return row(np.repeat(ks[rows], size), np.arange(shift.size, dtype=np.int64) + shift)
+
+    prog = _Progress(label, len(head) + len(edges) - 1, progress)
+    rest = scanned - int(sizes.sum()) - sum(s for _, _, s in head)
+    return _merge(chain(_in_order(lambda h: h, head, prog),
+                        _in_order(batch, zip(edges, edges[1:]), prog), [((), None, rest)]), cap)
+
+
+# T1's floor below: pi(n) <= pi(max(n, 15)), and the floor grows from n = 15 on
+_T1_KNEE = 15
+
+
 def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
                     workers: int = 1, segment_size: int = DEFAULT_SEGMENT_SIZE,
                     cap: int = VIOLATION_CAP, allow_large: bool = False,
                     progress: bool | None = None) -> ClaimReport:
     """At least k - 1 primes between n and kn for every n >= f(k).
 
-    (n, kn) holds at least floor((k-1)n / (G+1)) primes, G being the gap
-    cover up to k_max*n_max.  So from n = ceil((G+1)(c+k-2)/(k-1)) on, with
-    c = _least_counted_slack(first point's slack), the slack is certified
-    to be at least c, and those points are counted as scanned without
-    being evaluated.
+    Either boundary counts at least pi(kn - 1) - pi(n).  Since pi(n) <=
+    pi(max(n, 15)), the Rosser-Schoenfeld bounds L <= pi < U (see bounds)
+    put that count above F(n) = L(kn - 1) - U(max(n, 15)).
+    F is nondecreasing in n.  Below 15 only L(kn - 1) moves.  From 15 on,
+    kn - 1 >= 17 and dF/dn = k u(kn - 1) - 1.25506 u(n), where
+    u(t) = (ln t - 1)/ln^2 t is the slope of t/ln t.  With l = ln n and
+    m = ln(kn - 1) in [l, l + ln k), u(kn - 1)/u(n) = (m - 1) l^2 / ((l - 1) m^2)
+    > (1 + ln k / l)^-2, and k (1 + ln k / l)^-2 grows with k and l, so
+    it is at least 2 (1 + ln 2 / ln 15)^-2 = 1.2678 > 1.25506.
+
+    A point with F(n) >= k - 3 + c, c = _least_counted_slack(first
+    point's slack), has a count of at least k - 2 + c, so a slack of at
+    least c.  Per k, bisection finds the first such n, and only the n
+    before it are counted.
     """
     _check_boundary(boundary)
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     if n_max < f_of_k(k_max):
         raise ValueError(f"n_max must be >= f(k_max) = {f_of_k(k_max)}, got {n_max}")
+    _validate_range(0, k_max * n_max, allow_large)
     t0 = perf_counter()
     kw = {"segment_size": segment_size, "allow_large": allow_large}
-    cover = _gap_cover(k_max * n_max, **kw)
     ks = np.arange(2, k_max + 1, dtype=np.int64)
     fks = f_of_k_array(ks)
     n0 = int(fks[0])
@@ -291,39 +355,29 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
     # the slack cnt - k + 2 of the first point, k = 2 and n = f(2), is its count
     first = sieve_range(0, 2 * n0, **kw)
     need = _least_counted_slack(first.pi(2 * n0 - shift) - first.pi(n0 - 1 + shift))
-    # count each k's n below n_stop only; the first point always
-    n_stop = np.minimum(-(-(cover + 1) * (need + ks - 2) // (ks - 1)), n_max + 1)
-    n_stop[0] = max(int(n_stop[0]), n0 + 1)
+    kf = ks.astype(np.float64)
+
+    def ok(n):
+        lower = _pi_lower_array(kf * n - 1)
+        upper = _pi_upper_array(np.maximum(n, _T1_KNEE))
+        return lower - upper - _FLOOR_MARGIN * (lower + upper) >= kf - 3 + need
+
+    n_stop = _first_certified(ok, fks, np.full_like(ks, n_max))
+    n_stop[0] = max(int(n_stop[0]), n0 + 1)  # the first point always
     table = sieve_range(0, int((ks * (n_stop - 1)).max()), **kw)
     # the count below the interval depends on n alone, so every k shares it
-    n_all = np.arange(n0, int(n_stop.max()), dtype=np.int64)
-    below = table.pi(n_all - 1 + shift)
+    below = table.pi(np.arange(n0, int(n_stop.max()), dtype=np.int64) - 1 + shift)
 
-    def work(kr):
-        ka, kb = kr
-        v = []
-        best = None
-        scanned = 0
-        for k in range(ka, kb + 1):
-            f, stop = int(fks[k - 2]), int(n_stop[k - 2])
-            scanned += n_max - f + 1
-            if stop <= f:
-                continue
-            ns = n_all[f - n0 : stop - n0]
-            cnt = table.pi(k * ns - shift) - below[f - n0 : stop - n0]
-            req = k - 1
-            slack = cnt - req + 1
-            i = int(np.argmin(slack))
-            s = int(slack[i])
-            if best is None or s < best[0]:
-                best = (s, f"k={k};n={int(ns[i])}")
-            for j in np.flatnonzero(cnt < req).tolist():
-                v.append(Violation(f"k={k};n={int(ns[j])}", int(cnt[j]), req))
-        return v, best, scanned
+    def row(k, ns):
+        cnt = table.pi(k * ns - shift) - below[ns - n0]
+        slack = cnt - k + 2
+        i = int(np.argmin(slack))
+        v = [Violation(f"k={int(k[j])};n={int(ns[j])}", int(cnt[j]), int(k[j]) - 1)
+             for j in np.flatnonzero(slack < 1).tolist()]
+        return v, (int(slack[i]), f"k={int(k[i])};n={int(ns[i])}"), int(ns.size)
 
-    n_chunks, chunks = _chunk_ranges(2, k_max, points_per_unit=n_max)
-    prog = _Progress("T1", n_chunks, progress)
-    merged = _merge(_in_order(work, chunks, prog), cap)
+    scanned = (k_max - 1) * (n_max + 1) - int(fks.sum())
+    merged = _count_rows("T1", row, ks, fks, n_stop, scanned, cap, progress)
     notes = (f"boundary={boundary}-{boundary}"
              + ("; the strictest convention, so a pass implies every laxer one"
                 if boundary == "open" else ""),)
@@ -331,59 +385,93 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
                    merged, perf_counter() - t0, notes)
 
 
+# T2's floor below: H(y) = y/9 - U(y) rises from here on, since its slope
+# 1/9 - 1.25506 u(y) is positive where u(y) = (ln y - 1)/ln^2 y < 1/(9 * 1.25506),
+# and u falls from e^2 on with u(30000) = 0.0876 < 0.0885
+_T2_KNEE = 30_000
+
+
+@cache
+def _t2_h_min() -> float:
+    """A lower bound on H(y) = y/9 - U(y) over the integers 2 <= y <= _T2_KNEE."""
+    y = np.arange(2, _T2_KNEE + 1, dtype=np.float64)
+    margin = _FLOOR_MARGIN * (_T2_KNEE / 9 + float(_pi_upper_array(_T2_KNEE)))
+    return float((y / 9 - _pi_upper_array(y)).min()) - margin
+
+
 def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
                     segment_size: int = DEFAULT_SEGMENT_SIZE,
                     cap: int = VIOLATION_CAP, allow_large: bool = False,
                     progress: bool | None = None) -> ClaimReport:
-    """At most kn/9 + k^2 primes in [n, kn], checked closed-closed."""
+    """At most kn/9 + k^2 primes in [n, kn], checked closed-closed.
+
+    The Rosser-Schoenfeld bounds L <= pi < U (see bounds) put the count
+    pi(kn) - pi(n - 1) below U(kn) - L(n - 1), so the slack is above
+    k^2 + H(kn) + L(n - 1), H(y) = y/9 - U(y).  With H replaced by its
+    least value up to _T2_KNEE, below which H falls and past which it
+    rises, that floor is nondecreasing in n.  The row k = 2 is counted
+    whole.  A later point is counted only while its floor is at most
+    max(0, that row's least slack): past that it is no violation, and
+    its slack is larger than one the report has already seen.  Per k,
+    bisection finds the first point past it.
+    """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _validate_range(0, k_max * n_max, allow_large)
     t0 = perf_counter()
-    table = sieve_range(0, k_max * n_max, segment_size, allow_large=allow_large)
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    below = table.pi(ns - 1)  # shared by every k
+    kw = {"segment_size": segment_size, "allow_large": allow_large}
+    table = sieve_range(0, 2 * n_max, **kw)
+    below = table.pi(np.arange(n_max, dtype=np.int64))  # pi(n - 1), shared by every k
 
-    def work(kr):
-        ka, kb = kr
-        v = []
-        best = None
-        scanned = 0
-        for k in range(ka, kb + 1):
-            cnt = table.pi(k * ns) - below
-            rhs = _mps_upper_bound_array(ns, k)
-            slack = rhs - cnt
-            i = int(np.argmin(slack))
-            s = float(slack[i])
-            if best is None or s < best[0]:
-                best = (s, f"k={k};n={int(ns[i])}")
-            # cnt > kn/9 + k^2, decided exactly in integers
-            for j in np.flatnonzero(9 * cnt > k * ns + 9 * k * k).tolist():
-                v.append(Violation(f"k={k};n={int(ns[j])}", int(cnt[j]), float(rhs[j])))
-            scanned += int(ns.size)
-        return v, best, scanned
+    def row(k, ns):
+        cnt = table.pi(k * ns) - below[ns - 1]
+        rhs = _mps_upper_bound_array(ns, k)
+        slack = rhs - cnt
+        i = int(np.argmin(slack))
+        # cnt > kn/9 + k^2, decided exactly in integers
+        v = [Violation(f"k={int(k[j])};n={int(ns[j])}", int(cnt[j]), float(rhs[j]))
+             for j in np.flatnonzero(9 * cnt > k * ns + 9 * k * k).tolist()]
+        return v, (float(slack[i]), f"k={int(k[i])};n={int(ns[i])}"), int(ns.size)
 
-    n_chunks, chunks = _chunk_ranges(2, k_max, points_per_unit=n_max)
-    prog = _Progress("T2", n_chunks, progress)
-    merged = _merge(_in_order(work, chunks, prog), cap)
+    first = row(np.full(n_max, 2, dtype=np.int64), np.arange(1, n_max + 1, dtype=np.int64))
+    floor_above = max(0.0, first[1][0])
+    ks = np.arange(2, k_max + 1, dtype=np.int64)
+    kf = ks.astype(np.float64)
+
+    def ok(n):
+        y = kf * n
+        rhs = _mps_upper_bound_array(n, kf)
+        upper = _pi_upper_array(y)
+        lower = _pi_lower_array(n - 1)
+        h = np.where(y > _T2_KNEE, rhs - upper, kf * kf + _t2_h_min())
+        return h + lower - _FLOOR_MARGIN * (rhs + upper + lower) > floor_above
+
+    ones = np.ones_like(ks)
+    n_stop = _first_certified(ok, ones, np.full_like(ks, n_max))
+    n_stop[0] = 1  # the row k = 2, counted above
+    hi = int((ks * (n_stop - 1)).max())
+    if hi > table.hi:
+        table = sieve_range(0, hi, **kw)
+    merged = _count_rows("T2", row, ks, ones, n_stop, (k_max - 1) * n_max, cap, progress,
+                         head=(first,))
     notes = ("boundary=closed-closed; the adversarial convention for an upper bound",)
     return _report(ClaimId.T2, f"2<=k<={k_max}; 1<=n<={n_max}; boundary=closed",
                    merged, perf_counter() - t0, notes)
 
 
-def _one_prime_work(counts, param: str, end: int):
-    """A chunk scan of a claim that asks for a prime in an interval per point.
+def _count_prefix(claim_id: ClaimId, counts, param: str, end: int, top: int,
+                  progress: bool | None, cap: int):
+    """Merge a count of the points 2..end with the certified points end+1..top.
 
-    counts(xs) gives the primes in each point's interval.  Points above end
-    are certified and counted as scanned without being evaluated.
+    The claim asks for a prime in an interval per point, and counts(xs)
+    gives the primes in each point's interval.  Progress ticks per chunk.
     """
 
     def work(r):
         a, b = r
-        if a > end:
-            return (), None, b - a + 1
-        xs = np.arange(a, min(b, end) + 1, dtype=np.int64)
+        xs = np.arange(a, b + 1, dtype=np.int64)
         cnt = counts(xs)
         i = int(np.argmin(cnt))
         best = (int(cnt[i]), f"{param}={int(xs[i])}")
@@ -391,7 +479,15 @@ def _one_prime_work(counts, param: str, end: int):
              for j in np.flatnonzero(cnt < 1).tolist()]
         return v, best, b - a + 1
 
-    return work
+    n_chunks, chunks = _chunk_ranges(2, end)
+    prog = _Progress(claim_id.value, n_chunks, progress)
+    return _merge(chain(_in_order(work, chunks, prog), [((), None, top - end)]), cap)
+
+
+def _rule_fits(x: np.ndarray, c: int, top: np.ndarray) -> np.ndarray:
+    """Whether the interval rule puts c primes in (x, top) for each x, with a float margin."""
+    end = _prime_interval_end_array(x, c) * (1 + _FLOOR_MARGIN)
+    return (x >= PRIME_INTERVAL_RULE.n_min) & (end < top)
 
 
 def _theorem3_counts(table: PrimeTable, ks: np.ndarray) -> np.ndarray:
@@ -406,11 +502,13 @@ def verify_theorem3(k_max: int, *, workers: int = 1,
                     progress: bool | None = None) -> ClaimReport:
     """A prime strictly between k*f(k) and k*(f(k)+1) for every k >= 2.
 
-    The interval has length k, so it holds at least floor(k/(G+1)) primes,
-    G being the gap cover up to the last interval's end.  Only the k below
-    c(G+1), c = _least_counted_slack(first point's slack), are evaluated.
-    Nothing sized by k_max is allocated: the gap cover streams the sieve,
-    and checks the range and the memory cap before its first segment.
+    With x = k f(k) + 1 >= 3275, the interval rule (see bounds) puts c
+    primes in (x, g^c(x)], so in the interval when g^c(x) < k (f(k) + 1),
+    c being _least_counted_slack(first point's slack).  On a run of k with
+    one value v of f, g^c(x)/x falls as k grows and k(v + 1)/x =
+    (v + 1)/(v + 1/k) rises, so once that holds it holds to the run's end.
+    Only the k up to the last one it leaves out are counted: k <= 408.
+    Nothing sized by k_max is allocated.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
@@ -420,14 +518,17 @@ def verify_theorem3(k_max: int, *, workers: int = 1,
     def end(k: int) -> int:
         return k * (f_of_k(k) + 1)
 
-    cover = _gap_cover(end(k_max), **kw)
+    _validate_range(0, end(k_max), allow_large)
     first = _theorem3_counts(sieve_range(0, end(2), **kw), np.array([2], dtype=np.int64))
-    k_end = min(k_max, max(2, _least_counted_slack(first[0]) * (cover + 1) - 1))
-    work = _one_prime_work(partial(_theorem3_counts, sieve_range(0, end(k_end), **kw)),
-                           "k", k_end)
-    n_chunks, chunks = _chunk_ranges(2, k_max)
-    prog = _Progress("T3", n_chunks, progress)
-    merged = _merge(_in_order(work, chunks, prog), cap)
+    need = _least_counted_slack(first[0])
+
+    def ok(k):
+        f = f_of_k_array(k)
+        return _rule_fits((k * f + 1).astype(np.float64), need, k * (f + 1.0))
+
+    k_end = _counted_end(ok, 2, k_max)
+    counts = partial(_theorem3_counts, sieve_range(0, end(k_end), **kw))
+    merged = _count_prefix(ClaimId.T3, counts, "k", k_end, k_max, progress, cap)
     return _report(ClaimId.T3, f"2<=k<={k_max}; open interval k*f(k) .. k*(f(k)+1)",
                    merged, perf_counter() - t0)
 
@@ -459,11 +560,13 @@ def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
     violations are honest findings, not errors.  The report also checks
     the lattice points n = k*f(k), where no violation occurs.
 
-    Under either boundary the interval holds the open integer interval
-    (n, n + ceil(n/f(n))), so at least floor(ceil(n/f(n))/(G+1)) primes, G
-    being the gap cover up to 1.5*n_max + 2.  Only the n below
-    c(G+1)f(n_max), c = _least_counted_slack(first point's slack), are
-    evaluated.
+    Under either boundary the interval holds (n, n + n/f(n)).  With
+    x = n + 1 >= 3275, the interval rule (see bounds) puts c primes in
+    (x, g^c(x)], so in the interval when g^c(x) < n + n/f(n), c being
+    _least_counted_slack(first point's slack).  On a run of n with one
+    value v of f, g^c(x)/x falls and (n + n/v)/x rises with n, so once
+    that holds it holds to the run's end.  Only the n up to the last one
+    it leaves out are counted: n <= 3273.
     """
     _check_boundary(boundary)
     if n_max < 2:
@@ -474,17 +577,18 @@ def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
     def end(n: int) -> int:
         return n + n // 2 + 2  # g(n) <= 1.5n since f >= 2
 
-    cover = _gap_cover(end(n_max), **kw)
+    _validate_range(0, end(n_max), allow_large)
     first = _gap_interval_counts(sieve_range(0, end(2), **kw),
                                  np.array([2], dtype=np.int64), boundary)
     need = _least_counted_slack(first[0])
-    n_end = min(n_max, max(2, need * (cover + 1) * f_of_k(n_max) - 1))
+
+    def ok(n):
+        return _rule_fits(n + 1.0, need, n * (1 + 1.0 / f_of_k_array(n)))
+
+    n_end = _counted_end(ok, 2, n_max)
     table = sieve_range(0, end(n_end), **kw)
-    work = _one_prime_work(partial(_gap_interval_counts, table, boundary=boundary),
-                           "n", n_end)
-    n_chunks, chunks = _chunk_ranges(2, n_max)
-    prog = _Progress("GapInterval", n_chunks, progress)
-    merged = _merge(_in_order(work, chunks, prog), cap)
+    counts = partial(_gap_interval_counts, table, boundary=boundary)
+    merged = _count_prefix(ClaimId.GAP_INTERVAL, counts, "n", n_end, n_max, progress, cap)
 
     # lattice points n = k*f(k) <= n_max (k >= 2); those above n_end are
     # certified like every other n, so only the ones below are counted
@@ -843,9 +947,13 @@ def compare_rules(n_lo: int, n_hi: int, rules: list[IntervalRule] | None = None,
         if n_lo < rule.n_min:
             raise ThresholdError(
                 f"rule {rule.name.value} requires n >= {rule.n_min}, got n_lo={n_lo}")
-    # the next prime after any n <= n_hi lies within 2*n_hi by the 2n rule
-    table = sieve_range(0, 2 * n_hi + 2, segment_size, allow_large=allow_large)
-    primes = table.primes()
+    # the next prime after n is at most g(n) under the interval rule from its
+    # threshold on, and g grows; below it, at most 2n by Bertrand's postulate
+    if n_hi < PRIME_INTERVAL_RULE.n_min:
+        bound = 2 * n_hi + 2
+    else:
+        bound = int(float(_prime_interval_end_array(n_hi)) * (1 + _FLOOR_MARGIN))
+    primes = sieve_range(n_lo + 1, bound, segment_size, allow_large=allow_large).primes()
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     nxt = primes[np.searchsorted(primes, ns, side="right")]
     rows = tuple(

@@ -9,8 +9,9 @@ import primespan.bounds as bounds
 from primespan import (RULES, CeilingAmbiguityError, IntervalRule, LogBase,
                        Margin, RuleName, ThresholdError, f_of_k, f_of_k_array,
                        firoozbakht_rhs, gap_lower_heuristic, gap_upper_bound,
-                       lemma1_margin, lemma2_margin, lemma3_margin,
-                       mps_upper_bound, nth_prime_bounds, rule_g, s_index)
+                       iter_prime_pairs, lemma1_margin, lemma2_margin,
+                       lemma3_margin, mps_upper_bound, nth_prime_bounds, rule_g,
+                       s_index)
 
 from oracles import naive_sieve, oracle_f, primes_from_flags
 
@@ -254,3 +255,49 @@ def test_interval_rule_frozen():
     assert isinstance(rule, IntervalRule)
     with pytest.raises(AttributeError):
         rule.n_min = 5
+
+
+# The theorems the verifiers certify from, checked against the sieve: every
+# consecutive prime pair with p_{n+1} <= _TRUST_LIMIT, a block at a time
+_TRUST_LIMIT = 10**8
+# float error allowed for, always in the theorem's disfavour
+_TRUST_MARGIN = 2.0**-40
+
+
+@pytest.fixture(scope="module")
+def trust_base_failures():
+    """Per theorem, the p_n of the first pairs that break it (empty when it holds)."""
+    n_min = bounds.PRIME_INTERVAL_RULE.n_min
+    bad = {"interval rule": [], "pi upper": [], "pi lower": []}
+    for n0, pv in iter_prime_pairs(_TRUST_LIMIT):
+        n = np.arange(n0, n0 + pv.size - 1, dtype=np.int64)
+        p, q = pv[:-1], pv[1:]
+        # a prime in (x, g(x)] for x >= n_min: for x in [p_n, p_{n+1}) the
+        # prime after x is p_{n+1}, and g grows, so the least x is the worst
+        x = np.maximum(p, n_min)
+        g = bounds._prime_interval_end_array(x) * (1 - _TRUST_MARGIN)
+        bad["interval rule"] += p[(q > n_min) & (q > g)].tolist()
+        # pi(x) < 1.25506 x / ln x for x > 1: pi is n on [p_n, p_{n+1}), and
+        # the bound is least at x = p_n (from 3 on; it exceeds 3 on [2, 3))
+        up = bounds._pi_upper_array(p) * (1 - _TRUST_MARGIN)
+        bad["pi upper"] += p[n >= up].tolist()
+        # pi(x) > x / ln x for x >= 17: the bound nears its largest value on
+        # [p_n, p_{n+1}) as x -> p_{n+1}
+        low = bounds._pi_lower_array(q) * (1 + _TRUST_MARGIN)
+        bad["pi lower"] += p[(p >= bounds.PI_LOWER_FROM) & (n < low)].tolist()
+    return {name: ps[:5] for name, ps in bad.items()}
+
+
+def test_interval_rule_holds_to_1e8(trust_base_failures):
+    # Dusart 2010 gives the rule from 396738 on, so the sieve covers the rest
+    assert RULES[RuleName.DUSART2010].n_min < _TRUST_LIMIT
+    assert trust_base_failures["interval rule"] == []
+
+
+def test_pi_upper_bound_holds_to_1e8(trust_base_failures):
+    assert trust_base_failures["pi upper"] == []
+
+
+def test_pi_lower_bound_holds_to_1e8(trust_base_failures):
+    assert trust_base_failures["pi lower"] == []
+

@@ -17,8 +17,8 @@ import primespan.sieve as sieve
 from primespan import (CapacityError, GapRecord, Interval, count_primes_in,
                        iter_prime_blocks, iterate_gaps, log_primorial,
                        max_gap_up_to, nth_prime, prime_count, sieve_range)
-from primespan.sieve import (DEFAULT_SEGMENT_SIZE, MIN_SEGMENT_SIZE, _gap_cover,
-                             _longest_true_run, _pair_segments, _plan)
+from primespan.sieve import (DEFAULT_SEGMENT_SIZE, MIN_SEGMENT_SIZE, _longest_true_run,
+                             _pair_segments, _plan)
 
 from oracles import naive_sieve, naive_sieve_window, primes_from_flags
 
@@ -112,14 +112,22 @@ def _estimate(call):
     return int(re.search(r"needs about (\d+) bytes", str(refused.value)).group(1))
 
 
+def _drain_blocks(lo, hi):
+    """Run iter_prime_blocks over [lo, hi] as a for loop does, holding each block while the next is made."""
+    for block in iter_prime_blocks(lo, hi):
+        pass
+
+
 @pytest.mark.parametrize("call", [
     lambda: prime_count(2 * 10**8),
     lambda: prime_count(10**5, segment_size=1024),
     lambda: count_primes_in(Interval(10**8, 2 * 10**8)),
     lambda: count_primes_in(Interval(10**12, 10**12 + 4000), segment_size=1024),
-], ids=["pi-2e8", "pi-1e5-small-segments", "1e8-2e8", "1e12-narrow"])
+    lambda: _drain_blocks(0, 10**8),
+], ids=["pi-2e8", "pi-1e5-small-segments", "1e8-2e8", "1e12-narrow", "blocks-1e8"])
 def test_stream_peak_within_estimate(call, monkeypatch):
-    # a counting stream allocates nothing but the stream, so the estimate
+    # a counting stream allocates nothing but the stream, and a block
+    # stream adds the block its caller holds and the next, so the estimate
     # the cap is checked against bounds its whole traced peak
     need = _estimate(call)
     monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need))
@@ -347,25 +355,6 @@ def test_pair_segment_summaries_match_blocks(limit, segment_size):
         assert gap <= seg.gap_bound < max(gap, 32) + 32
         n0 += seg.pairs
     assert n0 == max(len(primes), 1)
-
-
-# 1327 starts a gap of 34 whose inside only the tail term covers: every
-# segment bound below it is 32; 1328 lies just past the prime
-@settings(max_examples=40, deadline=None)
-@given(hi=st.one_of(st.sampled_from([2, 3, 1327, 1328, 1359, 1360]),
-                    st.integers(2, 10**5)),
-       segment_size=st.sampled_from([1024, 2048, 4096]), data=st.data())
-def test_gap_cover_leaves_no_prime_free_interval(hi, segment_size, data):
-    flags = naive_sieve(hi)
-    cover = _gap_cover(hi, segment_size=segment_size, allow_large=False)
-    # pi[x] counts the primes up to x; every (a, a + G + 1) with a + G <= hi
-    # holds a prime, and a longer interval holds one of these
-    pi = list(accumulate(flags))
-    assert [a for a in range(2, hi - cover + 1) if pi[a + cover] == pi[a]] == []
-    for _ in range(5):
-        a = data.draw(st.integers(2, hi))
-        b = data.draw(st.integers(a + 1, hi + 1))
-        assert pi[b - 1] - pi[a] >= (b - a) // (cover + 1)
 
 
 def _stream(limit, segment_size):

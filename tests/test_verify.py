@@ -61,6 +61,29 @@ def test_theorem1_open_count_matches_oracle():
     assert (r.min_slack, r.min_slack_at) == best
 
 
+@pytest.mark.parametrize("boundary", ["open", "closed"])
+def test_theorem1_violations_match_oracle(boundary, monkeypatch):
+    # a stand-in count of x // 8 integers up to x falls short of k - 1 at
+    # small n, so every row's batch reports violations in scan order
+    k_max, n_max = 40, 300
+    monkeypatch.setattr(PrimeTable, "pi", lambda self, x: np.asarray(x) // 8)
+    _certify_nothing(monkeypatch)
+    shift = 1 if boundary == "open" else 0
+    bad, best = [], None
+    for k in range(2, k_max + 1):
+        for n in range(f_of_k(k), n_max + 1):
+            cnt = (k * n - shift) // 8 - (n - 1 + shift) // 8
+            if cnt < k - 1:
+                bad.append((f"k={k};n={n}", cnt, k - 1))
+            if best is None or cnt - k + 2 < best[0]:
+                best = (cnt - k + 2, f"k={k};n={n}")
+    r = verify_theorem1(k_max, n_max, boundary, cap=10**6)
+    assert [(v.param, v.observed, v.required) for v in r.violations] == bad
+    assert bad and r.violations_total == len(bad) and not r.holds
+    assert (r.min_slack, r.min_slack_at) == best
+    assert len(verify_theorem1(k_max, n_max, boundary, cap=5).violations) == 5
+
+
 def test_theorem1_validation():
     with pytest.raises(ValueError):
         verify_theorem1(1, 100)
@@ -111,8 +134,9 @@ def test_theorem2_exact_decision_matches_oracle(monkeypatch):
     assert (r.min_slack, r.min_slack_at) == best
 
     # a stand-in count of x // 4 integers up to x puts points above, below
-    # and exactly on kn/9 + k^2
+    # and exactly on kn/9 + k^2; the theorems do not bound it, so nothing is certified
     monkeypatch.setattr(PrimeTable, "pi", lambda self, x: np.asarray(x) // 4)
+    _certify_nothing(monkeypatch)
 
     def fake(k, n):
         return k * n // 4 - (n - 1) // 4
@@ -134,13 +158,13 @@ def test_theorem3_holds_small():
 
 def test_theorem3_refuses_before_allocating(monkeypatch):
     # the range and the memory cap are checked before anything sized by
-    # k_max is allocated: the range at 10^15, and at 10^7 the sieve stream's
-    # 1 MB segment against a 500 kB cap
+    # k_max is allocated: the range at 10^15, and at 10^7 the stream of the
+    # first point's sieve, two 15015-slot pre-sieve tiles, against a 30 kB cap
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
             verify_theorem3(10**15)
-        monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", "500000")
+        monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", "30000")
         with pytest.raises(CapacityError):
             verify_theorem3(10**7)
         peak = tracemalloc.get_traced_memory()[1]
@@ -528,6 +552,12 @@ def test_compare_rules_next_prime_matches_oracle():
     t = compare_rules(25, 400)
     for row in t.rows:
         assert row.next_prime == oracle_next_prime(row.n, flags)
+    # past the interval rule's threshold, the sieve window ends at g(n_hi)
+    flags = naive_sieve(50_000)
+    for lo, hi in ((3200, 3400), (3270, 3275), (3275, 3300), (20_000, 40_000)):
+        t = compare_rules(lo, hi, [RULES[RuleName.BERTRAND]])
+        assert [r.next_prime for r in t.rows] == [oracle_next_prime(n, flags)
+                                                  for n in range(lo, hi + 1)]
 
 
 def test_compare_rules_threshold():
@@ -699,8 +729,13 @@ def test_best_first_tie_keeps_earlier_site(monkeypatch):
     assert verify_gap_upper(10**5, segment_size=1024) == replace(r, elapsed=ANY)
 
 
-def _index_claims_json(k3, n_gi, k1, n1, **kw):
-    reports = [verify_theorem3(k3, **kw)]
+def _certify_nothing(monkeypatch):
+    """Make every theorem certificate certify no point, so T1, T2, T3 and GapInterval count each one."""
+    monkeypatch.setattr(verify, "_first_certified", lambda ok, lo, hi: hi + 1)
+
+
+def _index_claims_json(k3, n_gi, k1, n1, k2, n2, **kw):
+    reports = [verify_theorem3(k3, **kw), verify_theorem2(k2, n2, **kw)]
     for boundary in ("open", "closed"):
         reports += [verify_gap_interval(n_gi, boundary, **kw),
                     verify_theorem1(k1, n1, boundary, **kw)]
@@ -710,15 +745,15 @@ def _index_claims_json(k3, n_gi, k1, n1, **kw):
 @settings(max_examples=40, deadline=None)
 @given(k3=st.integers(2, 30_000), n_gi=st.integers(2, 200_000),
        k1=st.integers(2, 60), n1=st.integers(0, 3000),
+       k2=st.integers(2, 12), n2=st.integers(1, 2000),
        segment_size=st.sampled_from([1024, 4096, 1 << 16, 1 << 21]),
        workers=st.sampled_from([1, 2]))
-def test_index_prune_matches_exhaustive(k3, n_gi, k1, n1, segment_size, workers):
-    args = (k3, n_gi, k1, f_of_k(k1) + n1)
+def test_index_prune_matches_exhaustive(k3, n_gi, k1, n1, k2, n2, segment_size, workers):
+    args = (k3, n_gi, k1, f_of_k(k1) + n1, k2, n2)
     kw = {"segment_size": segment_size, "workers": workers}
     pruned = _index_claims_json(*args, **kw)
     with pytest.MonkeyPatch.context() as mp:
-        # a cover as long as the range certifies no point, so each one is counted
-        mp.setattr(verify, "_gap_cover", lambda hi, **_: hi)
+        _certify_nothing(mp)
         assert _index_claims_json(*args, **kw) == pruned
 
 
@@ -749,9 +784,58 @@ def test_index_claims_evaluate_few_points(verifier, monkeypatch):
     assert 0 < sum(sizes["f"]) < 10**4 and 0 < sum(sizes["pi"]) < 10**4
     # the count is real: with nothing certified every point is evaluated
     sizes["f"].clear()
-    monkeypatch.setattr(verify, "_gap_cover", lambda hi, **_: hi)
+    _certify_nothing(monkeypatch)
     assert verifier(10**6) == replace(r, elapsed=ANY)
     assert sum(sizes["f"]) >= 10**6 - 1
+
+
+# The index claims at the benchmark's index arguments and at the CLI defaults
+_INDEX_CALLS = {
+    "index": [lambda: verify_theorem3(10**7), lambda: verify_gap_interval(10**7),
+              lambda: verify_theorem1(1000, 10**4)],
+    "catalog": [lambda spec=spec, boundary=boundary: spec.run(spec.params, boundary)
+                for spec in CLAIMS if spec.name in ("t1", "t2", "t3", "gap-interval")
+                for boundary in (("open", "closed") if spec.boundary else ("open",))],
+}
+
+
+@pytest.mark.parametrize("where", sorted(_INDEX_CALLS))
+def test_index_claims_sieve_little(where, monkeypatch):
+    # the theorems certify all but a short prefix, so no sieve reaches 2e4:
+    # T1 9,000 and 600, T2 20,000 (its whole k = 2 row), T3 3,681, GapInterval 4,911
+    his = []
+
+    def recorded(lo, hi, *args, **kw):
+        his.append(hi)
+        return sieve_range(lo, hi, *args, **kw)
+
+    monkeypatch.setattr(verify, "sieve_range", recorded)
+    monkeypatch.setattr(verify, "_pair_rows", None)  # no pair stream either
+    for call in _INDEX_CALLS[where]:
+        call()
+    assert 0 < max(his) <= 2 * 10**4
+
+
+def test_one_prime_claims_at_1e12():
+    # each point past the first few thousand is certified, and the tail is
+    # one term of scanned, so 10^12 costs what 10^7 does
+    n = 10**12
+    for verifier in (verify_theorem3, verify_gap_interval):
+        big, small = verifier(n, allow_large=True), verifier(10**7)
+        assert big.scanned == n - 1
+        assert replace(big, scanned=ANY, range=ANY, elapsed=ANY, notes=ANY) == small
+    with pytest.raises(CapacityError):
+        verify_gap_interval(n)
+
+
+def test_theorem2_floor_rises_past_its_knee():
+    # H(y) = y/9 - 1.25506 y/ln y rises where u(y) = (ln y - 1)/ln^2 y is
+    # below 1/(9 * 1.25506); u falls from e^2 on, so from the knee on
+    ln = math.log(verify._T2_KNEE)
+    assert (ln - 1) / ln**2 < 1 / (9 * 1.25506)
+    y = np.arange(2, verify._T2_KNEE + 2, dtype=np.float64)
+    h = y / 9 - 1.25506 * y / np.log(y)
+    assert verify._t2_h_min() < h.min() == h[:-1].min()
 
 
 # Calls that stream the pair segments, each over about [0, x]
