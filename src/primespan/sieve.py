@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Generator, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -409,23 +408,6 @@ def iter_prime_blocks(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_S
         yield np.array([2], dtype=np.int64)
 
 
-class _PairSegment(NamedTuple):
-    """The consecutive prime pairs (p, q) whose q lies in one sieve segment.
-
-    pv() builds the block iter_prime_pairs yields for the segment, sieving
-    it again if the segment came from the summary table; the other fields
-    cost no per-prime work, so a caller that can rule the segment out from
-    them never builds it.
-    """
-
-    n0: int          # index n of the first pair's p_n
-    pairs: int       # how many pairs there are
-    p_lo: int        # the carried prime, the smallest p among them
-    p_hi: int        # the segment's last prime, the largest q among them
-    gap_bound: int   # at least q - p for every pair
-    pv: Callable[[], np.ndarray]
-
-
 def _longest_true_run(z: np.ndarray) -> int:
     """Length of the longest run of True in the bool array z.
 
@@ -459,20 +441,38 @@ def _last_true(flags: np.ndarray) -> int:
 
 
 def _pair_block(carry: int, slot_start: int, flags: np.ndarray) -> np.ndarray:
-    """carry followed by the primes whose odd slots, from slot_start, are set in flags."""
-    odd = np.flatnonzero(flags)
-    pv = np.empty(odd.size + 1, dtype=np.int64)
+    """carry followed by the primes whose odd slots, from slot_start, are set in flags.
+
+    Built in place from the positions of a leading True and of flags, so
+    that it allocates the block and a copy of flags, nothing else.
+    """
+    pv = np.flatnonzero(np.concatenate(([True], flags)))
+    body = pv[1:]
+    body += slot_start - 1
+    body *= 2
+    body += 1
     pv[0] = carry
-    np.multiply(odd + slot_start, 2, out=pv[1:])
-    pv[1:] += 1
     return pv
 
 
-def _stored_block(carry: int, slot_start: int, n_slots: int,
-                  base: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The pair block of the n_slots odd slots from slot_start, sieved again."""
-    flags = _segment_flags(slot_start, slot_start + n_slots, *base)
-    return _pair_block(carry, slot_start, flags)
+def _stitch(k: int, n0: int, carry: int, n_slots: int, seg_slots: int,
+            base: tuple[np.ndarray, np.ndarray]
+            ) -> Iterator[tuple[int, int, int, int, int, np.ndarray]]:
+    """Yield (n0, pairs, carry, p_hi, slot_start, flags) for each segment from segment k.
+
+    This is the one place that stitches sieve segments into consecutive
+    prime pairs.  A segment's pairs start at carry, the last prime before
+    it, so each pair belongs to the segment holding its q: they are
+    p_n0 .. p_(n0 + pairs), and p_hi, the segment's last prime, is carried
+    to the next.  A segment without a prime has no pairs and p_hi = carry.
+    n0 and carry are those of segment k.
+    """
+    for slot_start, flags in _flag_chunks(k * seg_slots, n_slots - k * seg_slots,
+                                          seg_slots, base):
+        pairs = int(np.count_nonzero(flags))
+        p_hi = 2 * (slot_start + _last_true(flags)) + 1 if pairs else carry
+        yield n0, pairs, carry, p_hi, slot_start, flags
+        n0, carry = n0 + pairs, p_hi
 
 
 # The pair stream's summary of every full segment from slot 0 that a stream
@@ -483,78 +483,6 @@ def _stored_block(carry: int, slot_start: int, n_slots: int,
 _NO_SUMMARIES: tuple[int, np.ndarray] = (0, np.empty((0, 5), dtype=np.int64))
 _summaries = _NO_SUMMARIES
 _SUMMARY_ROW_BYTES = 40
-_REPLAY_ROWS = 4096  # rows turned into Python ints at a time
-
-
-def _pair_segments(limit: int, *, segment_size: int, allow_large: bool, extra_mem: int = 0
-                   ) -> Generator[_PairSegment, None, tuple[np.ndarray, tuple | None]]:
-    """Summarize the consecutive prime pairs with p_next <= limit, one sieve segment at a time.
-
-    This is the one place that stitches segments into pairs: a segment's
-    pairs start at the last prime before it, so each pair belongs to the
-    segment holding its q, and a segment without a prime has none.
-
-    gap_bound is exact for the pair that crosses into the segment.  Between
-    the segment's first and last primes, pack the flags into bytes of 8 odd
-    slots; if at most Z consecutive bytes are zero, two consecutive primes
-    there sit in bytes at most Z + 1 apart, so their gap is below 16(Z + 2).
-
-    Full segments already in the summary table are yielded from their rows,
-    and only their pv() sieves; the stream sieves from the first segment
-    past the table.  A stream run to its end publishes the longer table,
-    and returns the rows of its full segments and the row of its partial
-    last segment, or None if it has none.  extra_mem is checked against the
-    memory budget with the sieve and the table.
-    """
-    global _summaries
-    held_slots, stored = _summaries
-    _, n_slots, seg_slots = _plan(0, limit, segment_size)
-    full = n_slots // seg_slots
-    known = min(full, len(stored)) if held_slots == seg_slots else 0
-    grows = full > known
-    # the memory held: the stored table, and the longer one this stream fills
-    held = len(stored) + (full if grows else 0)
-    _check_sieve(0, limit, segment_size=segment_size, allow_large=allow_large,
-                 extra_mem=_SUMMARY_ROW_BYTES * held + extra_mem)
-    table = stored[:known]
-    if not n_slots:
-        return table, None
-    base = _base_primes(math.isqrt(limit))
-    for a in range(0, known, _REPLAY_ROWS):
-        rows = stored[a : min(a + _REPLAY_ROWS, known)].tolist()
-        for k, (n0, pairs, p_lo, p_hi, gap) in enumerate(rows, a):
-            if pairs:
-                yield _PairSegment(n0, pairs, p_lo, p_hi, gap,
-                                   partial(_stored_block, p_lo, k * seg_slots, seg_slots, base))
-    carry, n0 = 2, 1
-    if known:
-        n0, pairs, _, carry, _ = stored[known - 1].tolist()
-        n0 += pairs
-    if grows:
-        table = np.empty((full, 5), dtype=np.int64)
-        table[:known] = stored[:known]
-    k, last = known, None
-    for slot_start, flags in _flag_chunks(known * seg_slots, n_slots - known * seg_slots,
-                                          seg_slots, base):
-        count = int(np.count_nonzero(flags))
-        p_hi, gap = carry, 0
-        if count:
-            first, final = int(np.argmax(flags)), _last_true(flags)
-            zeros = _longest_true_run(np.packbits(flags[first : final + 1]) == 0)
-            p_hi = 2 * (slot_start + final) + 1
-            gap = max(2 * (slot_start + first) + 1 - carry, 16 * (zeros + 2))
-        row = (n0, count, carry, p_hi, gap)
-        if k < full:  # a full segment past the table, so the stream grows it
-            table[k] = row
-        else:
-            last = row
-        if count:
-            yield _PairSegment(*row, partial(_pair_block, carry, slot_start, flags))
-        carry, n0, k = p_hi, n0 + count, k + 1
-    if grows:
-        _summaries = (seg_slots, table)
-    return table, last
-
 
 # Bytes per segment of _pair_rows' output and of what a caller derives from
 # it: the int64 row, and three arrays of one float64 or int64 per segment
@@ -564,32 +492,65 @@ _ROW_WORK_BYTES = _SUMMARY_ROW_BYTES + 3 * 8
 
 def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
                allow_large: bool) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
-    """Run the pair stream up to limit to its end, calling tick once per segment it yields.
+    """Summarize the consecutive prime pairs with p_next <= limit, one sieve segment at a time.
 
     Returns rows, an int64 array of one row (n0, pairs, p_lo, p_hi,
     gap_bound) per sieve segment from slot 0, the last one cut at limit,
     and block(k), which sieves segment k again into the block
-    iter_prime_pairs yields for it.  Rows and the arrays a caller derives
-    from them are checked against the memory budget with the stream,
-    before any of them is allocated.
+    iter_prime_pairs yields for it.  tick is called once per segment.
+
+    gap_bound is exact for the pair that crosses into the segment.  Between
+    the segment's first and last primes, pack the flags into bytes of 8 odd
+    slots; if at most Z consecutive bytes are zero, two consecutive primes
+    there sit in bytes at most Z + 1 apart, so their gap is below 16(Z + 2).
+
+    Full segments already in the summary table take their rows from it;
+    the stream sieves from the first segment past them, and publishes the
+    longer table once it has run to its end.  The memory budget is checked
+    before anything sized by the range is allocated: the stream, the
+    stored table, the rows and the arrays a caller derives from them, and
+    the larger of the gap bound's work and what follows the stream: a
+    block and one array of its size that the caller derives from it.
     """
+    global _summaries
+    held_slots, stored = _summaries
     _, n_slots, seg_slots = _plan(0, limit, segment_size)
-    n_segments = -(-n_slots // seg_slots)
-    stream = _pair_segments(limit, segment_size=segment_size, allow_large=allow_large,
-                            extra_mem=_ROW_WORK_BYTES * n_segments)
-    while True:
-        try:
-            next(stream)
-        except StopIteration as end:
-            table, last = end.value
-            break
+    full, n_segments = n_slots // seg_slots, -(-n_slots // seg_slots)
+    known = min(full, len(stored)) if held_slots == seg_slots else 0
+    # the gap bound's work on a segment of m packed bytes: its zero mask, at
+    # most bit_length(m) - 1 doubling levels and the descent's two arrays,
+    # each of at most m bytes
+    slots = min(seg_slots, n_slots)
+    m = -(-slots // 8)
+    work = max((m.bit_length() + 2) * m, 2 * 8 * _block_bound(slots))
+    _check_sieve(0, limit, segment_size=segment_size, allow_large=allow_large,
+                 extra_mem=_SUMMARY_ROW_BYTES * len(stored) + _ROW_WORK_BYTES * n_segments
+                 + work)
+    rows = np.empty((n_segments, 5), dtype=np.int64)
+    rows[:known] = stored[:known]
+    for _ in range(known):
         tick()
-    rows = table if last is None else np.concatenate((table, [last]))
     base = _base_primes(math.isqrt(limit))
+    start = (1, 2)  # n0 and carry of the first segment past the table
+    if known:
+        n0, pairs, _, p_hi, _ = rows[known - 1].tolist()
+        start = (n0 + pairs, p_hi)
+    stream = _stitch(known, *start, n_slots, seg_slots, base)
+    for k, (n0, pairs, p_lo, p_hi, slot_start, flags) in enumerate(stream, known):
+        gap = 0
+        if pairs:
+            first, final = int(np.argmax(flags)), (p_hi >> 1) - slot_start
+            zeros = _longest_true_run(np.packbits(flags[first : final + 1]) == 0)
+            gap = max(2 * (slot_start + first) + 1 - p_lo, 16 * (zeros + 2))
+        rows[k] = n0, pairs, p_lo, p_hi, gap
+        tick()
+    if full > known:
+        _summaries = (seg_slots, rows[:full])
 
     def block(k: int) -> np.ndarray:
         a = k * seg_slots
-        return _stored_block(int(rows[k, 2]), a, min(seg_slots, n_slots - a), base)
+        flags = _segment_flags(a, min(a + seg_slots, n_slots), *base)
+        return _pair_block(int(rows[k, 2]), a, flags)
 
     return rows, block
 
@@ -601,10 +562,17 @@ def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
 
     Yields (n0, pv) where pv[i] and pv[i + 1] are p_{n0+i} and p_{n0+i+1};
     each block starts with the previous block's last prime, so every pair
-    appears exactly once and pv holds at least one pair.
+    appears exactly once and pv holds at least one pair.  The memory cap
+    counts two blocks of a segment's most primes: the one the caller holds
+    and the next one.
     """
-    for seg in _pair_segments(limit, segment_size=segment_size, allow_large=allow_large):
-        yield seg.n0, seg.pv()
+    _, n_slots, seg_slots = _plan(0, limit, segment_size)
+    _check_sieve(0, limit, segment_size=segment_size, allow_large=allow_large,
+                 extra_mem=2 * 8 * _block_bound(min(seg_slots, n_slots)))
+    base = _base_primes(math.isqrt(limit))
+    for n0, pairs, carry, _, slot_start, flags in _stitch(0, 1, 2, n_slots, seg_slots, base):
+        if pairs:
+            yield n0, _pair_block(carry, slot_start, flags)
 
 
 def _prime_bound(n: int) -> int:
@@ -672,23 +640,26 @@ def iterate_gaps(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
 
 def max_gap_up_to(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
                   workers: int = 1, allow_large: bool = False) -> GapRecord:
-    """The maximal gap among records with p_next <= limit; ties go to the smallest n."""
+    """The maximal gap among records with p_next <= limit; ties go to the smallest n.
+
+    Segments are built in descending order of their gap bounds while the
+    bound is at least the largest gap found: a segment left out holds no
+    gap as large, so not even a tie.
+    """
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
-    best = None  # (g, n, p, p_next)
-    for seg in _pair_segments(limit, segment_size=segment_size, allow_large=allow_large):
-        # no gap here is larger, and a tie keeps the earlier pair's smaller n
-        if best is not None and seg.gap_bound <= best[0]:
-            continue
-        pv = seg.pv()
+    rows, block = _pair_rows(limit, lambda: None, segment_size=segment_size,
+                             allow_large=allow_large)
+    best = (0, 0, 0)  # (g, -n, p_n): the larger gap, then the smaller n
+    for k in np.argsort(-rows[:, 4]).tolist():
+        if rows[k, 4] < best[0]:
+            break
+        pv = block(k)
         d = np.diff(pv)
         i = int(np.argmax(d))  # first occurrence keeps the smallest n
-        if best is None or d[i] > best[0]:
-            best = (int(d[i]), seg.n0 + i, int(pv[i]), int(pv[i + 1]))
-    if best is None:
-        raise RuntimeError(f"no prime pair below {limit}")
-    g, n, p, q = best
-    return GapRecord(n, p, q, g)
+        best = max(best, (int(d[i]), -int(rows[k, 0]) - i, int(pv[i])))
+    g, n, p = best
+    return GapRecord(-n, p, p + g, g)
 
 
 def log_primorial(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,

@@ -4,9 +4,10 @@ import math
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 
 import primespan.sieve as sieve
 from primespan import (CapacityError, GapRecord, Interval, count_primes_in,
-                       iter_prime_blocks, iterate_gaps, log_primorial,
+                       iter_prime_blocks, iter_prime_pairs, iterate_gaps, log_primorial,
                        max_gap_up_to, nth_prime, prime_count, sieve_range)
 from primespan.sieve import (DEFAULT_SEGMENT_SIZE, MIN_SEGMENT_SIZE, _longest_true_run,
-                             _pair_segments, _plan)
+                             _pair_rows, _plan)
 
 from oracles import naive_sieve, naive_sieve_window, primes_from_flags
 
@@ -118,17 +119,35 @@ def _drain_blocks(lo, hi):
         pass
 
 
+def _drain_pairs(limit, **kw):
+    """Run iter_prime_pairs up to limit as a for loop does, holding each block while the next is made."""
+    for _, pv in iter_prime_pairs(limit, **kw):
+        pass
+
+
+def test_pair_stream_cap_counts_two_blocks():
+    # the stream, and the block the caller holds and the next
+    seg_slots = _plan(0, 0, 1024)[2]
+    want = sieve._stream_mem(0, 10**6, 1024) + 2 * 8 * sieve._block_bound(seg_slots)
+    assert _estimate(lambda: _drain_pairs(10**6, segment_size=1024)) == want
+
+
 @pytest.mark.parametrize("call", [
     lambda: prime_count(2 * 10**8),
     lambda: prime_count(10**5, segment_size=1024),
     lambda: count_primes_in(Interval(10**8, 2 * 10**8)),
     lambda: count_primes_in(Interval(10**12, 10**12 + 4000), segment_size=1024),
     lambda: _drain_blocks(0, 10**8),
-], ids=["pi-2e8", "pi-1e5-small-segments", "1e8-2e8", "1e12-narrow", "blocks-1e8"])
+    lambda: _drain_pairs(10**8),
+    lambda: max_gap_up_to(10**8),
+], ids=["pi-2e8", "pi-1e5-small-segments", "1e8-2e8", "1e12-narrow", "blocks-1e8",
+        "pairs-1e8", "max-gap-1e8"])
+@pytest.mark.usefixtures("cold_summaries")
 def test_stream_peak_within_estimate(call, monkeypatch):
-    # a counting stream allocates nothing but the stream, and a block
-    # stream adds the block its caller holds and the next, so the estimate
-    # the cap is checked against bounds its whole traced peak
+    # a counting stream allocates nothing but the stream, a block stream
+    # adds the block its caller holds and the next, and max_gap_up_to adds
+    # the rows and the larger of the gap bounds' work and two blocks, so the
+    # estimate the cap is checked against bounds its whole traced peak
     need = _estimate(call)
     monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need))
     tracemalloc.start()
@@ -331,6 +350,26 @@ def test_max_gap_matches_oracle_scan():
                       key=lambda r: r.n)
 
 
+@pytest.mark.usefixtures("cold_summaries")
+def test_max_gap_tie_keeps_earliest_pair(monkeypatch):
+    # below 9000 the largest gap, 34, follows p_217 = 1327 and p_1059 = 8467,
+    # in segments 1 and 8 of 1024 integers.  Stand-in bounds, still above
+    # every gap, put segment 8 first, so its tie is found first
+    want = GapRecord(217, 1327, 1361, 34)
+    assert max_gap_up_to(9000, segment_size=1024) == want
+    pair_rows = sieve._pair_rows
+
+    def later_first(*args, **kw):
+        rows, block = pair_rows(*args, **kw)
+        rows = rows.copy()
+        rows[:, 4] = np.where(rows[:, 1] > 0, 34, 0)
+        rows[8, 4] = 35
+        return rows, block
+
+    monkeypatch.setattr(sieve, "_pair_rows", later_first)
+    assert max_gap_up_to(9000, segment_size=1024) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.booleans(), max_size=80))
 def test_longest_true_run_matches_loop(bits):
@@ -345,24 +384,30 @@ def test_longest_true_run_matches_loop(bits):
                                                 (10**5 + 3, 2048), (10**6, 1 << 16)])
 def test_pair_segment_summaries_match_blocks(limit, segment_size):
     primes = primes_from_flags(naive_sieve(limit))
+    rows, block = _pair_rows(limit, lambda: None, segment_size=segment_size, allow_large=False)
+    assert len(rows) == sieve._segment_count(0, limit, segment_size)
     n0 = 1
-    for seg in _pair_segments(limit, segment_size=segment_size, allow_large=False):
-        pv = seg.pv()
-        assert seg.n0 == n0 and pv.tolist() == primes[n0 - 1 : n0 + seg.pairs]
-        assert (seg.p_lo, seg.p_hi) == (pv[0], pv[-1])
-        # a bound on every gap, and within two packed bytes of the largest
-        gap = int(np.diff(pv).max())
-        assert gap <= seg.gap_bound < max(gap, 32) + 32
-        n0 += seg.pairs
+    for k, (row_n0, pairs, p_lo, p_hi, gap_bound) in enumerate(rows.tolist()):
+        pv = block(k)
+        assert row_n0 == n0 and pv.tolist() == primes[n0 - 1 : n0 + pairs]
+        assert (p_lo, p_hi) == (pv[0], pv[-1])
+        if pairs:
+            # a bound on every gap, and within two packed bytes of the largest
+            gap = int(np.diff(pv).max())
+            assert gap <= gap_bound < max(gap, 32) + 32
+        n0 += pairs
     assert n0 == max(len(primes), 1)
 
 
 def _stream(limit, segment_size):
     """Each pair segment up to limit: its summary, its block, its first odd slot,
-    and whether its block was sieved again from a stored row."""
-    return [(tuple(seg[:5]), seg.pv().tolist(), seg.pv.args[1],
-             seg.pv.func is sieve._stored_block)
-            for seg in _pair_segments(limit, segment_size=segment_size, allow_large=False)]
+    and whether its row came from the summary table."""
+    seg_slots = _plan(0, 0, segment_size)[2]
+    held_slots, stored = sieve._summaries
+    known = min(_full_segments(limit, segment_size), len(stored)) if held_slots == seg_slots else 0
+    rows, block = _pair_rows(limit, lambda: None, segment_size=segment_size, allow_large=False)
+    return [(tuple(row), block(k).tolist(), k * seg_slots, k < known)
+            for k, row in enumerate(rows.tolist())]
 
 
 def _full_segments(limit, segment_size):
@@ -383,11 +428,16 @@ def test_stored_segments_rebuild_their_blocks(first, limit, segment_size):
     # summaries and re-sieved blocks equal those of a stream from scratch
     known = _full_segments(min(first, limit), segment_size)
     seg_slots = _plan(0, 0, segment_size)[2]
-    warm = _stream(limit, segment_size)
+    real, sieved = sieve._segment_flags, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_segment_flags", lambda *a: sieved.append(a[0]) or real(*a))
+        warm = _stream(limit, segment_size)
     assert [row[:3] for row in warm] == [row[:3] for row in fresh]
     assert [stored for *_, stored in warm] == [
         slot < known * seg_slots for _, _, slot, _ in warm]
     assert any(stored for *_, stored in warm)
+    # the stream sieves only the segments past the table; block(k) sieves each
+    assert Counter(sieved) == {slot: 1 + (not stored) for _, _, slot, stored in warm}
     assert len(sieve._summaries[1]) == _full_segments(max(first, limit), segment_size)
 
 
@@ -396,10 +446,17 @@ def test_unfinished_stream_publishes_nothing(monkeypatch):
     _stream(10**5, 1024)
     before = sieve._summaries
     rows = before[1].copy()
-    # closed past the stored segments, in the middle of the ones it sieves
-    stream = _pair_segments(3 * 10**5, segment_size=1024, allow_large=False)
-    assert len(list(islice(stream, 150))) == 150 > len(rows)
-    stream.close()
+    # stopped past the stored segments, in the middle of the ones it sieves
+    ticks = []
+
+    def tick():
+        ticks.append(None)
+        if len(ticks) == 150:
+            raise RuntimeError("stopped")
+
+    with pytest.raises(RuntimeError, match="stopped"):
+        _pair_rows(3 * 10**5, tick, segment_size=1024, allow_large=False)
+    assert len(ticks) == 150 > len(rows)
     assert sieve._summaries is before
     # a sieve that fails part way through the segments past the table
     real, calls = sieve._segment_flags, []
@@ -421,25 +478,30 @@ def test_mem_limit_counts_summary_table(monkeypatch):
     want = max_gap_up_to(2 * 10**6)  # no full 2^20-slot segment: nothing is stored
     assert len(sieve._summaries[1]) == 0
 
-    def estimate(limit, rows):
-        return sieve._stream_mem(0, limit, 1024) + 40 * rows
+    def estimate(limit, stored):
+        # the stream, the stored table, 64 bytes per segment for the rows and
+        # what a caller derives from them, and two blocks, which are more
+        # than the gap bounds' work
+        seg_slots = _plan(0, 0, 1024)[2]
+        return (sieve._stream_mem(0, limit, 1024) + 40 * stored
+                + 64 * sieve._segment_count(0, limit, 1024)
+                + 2 * 8 * sieve._block_bound(seg_slots))
 
     def run_at(cap, limit):
         monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(cap))
         return max_gap_up_to(limit, segment_size=1024)
 
     full = _full_segments(10**6, 1024)
-    # the table a cold stream fills, then the table a warm one holds
-    for _ in range(2):
+    # a cold stream's rows become the table; a warm one holds the table too
+    for stored in (0, full):
         with pytest.raises(CapacityError):
-            run_at(estimate(10**6, full) - 1, 10**6)
-        assert run_at(estimate(10**6, full), 10**6) == GapRecord(40933, 492113, 492227, 114)
+            run_at(estimate(10**6, stored) - 1, 10**6)
+        assert run_at(estimate(10**6, stored), 10**6) == GapRecord(40933, 492113, 492227, 114)
     assert sieve._summaries[1].nbytes == 40 * full
-    # a stream past the table holds the old table and fills the longer one
-    longer = full + _full_segments(2 * 10**6, 1024)
+    # a stream past the table holds the old table and its longer rows
     with pytest.raises(CapacityError):
-        run_at(estimate(2 * 10**6, longer) - 1, 2 * 10**6)
-    assert run_at(estimate(2 * 10**6, longer), 2 * 10**6) == want
+        run_at(estimate(2 * 10**6, full) - 1, 2 * 10**6)
+    assert run_at(estimate(2 * 10**6, full), 2 * 10**6) == want
 
 
 @pytest.mark.usefixtures("cold_summaries")
@@ -466,7 +528,7 @@ def test_concurrent_streams_share_the_table():
     seg_slots, rows = sieve._summaries
     cold = [row[0] for row in want[3 * 10**5, 2 * seg_slots]
             if row[2] < len(rows) * seg_slots]
-    assert [tuple(r) for r in rows.tolist() if r[1]] == cold
+    assert [tuple(r) for r in rows.tolist()] == cold
 
 
 def test_max_gap_segment_size_independent():

@@ -838,16 +838,32 @@ def test_theorem2_floor_rises_past_its_knee():
     assert verify._t2_h_min() < h.min() == h[:-1].min()
 
 
-# Calls that stream the pair segments, each over about [0, x]
+# Calls that read and extend the pair-stream summary table, each over [0, x]
 _TABLE_CALLS = {
     "Firoozbakht": lambda x, **kw: verify_firoozbakht(x, **kw),
     "GapUpper": lambda x, **kw: verify_gap_upper(x, **kw),
-    "T3": lambda x, **kw: verify_theorem3(max(2, x // 20), **kw),
-    "GapInterval": lambda x, **kw: verify_gap_interval(max(2, 2 * x // 3), **kw),
-    "T1": lambda x, **kw: verify_theorem1(
-        k := 2 + x % 30, max(f_of_k(k), x // k), **kw),
     "max_gap_up_to": lambda x, **kw: sieve.max_gap_up_to(x, **kw),
 }
+
+
+def test_other_calls_leave_the_table(monkeypatch):
+    # a table of nonsense rows at the calls' segment length: a call that read
+    # it would go wrong, and one that extended it would replace it
+    kw = {"segment_size": 1024}
+
+    def outputs():
+        reports = [verify_theorem1(30, 10**4, **kw), verify_theorem3(10**5, **kw),
+                   verify_gap_interval(10**5, **kw)]
+        pairs = [(n0, pv.tolist()) for n0, pv in sieve.iter_prime_pairs(3 * 10**5, **kw)]
+        return emit_reports(reports, "json"), pairs
+
+    monkeypatch.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
+    want = outputs()
+    assert sieve._summaries is sieve._NO_SUMMARIES
+    nonsense = (sieve._plan(0, 0, 1024)[2], np.zeros((200, 5), dtype=np.int64))
+    monkeypatch.setattr(sieve, "_summaries", nonsense)
+    assert outputs() == want
+    assert sieve._summaries is nonsense
 
 
 def _table_call_bytes(name, x, **kw):
@@ -899,11 +915,13 @@ def test_second_pair_stream_sieves_few_segments(monkeypatch):
 
 @pytest.mark.usefixtures("cold_summaries")
 def test_mem_limit_counts_pair_rows(monkeypatch):
-    # the sieve, the summary table it fills, and 64 bytes per segment for
-    # the rows and the floors, guards and order derived from them
+    # the sieve, 64 bytes per segment for the rows, which become the summary
+    # table, and the floors, guards and order derived from them, and two
+    # blocks, which are more than the gap bounds' work
     _, n_slots, seg_slots = sieve._plan(0, 10**6, 1024)
-    full, segments = n_slots // seg_slots, -(-n_slots // seg_slots)
-    need = sieve._stream_mem(0, 10**6, 1024) + 40 * full + 64 * segments
+    segments = -(-n_slots // seg_slots)
+    need = (sieve._stream_mem(0, 10**6, 1024) + 64 * segments
+            + 2 * 8 * sieve._block_bound(seg_slots))
     monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need - 1))
     with pytest.raises(CapacityError):
         verify_gap_upper(10**6, segment_size=1024)
