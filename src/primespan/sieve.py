@@ -375,11 +375,13 @@ def sieve_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE, *,
 def _block_bound(slots: int) -> int:
     """An upper bound on the primes among any `slots` consecutive odd slots.
 
-    Each whole or partial period of the pre-sieve tile holds at most
-    _TILE_SURVIVORS slots that the tile leaves set; the only other
-    primes are the tile's own.
+    Each whole period of the pre-sieve tile holds _TILE_SURVIVORS slots
+    that the tile leaves set, and a partial one of r slots at most
+    min(r, _TILE_SURVIVORS); the only other primes are the tile's own.
+    No window holds more primes than slots.
     """
-    return -(-slots // _TILE_PERIOD) * _TILE_SURVIVORS + len(_TILE_PRIMES)
+    whole, part = divmod(slots, _TILE_PERIOD)
+    return min(slots, whole * _TILE_SURVIVORS + min(part, _TILE_SURVIVORS) + len(_TILE_PRIMES))
 
 
 def iter_prime_blocks(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,

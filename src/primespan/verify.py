@@ -7,11 +7,11 @@ bound shows that it can change none of these.  Claims that overstate
 their range are falsified honestly: violations found there are
 first-class results.
 
-Every scan runs in the calling thread.  Parameter spaces are split into
-fixed contiguous chunks whose boundaries depend only on the range, and
-chunk results are merged in chunk order, so every report is
-byte-identical across reruns and segment sizes.  The verifiers accept
-workers= and ignore it.
+Every scan runs in the calling thread.  The points a claim counts are
+cut into batches (see _batches) whose edges depend only on the range,
+and batch results are merged in batch order (see _merge), so every
+report is byte-identical across reruns and segment sizes.  The
+verifiers accept workers= and ignore it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, starmap
 from time import perf_counter
 from typing import Callable, Iterator
 
@@ -98,21 +98,38 @@ def _check_boundary(boundary: str) -> None:
         raise ValueError(f"boundary must be 'open' or 'closed', got {boundary!r}")
 
 
-def _chunk_ranges(lo: int, hi: int) -> tuple[int, Iterator[tuple[int, int]]]:
-    """Contiguous inclusive ranges of _CHUNK_POINTS points covering [lo, hi].
+def _batches(lo: np.ndarray, stop: np.ndarray) -> tuple[int, Iterator]:
+    """The points lo[i] <= x < stop[i] of each run i, in order, in batches.
 
-    Returns their number, counted arithmetically, and an iterator that
-    makes them one at a time, so nothing is sized by the range up front.
+    Returns the number of batches, counted arithmetically, and an iterator
+    that makes them one at a time as int64 arrays (run, x) of at most
+    _CHUNK_POINTS points, one entry per point, so nothing is sized by the
+    points up front.  A batch may span runs and a run may span batches;
+    the edges depend only on lo and stop.
     """
-    starts = range(lo, hi + 1, _CHUNK_POINTS)
-    return len(starts), ((a, min(a + _CHUNK_POINTS - 1, hi)) for a in starts)
+    sizes = np.maximum(stop - lo, 0)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    total = int(ends[-1]) if ends.size else 0
+
+    def batch(a: int):
+        b = min(a + _CHUNK_POINTS, total)
+        r0, r1 = np.searchsorted(ends, [a, b - 1], side="right").tolist()
+        runs = np.arange(r0, r1 + 1)
+        size = np.minimum(ends[runs], b) - np.maximum(starts[runs], a)
+        run = np.repeat(runs, size)
+        # x at a run's point i is lo + i - start
+        return run, np.arange(a, b, dtype=np.int64) + np.repeat((lo - starts)[runs], size)
+
+    firsts = range(0, total, _CHUNK_POINTS)
+    return len(firsts), map(batch, firsts)
 
 
 class _Progress:
     """Step-level progress and ETA on stderr; stdout stays machine-parseable.
 
-    A step is a chunk of the points a claim counts, a sieve segment of a
-    pair stream, or one report of a family.
+    A step is a batch of the points a claim counts (see _batches), a sieve
+    segment of a pair stream, or Prop6's single pass.
     """
 
     def __init__(self, label: str, total: int, enabled: bool | None):
@@ -139,12 +156,11 @@ class _Progress:
             sys.stderr.write("\n")
         sys.stderr.flush()
 
-
-def _in_order(fn, args, progress: _Progress) -> Iterator:
-    """Apply fn over the iterable args in this thread, ticking progress after each."""
-    for a in args:
-        yield fn(a)
-        progress.tick()
+    def each(self, steps) -> Iterator:
+        """Yield each of steps, ticking once the caller is done with it."""
+        for step in steps:
+            yield step
+            self.tick()
 
 
 # Relative error allowed for in a segment's slack floor: thousands of ulps,
@@ -186,6 +202,8 @@ def _best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
     has a floor above the final least slack, so each slack in it is
     larger.  Results merge in scan order, so the earliest site wins ties
     as in a scan of every pair, and the pairs left out count as scanned.
+    The segment order stays here rather than in a shared driver: its
+    floor threshold moves as segments are built.
     """
     prog = _Progress(claim_id.value, _segment_count(0, limit, segment_size), progress)
     rows, block = _pair_rows(limit, prog.tick, segment_size=segment_size,
@@ -208,8 +226,7 @@ def _best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
             break
         if k not in built:
             build(k)
-    rest = int(counted.sum()) - sum(s for _, _, s in built.values())
-    return _merge([built[k] for k in sorted(built)] + [((), None, rest)], cap)
+    return _merge([built[k] for k in sorted(built)], cap, int(counted.sum()))
 
 
 def _share_setup(reports: list[ClaimReport], t0: float) -> tuple[ClaimReport, ...]:
@@ -218,20 +235,20 @@ def _share_setup(reports: list[ClaimReport], t0: float) -> tuple[ClaimReport, ..
     return tuple(replace(r, elapsed=r.elapsed + extra) for r in reports)
 
 
-def _merge(results, cap: int):
-    """Combine per-chunk (violations, best, scanned); first chunk wins slack ties."""
+def _merge(results, cap: int, scanned: int):
+    """Combine per-batch (violations, best) in order; the first batch wins slack ties.
+
+    scanned is the claim's whole point count, the certified points with
+    the counted ones.
+    """
     violations: list[Violation] = []
     total = 0
     best = None
-    scanned = 0
-    for v, b, s in results:
+    for v, b in results:
         total += len(v)
-        take = min(len(v), cap - len(violations))
-        if take > 0:
-            violations.extend(v[:take])
-        if b is not None and (best is None or b[0] < best[0]):
+        violations.extend(v[: max(cap - len(violations), 0)])
+        if best is None or b[0] < best[0]:
             best = b
-        scanned += s
     return tuple(violations), total, best, scanned
 
 
@@ -276,42 +293,6 @@ def _first_certified(ok, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         good = ok(mid) & live
         a, b = np.where(live & ~good, mid, a), np.where(good, mid, b)
     return b
-
-
-def _counted_end(ok, lo: int, hi: int) -> int:
-    """The last point of [lo, hi] to count: every point after it is certified.
-
-    ok is monotone on each run of points with one value of f (see
-    _first_certified); lo, the first point, is always counted.
-    """
-    a, b = _f_levels(lo, hi)
-    t = _first_certified(ok, a, b)
-    return max([lo] + (t[t > a] - 1).tolist())
-
-
-def _count_rows(label: str, row, ks: np.ndarray, lo: np.ndarray, stop: np.ndarray,
-                scanned: int, cap: int, progress: bool | None, head=()):
-    """Merge row(k, n) over the points lo <= n < stop of each k, in k order.
-
-    head holds results counted already, which merge first, and the points
-    that neither counts make up the rest of scanned.  row gets batches of
-    whole rows, each cut once it reaches _CHUNK_POINTS points, as int64
-    arrays of one k and one n per point.  Progress ticks per batch.
-    """
-    live = np.flatnonzero(stop > lo)
-    sizes = (stop - lo)[live]
-    cut = np.flatnonzero(np.diff((np.cumsum(sizes) - 1) // _CHUNK_POINTS)) + 1
-    edges = [0, *cut.tolist(), live.size] if live.size else [0]
-
-    def batch(r):
-        rows, size = live[r[0] : r[1]], sizes[r[0] : r[1]]
-        shift = np.repeat(lo[rows] - (np.cumsum(size) - size), size)
-        return row(np.repeat(ks[rows], size), np.arange(shift.size, dtype=np.int64) + shift)
-
-    prog = _Progress(label, len(head) + len(edges) - 1, progress)
-    rest = scanned - int(sizes.sum()) - sum(s for _, _, s in head)
-    return _merge(chain(_in_order(lambda h: h, head, prog),
-                        _in_order(batch, zip(edges, edges[1:]), prog), [((), None, rest)]), cap)
 
 
 # T1's floor below: pi(n) <= pi(max(n, 15)), and the floor grows from n = 15 on
@@ -365,19 +346,20 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
     n_stop = _first_certified(ok, fks, np.full_like(ks, n_max))
     n_stop[0] = max(int(n_stop[0]), n0 + 1)  # the first point always
     table = sieve_range(0, int((ks * (n_stop - 1)).max()), **kw)
-    # the count below the interval depends on n alone, so every k shares it
-    below = table.pi(np.arange(n0, int(n_stop.max()), dtype=np.int64) - 1 + shift)
 
-    def row(k, ns):
-        cnt = table.pi(k * ns - shift) - below[ns - n0]
+    def scan(run, ns):
+        k = ks[run]
+        cnt = table.pi(k * ns - shift) - table.pi(ns - 1 + shift)
         slack = cnt - k + 2
         i = int(np.argmin(slack))
         v = [Violation(f"k={int(k[j])};n={int(ns[j])}", int(cnt[j]), int(k[j]) - 1)
              for j in np.flatnonzero(slack < 1).tolist()]
-        return v, (int(slack[i]), f"k={int(k[i])};n={int(ns[i])}"), int(ns.size)
+        return v, (int(slack[i]), f"k={int(k[i])};n={int(ns[i])}")
 
+    n_batches, batches = _batches(fks, n_stop)
+    prog = _Progress("T1", n_batches, progress)
     scanned = (k_max - 1) * (n_max + 1) - int(fks.sum())
-    merged = _count_rows("T1", row, ks, fks, n_stop, scanned, cap, progress)
+    merged = _merge(starmap(scan, prog.each(batches)), cap, scanned)
     notes = (f"boundary={boundary}-{boundary}"
              + ("; the strictest convention, so a pass implies every laxer one"
                 if boundary == "open" else ""),)
@@ -423,22 +405,23 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
     t0 = perf_counter()
     kw = {"segment_size": segment_size, "allow_large": allow_large}
     table = sieve_range(0, 2 * n_max, **kw)
-    below = table.pi(np.arange(n_max, dtype=np.int64))  # pi(n - 1), shared by every k
+    ks = np.arange(2, k_max + 1, dtype=np.int64)
+    kf = ks.astype(np.float64)
 
-    def row(k, ns):
-        cnt = table.pi(k * ns) - below[ns - 1]
+    def scan(run, ns):
+        k = ks[run]
+        cnt = table.pi(k * ns) - table.pi(ns - 1)
         rhs = _mps_upper_bound_array(ns, k)
         slack = rhs - cnt
         i = int(np.argmin(slack))
         # cnt > kn/9 + k^2, decided exactly in integers
         v = [Violation(f"k={int(k[j])};n={int(ns[j])}", int(cnt[j]), float(rhs[j]))
              for j in np.flatnonzero(9 * cnt > k * ns + 9 * k * k).tolist()]
-        return v, (float(slack[i]), f"k={int(k[i])};n={int(ns[i])}"), int(ns.size)
+        return v, (float(slack[i]), f"k={int(k[i])};n={int(ns[i])}")
 
-    first = row(np.full(n_max, 2, dtype=np.int64), np.arange(1, n_max + 1, dtype=np.int64))
-    floor_above = max(0.0, first[1][0])
-    ks = np.arange(2, k_max + 1, dtype=np.int64)
-    kf = ks.astype(np.float64)
+    n_batches, batches = _batches(np.ones(1, dtype=np.int64), np.array([n_max + 1]))
+    first = list(starmap(scan, _Progress("T2 k=2", n_batches, progress).each(batches)))
+    floor_above = max(0.0, min(b[0] for _, b in first))
 
     def ok(n):
         y = kf * n
@@ -454,40 +437,50 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
     hi = int((ks * (n_stop - 1)).max())
     if hi > table.hi:
         table = sieve_range(0, hi, **kw)
-    merged = _count_rows("T2", row, ks, ones, n_stop, (k_max - 1) * n_max, cap, progress,
-                         head=(first,))
+    n_batches, batches = _batches(ones, n_stop)
+    rest = starmap(scan, _Progress("T2", n_batches, progress).each(batches))
+    merged = _merge(chain(first, rest), cap, (k_max - 1) * n_max)
     notes = ("boundary=closed-closed; the adversarial convention for an upper bound",)
     return _report(ClaimId.T2, f"2<=k<={k_max}; 1<=n<={n_max}; boundary=closed",
                    merged, perf_counter() - t0, notes)
-
-
-def _count_prefix(claim_id: ClaimId, counts, param: str, end: int, top: int,
-                  progress: bool | None, cap: int):
-    """Merge a count of the points 2..end with the certified points end+1..top.
-
-    The claim asks for a prime in an interval per point, and counts(xs)
-    gives the primes in each point's interval.  Progress ticks per chunk.
-    """
-
-    def work(r):
-        a, b = r
-        xs = np.arange(a, b + 1, dtype=np.int64)
-        cnt = counts(xs)
-        i = int(np.argmin(cnt))
-        best = (int(cnt[i]), f"{param}={int(xs[i])}")
-        v = [Violation(f"{param}={int(xs[j])}", int(cnt[j]), 1)
-             for j in np.flatnonzero(cnt < 1).tolist()]
-        return v, best, b - a + 1
-
-    n_chunks, chunks = _chunk_ranges(2, end)
-    prog = _Progress(claim_id.value, n_chunks, progress)
-    return _merge(chain(_in_order(work, chunks, prog), [((), None, top - end)]), cap)
 
 
 def _rule_fits(x: np.ndarray, c: int, top: np.ndarray) -> np.ndarray:
     """Whether the interval rule puts c primes in (x, top) for each x, with a float margin."""
     end = _prime_interval_end_array(x, c) * (1 + _FLOOR_MARGIN)
     return (x >= PRIME_INTERVAL_RULE.n_min) & (end < top)
+
+
+def _one_prime(claim_id: ClaimId, param: str, counts, ok, top: int, end, *,
+               progress: bool | None, cap: int, **kw):
+    """Merge a count over the points 2..top that the interval rule leaves uncertified.
+
+    The claim asks for a prime in an interval per point: counts(table, xs)
+    gives the primes in each point's interval, which ends by end(x).  The
+    first point, 2, is counted from its own small sieve, and ok(c, xs) says
+    whether the rule puts c primes in each point's interval, c being
+    _least_counted_slack of that count.  ok is monotone on each run of one
+    value of f, so per run only the points before the first certified one
+    are counted, from one sieve to the last of them.  Returns the merged
+    result, that sieve and the last counted point.
+    """
+    first = counts(sieve_range(0, end(2), **kw), np.array([2], dtype=np.int64))
+    lo, hi = _f_levels(2, top)
+    stop = _first_certified(partial(ok, _least_counted_slack(first[0])), lo, hi)
+    stop[0] = max(int(stop[0]), 3)  # the first point always
+    last = int(stop[stop > lo].max()) - 1  # a run certified from its start adds nothing
+    table = sieve_range(0, end(last), **kw)
+
+    def scan(run, xs):
+        cnt = counts(table, xs)
+        i = int(np.argmin(cnt))
+        v = [Violation(f"{param}={int(xs[j])}", int(cnt[j]), 1)
+             for j in np.flatnonzero(cnt < 1).tolist()]
+        return v, (int(cnt[i]), f"{param}={int(xs[i])}")
+
+    n_batches, batches = _batches(lo, stop)
+    prog = _Progress(claim_id.value, n_batches, progress)
+    return _merge(starmap(scan, prog.each(batches)), cap, top - 1), table, last
 
 
 def _theorem3_counts(table: PrimeTable, ks: np.ndarray) -> np.ndarray:
@@ -507,8 +500,8 @@ def verify_theorem3(k_max: int, *, workers: int = 1,
     c being _least_counted_slack(first point's slack).  On a run of k with
     one value v of f, g^c(x)/x falls as k grows and k(v + 1)/x =
     (v + 1)/(v + 1/k) rises, so once that holds it holds to the run's end.
-    Only the k up to the last one it leaves out are counted: k <= 408.
-    Nothing sized by k_max is allocated.
+    Per run only the k before it holds are counted (see _one_prime), none
+    past k = 409.  Nothing sized by k_max is allocated.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
@@ -519,16 +512,13 @@ def verify_theorem3(k_max: int, *, workers: int = 1,
         return k * (f_of_k(k) + 1)
 
     _validate_range(0, end(k_max), allow_large)
-    first = _theorem3_counts(sieve_range(0, end(2), **kw), np.array([2], dtype=np.int64))
-    need = _least_counted_slack(first[0])
 
-    def ok(k):
+    def ok(need, k):
         f = f_of_k_array(k)
         return _rule_fits((k * f + 1).astype(np.float64), need, k * (f + 1.0))
 
-    k_end = _counted_end(ok, 2, k_max)
-    counts = partial(_theorem3_counts, sieve_range(0, end(k_end), **kw))
-    merged = _count_prefix(ClaimId.T3, counts, "k", k_end, k_max, progress, cap)
+    merged, _, _ = _one_prime(ClaimId.T3, "k", _theorem3_counts, ok, k_max, end,
+                              progress=progress, cap=cap, **kw)
     return _report(ClaimId.T3, f"2<=k<={k_max}; open interval k*f(k) .. k*(f(k)+1)",
                    merged, perf_counter() - t0)
 
@@ -565,8 +555,8 @@ def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
     (x, g^c(x)], so in the interval when g^c(x) < n + n/f(n), c being
     _least_counted_slack(first point's slack).  On a run of n with one
     value v of f, g^c(x)/x falls and (n + n/v)/x rises with n, so once
-    that holds it holds to the run's end.  Only the n up to the last one
-    it leaves out are counted: n <= 3273.
+    that holds it holds to the run's end.  Per run only the n before it
+    holds are counted (see _one_prime), none past n = 3273.
     """
     _check_boundary(boundary)
     if n_max < 2:
@@ -578,20 +568,17 @@ def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
         return n + n // 2 + 2  # g(n) <= 1.5n since f >= 2
 
     _validate_range(0, end(n_max), allow_large)
-    first = _gap_interval_counts(sieve_range(0, end(2), **kw),
-                                 np.array([2], dtype=np.int64), boundary)
-    need = _least_counted_slack(first[0])
 
-    def ok(n):
+    def ok(need, n):
         return _rule_fits(n + 1.0, need, n * (1 + 1.0 / f_of_k_array(n)))
 
-    n_end = _counted_end(ok, 2, n_max)
-    table = sieve_range(0, end(n_end), **kw)
-    counts = partial(_gap_interval_counts, table, boundary=boundary)
-    merged = _count_prefix(ClaimId.GAP_INTERVAL, counts, "n", n_end, n_max, progress, cap)
+    counts = partial(_gap_interval_counts, boundary=boundary)
+    merged, table, n_end = _one_prime(ClaimId.GAP_INTERVAL, "n", counts, ok, n_max, end,
+                                      progress=progress, cap=cap, **kw)
 
-    # lattice points n = k*f(k) <= n_max (k >= 2); those above n_end are
-    # certified like every other n, so only the ones below are counted
+    # lattice points n = k*f(k) <= n_max (k >= 2); those above the last
+    # counted n are certified like every other n, so only the ones below
+    # are counted
     ks = np.arange(2, _last_lattice_k(n_end) + 1, dtype=np.int64)
     lattice_bad = int(np.count_nonzero(
         _gap_interval_counts(table, ks * f_of_k_array(ks), boundary) < 1))
@@ -652,7 +639,7 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
             rechecked += 1
             if _firoozbakht_exact_slack(n, p, q) <= 0:
                 v.append(Violation(f"n={n};p_n={p}", q, firoozbakht_rhs(p, n)))
-        return v, (float(slack[i]), f"n={n0 + i};p_n={int(pv[i])}"), int(pv.size) - 1
+        return v, (float(slack[i]), f"n={n0 + i};p_n={int(pv[i])}")
 
     merged = _best_first(ClaimId.FIROOZBAKHT, limit, 1, guard, scan, segment_size=segment_size,
                          allow_large=allow_large, progress=progress, cap=cap)
@@ -703,7 +690,7 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
         v = [Violation(f"n={n + j};p_n={int(p[j])}", int(g[j]), float(bound[j]))
              for j in np.flatnonzero(slack <= tol).tolist()
              if slack[j] < -tol[j] or _gap_upper_exact_slack(int(p[j]), int(g[j])) <= 0]
-        return v, (float(slack[i]), f"n={n + i};p_n={int(p[i])};g_n={int(g[i])}"), int(p.size)
+        return v, (float(slack[i]), f"n={n + i};p_n={int(p[i])};g_n={int(g[i])}")
 
     merged = _best_first(ClaimId.GAP_UPPER, limit, 5, lambda rows: 0.0, scan,
                          segment_size=segment_size, allow_large=allow_large,
@@ -753,25 +740,24 @@ def verify_basic_props(limit: int, *, workers: int = 1,
     if limit < 6:
         raise ValueError(f"limit must be >= 6, got {limit}")
     primes = _primes_for_indices(limit, segment_size=segment_size, allow_large=allow_large)
-    prog = _Progress("props", 3, progress)
+    n4, prop4_batches = _batches(np.ones(1, dtype=np.int64), np.array([limit + 1]))
+    n_bracket, bracket_batches = _batches(np.array([6]), np.array([limit + 1]))
+    prog = _Progress("props", n4 + 1 + n_bracket, progress)
     reports = []
 
     # n + 1 <= p_n over 1 <= n <= limit; slack p_n - n is the distance to violation
-    def prop4(nr):
-        a, b = nr
-        ns = np.arange(a, b + 1, dtype=np.int64)
-        pn = primes[a - 1 : b]
+    def prop4(run, ns):
+        pn = primes[ns - 1]
         slack = pn - ns
         i = int(np.argmin(slack))
-        v = [Violation(f"n={a + j}", int(pn[j]), a + j + 1)
+        v = [Violation(f"n={int(ns[j])}", int(pn[j]), int(ns[j]) + 1)
              for j in np.flatnonzero(pn < ns + 1).tolist()]
-        return v, (int(slack[i]), f"n={a + i}"), b - a + 1
+        return v, (int(slack[i]), f"n={int(ns[i])}")
 
     t0 = perf_counter()
     reports.append(_report(ClaimId.PROP4, f"1<=n<={limit}",
-                           _merge(map(prop4, _chunk_ranges(1, limit)[1]), cap),
+                           _merge(starmap(prop4, prog.each(prop4_batches)), cap, limit),
                            perf_counter() - t0))
-    prog.tick()
 
     # theta(n) <= n*ln4 over 2 <= n <= limit; theta only jumps at primes and
     # n*ln4 grows between jumps, so the margin is smallest at the jump points
@@ -797,46 +783,49 @@ def verify_basic_props(limit: int, *, workers: int = 1,
     prog.tick()
 
     # n ln(n ln n / e) < p_n < n ln(n ln n) over 6 <= n <= limit
-    def bracket(nr):
-        a, b = nr
-        lower, upper = _nth_prime_bounds_array(np.arange(a, b + 1, dtype=np.int64))
-        p = primes[a - 1 : b].astype(np.float64)
+    def bracket(run, ns):
+        lower, upper = _nth_prime_bounds_array(ns)
+        p = primes[ns - 1].astype(np.float64)
         slack = np.minimum(p - lower, upper - p)
         i = int(np.argmin(slack))
-        v = [Violation(f"n={a + j}", float(p[j]),
+        v = [Violation(f"n={int(ns[j])}", float(p[j]),
                        f"({float(lower[j])!r}; {float(upper[j])!r})")
              for j in np.flatnonzero((p <= lower) | (p >= upper)).tolist()]
-        return v, (float(slack[i]), f"n={a + i}"), b - a + 1
+        return v, (float(slack[i]), f"n={int(ns[i])}")
 
     t0 = perf_counter()
     reports.append(_report(ClaimId.NTH_PRIME_BOUNDS, f"6<=n<={limit}",
-                           _merge(map(bracket, _chunk_ranges(6, limit)[1]), cap),
+                           _merge(starmap(bracket, prog.each(bracket_batches)), cap, limit - 5),
                            perf_counter() - t0))
-    prog.tick()
     return _share_setup(reports, t_call)
 
 
-def _two_base_report(claim_id, range_desc, per_base, default_base, t0):
-    """Report the merged result under default_base; the notes record both bases."""
+def _lemma_sweep(claim_id, range_desc, lo, stop, sides, param, default_base, *,
+                 prog: _Progress, cap: int) -> ClaimReport:
+    """Judge lhs < rhs under both log bases over the points of _batches(lo, stop).
+
+    sides(run, x) returns a function of the base that gives (lhs, rhs) at
+    each point, so the side that does not depend on the base is computed
+    once per batch; param(run, x) names one point.  default_base decides
+    the report, and its notes record both bases.
+    """
+    t0 = perf_counter()
+    per_base = {base: [] for base in LogBase}
+    for run, x in prog.each(_batches(lo, stop)[1]):
+        at = sides(run, x)
+        for base, results in per_base.items():
+            lhs, rhs = at(base)
+            slack = rhs - lhs
+            i = int(np.argmin(slack))
+            v = [Violation(param(int(run[j]), int(x[j])), float(lhs[j]), float(rhs[j]))
+                 for j in np.flatnonzero(lhs >= rhs).tolist()]
+            results.append((v, (float(slack[i]), param(int(run[i]), int(x[i])))))
+    scanned = int(np.maximum(stop - lo, 0).sum())
+    merged = {base: _merge(results, cap, scanned) for base, results in per_base.items()}
     notes = tuple(f"base={base.value}: violations={total}; min_slack={best[0]!r}; "
-                  f"at={best[1]}" for base, (_, total, best, _) in per_base.items())
+                  f"at={best[1]}" for base, (_, total, best, _) in merged.items())
     notes += (f"default base={default_base.value} decides holds; both bases recorded",)
-    return _report(claim_id, range_desc, per_base[default_base],
-                   perf_counter() - t0, notes)
-
-
-def _lemma_sweep(claim_id, range_desc, p_m, rhs, param_fmt, cap, t0):
-    """Judge |L(p)^2 - L(p)| < rhs under both log bases; natural log decides."""
-    per_base = {}
-    for base in LogBase:
-        lhs = _lemma_lhs_array(p_m, base)
-        slack = rhs - lhs
-        i = int(np.argmin(slack))
-        bad = np.flatnonzero(lhs >= rhs).tolist()
-        v = tuple(Violation(param_fmt(j), float(lhs[j]), float(rhs[j]))
-                  for j in bad[:cap])
-        per_base[base] = (v, len(bad), (float(slack[i]), param_fmt(i)), int(rhs.size))
-    return _two_base_report(claim_id, range_desc, per_base, LogBase.NAT, t0)
+    return _report(claim_id, range_desc, merged[default_base], perf_counter() - t0, notes)
 
 
 def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
@@ -846,7 +835,8 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
     """Three reports sweeping the margin inequalities over their grids.
 
     The first two default to natural log, the third to base 10; every
-    report records the outcome under both bases in its notes.
+    report records the outcome under both bases in its notes.  Each grid
+    is swept in batches (see _batches): L2's has one run of r per k.
     """
     t_call = perf_counter()
     if k_max < 5:
@@ -862,59 +852,33 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
     m_max = f_of_k(k_max) + k_max + r_max
     primes = _primes_for_indices(max(m_max, 6), segment_size=segment_size,
                                  allow_large=allow_large)
-    n_chunks, chunks = _chunk_ranges(5, n_max)
-    prog = _Progress("lemmas", 2 + n_chunks, progress)
-    reports = []
-
-    # |L(p_m)^2 - L(p_m)| < (k+1)(f(k)+1) - p_m, m = f(k)+k-3, k in [5, k_max]
-    t0 = perf_counter()
     ks = np.arange(5, k_max + 1, dtype=np.int64)
     fk = f_of_k_array(ks)
-    p1 = primes[fk + ks - 4]
-    kl = ks.tolist()
-    reports.append(_lemma_sweep(
-        ClaimId.L1, f"5<=k<={k_max}", p1, _lemma_rhs_array(ks, -3, fk, p1),
-        lambda i: f"k={kl[i]}", cap, t0))
-    prog.tick()
 
-    # |L(p_m)^2 - L(p_m)| < (k+4+r)(f(k)+1) - p_m, m = f(k)+k+r, r in [-2, r_max]
-    t0 = perf_counter()
-    rs = np.arange(-2, r_max + 1, dtype=np.int64)
-    kk, ff, rr = ks[:, None], fk[:, None], rs[None, :]
-    p2 = primes[ff + kk + rr - 1]
-    n_r = int(rs.size)
-    r0 = int(rs[0])
-
-    def l2_param(i):
-        return f"k={kl[i // n_r]};r={r0 + i % n_r}"
-
-    reports.append(_lemma_sweep(
-        ClaimId.L2, f"5<=k<={k_max}; -2<=r<={r_max}", p2.ravel(),
-        _lemma_rhs_array(kk, rr, ff, p2).ravel(), l2_param, cap, t0))
-    prog.tick()
+    # L2: |L(p_m)^2 - L(p_m)| < (k+4+r)(f(k)+1) - p_m, m = f(k)+k+r, r in [-2, r_max];
+    # L1 is its case r = -3, k in [5, k_max], so both sweep one run of r per k
+    def l12_sides(run, r):
+        k, f = ks[run], fk[run]
+        p = primes[f + k + r - 1]
+        rhs = _lemma_rhs_array(k, r, f, p)
+        return lambda base: (_lemma_lhs_array(p, base), rhs)
 
     # n < (2n/9 + 4) * L(n*ln(n*ln n))^2, n in [5, n_max], base-10 default
-    t0 = perf_counter()
+    def l3_sides(run, n):
+        nf = n.astype(np.float64)
+        return lambda base: (nf, _lemma3_rhs_array(n, base))
 
-    def l3_work(nr):
-        a, b = nr
-        ns = np.arange(a, b + 1, dtype=np.int64)
-        nf = ns.astype(np.float64)
-        out = {}
-        for base in LogBase:
-            rhs = _lemma3_rhs_array(ns, base)
-            slack = rhs - nf
-            i = int(np.argmin(slack))
-            bad = np.flatnonzero(nf >= rhs)
-            viols = [Violation(f"n={int(ns[j])}", float(nf[j]), float(rhs[j]))
-                     for j in bad.tolist()]
-            out[base] = (viols, (float(slack[i]), f"n={int(ns[i])}"), int(ns.size))
-        return out
-
-    per_chunk = list(_in_order(l3_work, chunks, prog))
-    per_base = {base: _merge([c[base] for c in per_chunk], cap) for base in LogBase}
-    reports.append(_two_base_report(ClaimId.L3, f"5<=n<={n_max}", per_base,
-                                    LogBase.TEN, t0))
+    sweeps = [
+        (ClaimId.L1, f"5<=k<={k_max}", np.full_like(ks, -3), np.full_like(ks, -2), l12_sides,
+         lambda run, r: f"k={ks[run]}", LogBase.NAT),
+        (ClaimId.L2, f"5<=k<={k_max}; -2<=r<={r_max}", np.full_like(ks, -2),
+         np.full_like(ks, r_max + 1), l12_sides, lambda run, r: f"k={ks[run]};r={r}", LogBase.NAT),
+        (ClaimId.L3, f"5<=n<={n_max}", np.array([5]), np.array([n_max + 1]), l3_sides,
+         lambda run, n: f"n={n}", LogBase.TEN),
+    ]
+    prog = _Progress("lemmas", sum(_batches(lo, stop)[0] for _, _, lo, stop, *_ in sweeps),
+                     progress)
+    reports = [_lemma_sweep(*sweep, prog=prog, cap=cap) for sweep in sweeps]
     return _share_setup(reports, t_call)
 
 

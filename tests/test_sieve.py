@@ -125,6 +125,15 @@ def _drain_pairs(limit, **kw):
         pass
 
 
+@pytest.mark.parametrize("slots", [1, 2, 7, 100, 512, 5000, 15015, 15016, 20000, 30030])
+def test_block_bound_covers_every_window(slots):
+    # the most odd primes in any window of `slots` consecutive odd numbers up to 10^5
+    odd = np.frombuffer(naive_sieve(10**5), dtype=np.uint8)[1::2].astype(np.int64)
+    counts = np.cumsum(np.concatenate(([0], odd)))
+    most = int((counts[slots:] - counts[:-slots]).max())
+    assert most <= sieve._block_bound(slots) <= slots
+
+
 def test_pair_stream_cap_counts_two_blocks():
     # the stream, and the block the caller holds and the next
     seg_slots = _plan(0, 0, 1024)[2]

@@ -969,6 +969,48 @@ def test_basic_props_peak_below_two_prime_arrays():
     assert peak < 2 * 8 * 10**6
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_theorem2_counts_in_batches():
+    # the row k = 2 alone is 10^6 points, counted in batches of 2^16
+    r, peak = _traced_peak(lambda: verify_theorem2(2, 10**6))
+    assert r.holds and r.scanned == 10**6
+    assert peak < 10 * 10**6
+
+
+def test_lemmas_sweep_in_batches():
+    # at the CLI defaults L2's grid is about 10^6 points and L3's 10^6
+    spec = next(spec for spec in CLAIMS if spec.name == "lemmas")
+    reports, peak = _traced_peak(lambda: spec.run(spec.params, "open"))
+    assert [r.scanned for r in reports] == [9996, 9996 * 103, 999996]
+    assert peak < 15 * 10**6
+
+
+def _batched_claims_json():
+    reports = [verify_theorem2(12, 2000), verify_theorem3(30_000)]
+    for boundary in ("open", "closed"):
+        reports += [verify_theorem1(30, 3000, boundary), verify_gap_interval(200_000, boundary)]
+    reports += [*verify_basic_props(5000), *verify_lemmas(60, 20, 5000)]
+    return emit_reports(reports, "json")
+
+
+def test_batch_edges_leave_reports_unchanged(monkeypatch):
+    # batches of a prime number of points cut rows and runs at odd places
+    want = _batched_claims_json()
+    monkeypatch.setattr(verify, "_CHUNK_POINTS", 1009)
+    assert _batched_claims_json() == want
+    _certify_nothing(monkeypatch)
+    assert _batched_claims_json() == want
+
+
 def test_gap_upper_rechecks_near_ties(monkeypatch):
     # a stand-in bound equal to the gap of 14 after p_30 = 113: its float
     # slack is 0, but ln^2 113 - ln 113 = 17.6 at 200 bits clears the pair
