@@ -4,7 +4,9 @@ Exit codes: 0 clean, 1 when a verification run finds violations or a
 resource/IO limit is hit, 2 on usage errors.  Progress and timing go to
 standard error so standard output stays machine-parseable.  Serialized
 reports exclude wall time unless --include-timing is given, keeping
-output byte-identical across reruns.  --workers is accepted and ignored.
+output byte-identical across reruns.  The pair stream of firoozbakht,
+gap-upper and gaps --max-only forks one sieve worker per usable CPU
+(limit them with taskset); --workers is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -289,7 +291,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "gap-upper to 1e8 takes about 27.5 s at 1024 against 0.13 s "
                         "at the default")
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored: every command runs in one thread")
+                   help="accepted and ignored: firoozbakht, gap-upper and gaps "
+                        "--max-only sieve with one process per usable CPU (limit them "
+                        "with taskset), every other command in one thread")
     p.add_argument("--allow-large", action="store_true",
                    help="permit ranges wider than 1e9 integers")
     p.add_argument("--out", default=None, metavar="FILE",

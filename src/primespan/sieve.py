@@ -3,16 +3,20 @@
 Only odd numbers are stored: bit j of a table whose first odd slot is s
 covers the integer 2*(s+j)+1, and the prime 2 is reconstructed from the
 range bounds.  Segments are aligned to multiples of 8 odd slots so the
-packed bitmap is byte-identical for every segment size.  Everything runs
-in the calling thread; the public functions accept workers= and ignore it.
+packed bitmap is byte-identical for every segment size.  The pair stream's
+summary rows (see _pair_rows) are sieved by one forked worker per usable
+CPU; everything else runs in the calling thread.  The public functions
+accept workers= and ignore it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import signal
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -23,6 +27,8 @@ DEFAULT_SEGMENT_SIZE = 1 << 21
 DEFAULT_RANGE_LIMIT = 10**9
 HARD_RANGE_LIMIT = 2**63 - 1
 MEM_LIMIT_ENV = "PRIMESPAN_MEM_LIMIT"
+
+_Item = TypeVar("_Item")
 
 _ALL_ONES = np.uint64(2**64 - 1)
 
@@ -457,24 +463,29 @@ def _pair_block(carry: int, slot_start: int, flags: np.ndarray) -> np.ndarray:
     return pv
 
 
-def _stitch(k: int, n0: int, carry: int, n_slots: int, seg_slots: int,
-            base: tuple[np.ndarray, np.ndarray]
-            ) -> Iterator[tuple[int, int, int, int, int, np.ndarray]]:
-    """Yield (n0, pairs, carry, p_hi, slot_start, flags) for each segment from segment k.
+def _stitch(n0: int, carry: int, segments: Iterable[tuple[int, int, int, _Item]]
+            ) -> Iterator[tuple[int, int, int, int, _Item]]:
+    """Yield (n0, pairs, carry, p_hi, item) for each (slot_start, pairs, last, item).
 
     This is the one place that stitches sieve segments into consecutive
-    prime pairs.  A segment's pairs start at carry, the last prime before
-    it, so each pair belongs to the segment holding its q: they are
-    p_n0 .. p_(n0 + pairs), and p_hi, the segment's last prime, is carried
-    to the next.  A segment without a prime has no pairs and p_hi = carry.
-    n0 and carry are those of segment k.
+    prime pairs.  segments gives, in order, each segment's first odd slot,
+    its number of primes and the offset of its last one.  A segment's pairs
+    start at carry, the last prime before it, so each pair belongs to the
+    segment holding its q: they are p_n0 .. p_(n0 + pairs), and p_hi, the
+    segment's last prime, is carried to the next.  A segment without a
+    prime has no pairs and p_hi = carry.  n0 and carry are those of the
+    first segment.
     """
-    for slot_start, flags in _flag_chunks(k * seg_slots, n_slots - k * seg_slots,
-                                          seg_slots, base):
-        pairs = int(np.count_nonzero(flags))
-        p_hi = 2 * (slot_start + _last_true(flags)) + 1 if pairs else carry
-        yield n0, pairs, carry, p_hi, slot_start, flags
+    for slot_start, pairs, last, item in segments:
+        p_hi = 2 * (slot_start + last) + 1 if pairs else carry
+        yield n0, pairs, carry, p_hi, item
         n0, carry = n0 + pairs, p_hi
+
+
+def _count_last(flags: np.ndarray) -> tuple[int, int]:
+    """The number of set flags and the index of the last one, 0 if there is none."""
+    pairs = int(np.count_nonzero(flags))
+    return pairs, _last_true(flags) if pairs else 0
 
 
 # The pair stream's summary of every full segment from slot 0 that a stream
@@ -491,6 +502,101 @@ _SUMMARY_ROW_BYTES = 40
 # (slack floors, guards and the order of the floors)
 _ROW_WORK_BYTES = _SUMMARY_ROW_BYTES + 3 * 8
 
+# Bytes per segment of the parts a forked worker holds until it writes them:
+# four int64 (see _segment_parts)
+_PART_BYTES = 4 * 8
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, as taskset(1) or a cgroup's cpuset leaves them."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _segment_parts(ks: range, n_slots: int, seg_slots: int,
+                   base: tuple[np.ndarray, np.ndarray]) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (pairs, first, last, zeros) of each pair segment k in ks.
+
+    pairs is the number of primes in the segment, first and last are the
+    offsets of its first and last ones, and zeros is the longest run of
+    zero bytes in its flags packed between them; a segment without a
+    prime gives zeros.  _pair_rows stitches its rows from these alone.
+    """
+    for k in ks:
+        a = k * seg_slots
+        flags = _segment_flags(a, min(a + seg_slots, n_slots), *base)
+        pairs, last = _count_last(flags)
+        if not pairs:
+            yield 0, 0, 0, 0
+            continue
+        first = int(np.argmax(flags))
+        yield pairs, first, last, _longest_true_run(np.packbits(flags[first : last + 1]) == 0)
+
+
+def _run_worker(fd: int, ks: range, n_slots: int, seg_slots: int,
+                base: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write the parts of segments ks (see _segment_parts) to fd, as int64, and close it."""
+    parts = np.zeros((len(ks), 4), dtype=np.int64)
+    for i, part in enumerate(_segment_parts(ks, n_slots, seg_slots, base)):
+        parts[i] = part
+    with open(fd, "wb") as out:
+        out.write(memoryview(parts).cast("B"))
+
+
+def _fork_parts(rows: np.ndarray, ks: range, w: int, tick: Callable[[], None],
+                n_slots: int, seg_slots: int, base: tuple[np.ndarray, np.ndarray]) -> None:
+    """Fill rows[k, 1:] with the parts of each segment k in ks, using w processes.
+
+    This process and w - 1 forked children each sieve every w-th segment
+    of ks.  A child ends in os._exit and writes its parts to a pipe;
+    this process reads them once its own share is done and waits for
+    every child, so their CPU time counts as its children's.  tick is
+    called once per segment, a round of w segments at a time, as this
+    process finishes its segment of the round.  A child that fails, or
+    any exception here, raises only after every child is killed and
+    reaped.
+    """
+    children: list[tuple[int, BinaryIO, range]] = []
+    try:
+        for j in range(1, w):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child
+                code = 1
+                try:
+                    os.close(r)
+                    for _, pipe, _ in children:
+                        os.close(pipe.fileno())
+                    _run_worker(wr, ks[j::w], n_slots, seg_slots, base)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append((pid, open(r, "rb"), ks[j::w]))
+            os.close(wr)
+        own = ks[::w]
+        for k, part in zip(own, _segment_parts(own, n_slots, seg_slots, base)):
+            rows[k, 1:] = part
+            for _ in range(min(w, ks.stop - k)):
+                tick()
+        while children:
+            pid, pipe, share = children[0]
+            for k in share:
+                if pipe.readinto(rows[k, 1:]) != _PART_BYTES:
+                    raise RuntimeError(f"sieve worker {pid} ended before segment {k}")
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            pipe.close()
+            if code:
+                raise RuntimeError(f"sieve worker {pid} exited with {code}")
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
 
 def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
                allow_large: bool) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
@@ -506,46 +612,64 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     slots; if at most Z consecutive bytes are zero, two consecutive primes
     there sit in bytes at most Z + 1 apart, so their gap is below 16(Z + 2).
 
-    Full segments already in the summary table take their rows from it;
-    the stream sieves from the first segment past them, and publishes the
-    longer table once it has run to its end.  The memory budget is checked
-    before anything sized by the range is allocated: the stream, the
-    stored table, the rows and the arrays a caller derives from them, and
-    the larger of the gap bound's work and what follows the stream: a
-    block and one array of its size that the caller derives from it.
+    Full segments already in the summary table take their rows from it.
+    The segments past them are sieved by one worker per usable CPU (see
+    _fork_parts), or in this process alone where it cannot fork safely:
+    without os.fork, or with a second thread running.  Each worker gives
+    four numbers per segment, and one pass in segment order stitches them
+    into rows, so the rows do not depend on the number of workers.  The
+    longer table is published once the stream has run to its end.
+
+    The memory budget is checked before anything sized by the range is
+    allocated: a stream and the gap bound's work per worker, the parts the
+    forked workers hold, the stored table, the rows and the arrays a
+    caller derives from them, and what follows the stream: a block and one
+    array of its size that the caller derives from it.  A budget that fits
+    fewer workers gets fewer; one that fits no stream is refused.
     """
     global _summaries
     held_slots, stored = _summaries
     _, n_slots, seg_slots = _plan(0, limit, segment_size)
     full, n_segments = n_slots // seg_slots, -(-n_slots // seg_slots)
     known = min(full, len(stored)) if held_slots == seg_slots else 0
+    todo = range(known, n_segments)
     # the gap bound's work on a segment of m packed bytes: its zero mask, at
     # most bit_length(m) - 1 doubling levels and the descent's two arrays,
     # each of at most m bytes
     slots = min(seg_slots, n_slots)
     m = -(-slots // 8)
-    work = max((m.bit_length() + 2) * m, 2 * 8 * _block_bound(slots))
+    work, blocks = (m.bit_length() + 2) * m, 2 * 8 * _block_bound(slots)
+    stream = _stream_mem(0, limit, segment_size)
+
+    def extra_mem(w: int) -> int:  # what w workers need beyond one stream
+        return ((w - 1) * stream + max(w * work, blocks)
+                + _PART_BYTES * (len(todo) - len(todo[::w]))
+                + _SUMMARY_ROW_BYTES * len(stored) + _ROW_WORK_BYTES * n_segments)
+
     _check_sieve(0, limit, segment_size=segment_size, allow_large=allow_large,
-                 extra_mem=_SUMMARY_ROW_BYTES * len(stored) + _ROW_WORK_BYTES * n_segments
-                 + work)
+                 extra_mem=extra_mem(1))
+    cap = _mem_limit()
+    # fork only where it is safe: with os.fork and no second thread running
+    safe = hasattr(os, "fork") and threading.active_count() == 1
+    w = max(min(_usable_cpus(), len(todo)), 1) if safe else 1
+    while w > 1 and cap is not None and stream + extra_mem(w) > cap:
+        w -= 1
     rows = np.empty((n_segments, 5), dtype=np.int64)
     rows[:known] = stored[:known]
     for _ in range(known):
         tick()
     base = _base_primes(math.isqrt(limit))
+    _fork_parts(rows, todo, w, tick, n_slots, seg_slots, base)
     start = (1, 2)  # n0 and carry of the first segment past the table
     if known:
         n0, pairs, _, p_hi, _ = rows[known - 1].tolist()
         start = (n0 + pairs, p_hi)
-    stream = _stitch(known, *start, n_slots, seg_slots, base)
-    for k, (n0, pairs, p_lo, p_hi, slot_start, flags) in enumerate(stream, known):
-        gap = 0
-        if pairs:
-            first, final = int(np.argmax(flags)), (p_hi >> 1) - slot_start
-            zeros = _longest_true_run(np.packbits(flags[first : final + 1]) == 0)
-            gap = max(2 * (slot_start + first) + 1 - p_lo, 16 * (zeros + 2))
+    # rows[k, 1:] holds segment k's parts until the stitch makes them its row
+    parts = ((k * seg_slots, pairs, last, (k, first, zeros)) for k, (pairs, first, last, zeros)
+             in zip(todo, map(np.ndarray.tolist, rows[known:, 1:])))
+    for n0, pairs, p_lo, p_hi, (k, first, zeros) in _stitch(*start, parts):
+        gap = max(2 * (k * seg_slots + first) + 1 - p_lo, 16 * (zeros + 2)) if pairs else 0
         rows[k] = n0, pairs, p_lo, p_hi, gap
-        tick()
     if full > known:
         _summaries = (seg_slots, rows[:full])
 
@@ -571,8 +695,9 @@ def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     _, n_slots, seg_slots = _plan(0, limit, segment_size)
     _check_sieve(0, limit, segment_size=segment_size, allow_large=allow_large,
                  extra_mem=2 * 8 * _block_bound(min(seg_slots, n_slots)))
-    base = _base_primes(math.isqrt(limit))
-    for n0, pairs, carry, _, slot_start, flags in _stitch(0, 1, 2, n_slots, seg_slots, base):
+    chunks = _flag_chunks(0, n_slots, seg_slots, _base_primes(math.isqrt(limit)))
+    segments = ((a, *_count_last(flags), (a, flags)) for a, flags in chunks)
+    for n0, pairs, carry, _, (slot_start, flags) in _stitch(1, 2, segments):
         if pairs:
             yield n0, _pair_block(carry, slot_start, flags)
 

@@ -7,11 +7,13 @@ bound shows that it can change none of these.  Claims that overstate
 their range are falsified honestly: violations found there are
 first-class results.
 
-Every scan runs in the calling thread.  The points a claim counts are
+Every scan runs in the calling thread; only the pair stream under
+Firoozbakht and GapUpper forks sieve workers, whose rows do not depend
+on their number (see sieve._pair_rows).  The points a claim counts are
 cut into batches (see _batches) whose edges depend only on the range,
 and batch results are merged in batch order (see _merge), so every
-report is byte-identical across reruns and segment sizes.  The
-verifiers accept workers= and ignore it.
+report is byte-identical across reruns, segment sizes and CPU counts.
+The verifiers accept workers= and ignore it.
 """
 
 from __future__ import annotations

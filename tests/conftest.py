@@ -1,5 +1,6 @@
 """Shared fixtures and the acceptance-criteria result banner."""
 
+import os
 import re
 import sys
 from pathlib import Path
@@ -19,6 +20,19 @@ def cold_summaries(monkeypatch):
     """Start the test with an empty pair-segment summary table, so that what
     it counts does not depend on which tests ran before it."""
     monkeypatch.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that gains an entry for each process os.fork starts during the test."""
+    started, real = [], os.fork
+
+    def fork():
+        started.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return started
 
 
 @pytest.hookimpl(hookwrapper=True)

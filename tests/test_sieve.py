@@ -1,8 +1,12 @@
 """Unit tests for the segmented sieve and derived prime operations."""
 
 import math
+import os
 import re
+import signal
 import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -428,7 +432,9 @@ def _full_segments(limit, segment_size):
 @pytest.mark.parametrize("first,limit,segment_size", [
     (10**5, 10**5, 1024), (10**5, 10**5 + 4097, 2048), (3 * 10**5, 10**5, 4096),
     (10**5, 3 * 10**5, 1 << 16), (10**6, 10**6, 1 << 16)])
-def test_stored_segments_rebuild_their_blocks(first, limit, segment_size):
+def test_stored_segments_rebuild_their_blocks(first, limit, segment_size, monkeypatch):
+    # one worker: the sieve calls counted below are those of this process
+    monkeypatch.setattr(sieve, "_usable_cpus", lambda: 1)
     fresh = _stream(limit, segment_size)
     assert not any(stored for *_, stored in fresh)
     sieve._summaries = sieve._NO_SUMMARIES
@@ -538,6 +544,149 @@ def test_concurrent_streams_share_the_table():
     cold = [row[0] for row in want[3 * 10**5, 2 * seg_slots]
             if row[2] < len(rows) * seg_slots]
     assert [tuple(r) for r in rows.tolist()] == cold
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _kill_self(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raise(*args):
+    raise ValueError("worker failed")
+
+
+def _write_nothing(fd, *args):
+    os.close(fd)
+
+
+def _exit_3_after_writing(*args):
+    _REAL_WORKER(*args)
+    os._exit(3)
+
+
+_REAL_WORKER = sieve._run_worker
+
+
+@pytest.mark.usefixtures("cold_summaries")
+@pytest.mark.parametrize("worker", [_kill_self, _raise, _write_nothing, _exit_3_after_writing],
+                         ids=["killed", "raises", "short-read", "exit-3"])
+def test_failed_worker_raises_and_leaves_no_process(worker, monkeypatch, forks):
+    _stream(10**5, 1024)
+    before = sieve._summaries
+    forks.clear()
+    monkeypatch.setattr(sieve, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sieve, "_run_worker", worker)
+    with pytest.raises(RuntimeError, match=r"sieve worker \d+ (ended before|exited with)"):
+        _pair_rows(3 * 10**5, lambda: None, segment_size=1024, allow_large=False)
+    assert len(forks) == 2
+    assert sieve._summaries is before
+    _no_children_left()
+
+
+@pytest.mark.usefixtures("cold_summaries")
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_parent_exception_kills_workers(error, monkeypatch, forks):
+    # workers that would sleep for a minute: the parent must kill them, not wait
+    monkeypatch.setattr(sieve, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sieve, "_run_worker", lambda *args: time.sleep(60))
+
+    def tick():
+        raise error("stopped")
+
+    t0 = time.monotonic()
+    with pytest.raises(error, match="stopped"):
+        _pair_rows(3 * 10**5, tick, segment_size=1024, allow_large=False)
+    assert len(forks) == 2 and time.monotonic() - t0 < 30
+    assert sieve._summaries is sieve._NO_SUMMARIES
+    _no_children_left()
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(sieve, "_usable_cpus", lambda: 3)
+    want = _pair_rows(3 * 10**5, lambda: None, segment_size=1024, allow_large=False)[0]
+
+    def fork():
+        raise AssertionError("forked while a second thread runs")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        got = _pair_rows(3 * 10**5, lambda: None, segment_size=1024, allow_large=False)[0]
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert np.array_equal(got, want)
+
+
+def _one_worker_mem(limit, segment_size, share):
+    """A stream, the gap bound's work on one segment, and the parts of the worker's share."""
+    _, n_slots, seg_slots = _plan(0, limit, segment_size)
+    m = -(-min(seg_slots, n_slots) // 8)
+    return (sieve._stream_mem(0, limit, segment_size) + (m.bit_length() + 2) * m
+            + sieve._PART_BYTES * share)
+
+
+@pytest.mark.usefixtures("cold_summaries")
+@pytest.mark.parametrize("limit,segment_size,w", [(10**8, DEFAULT_SEGMENT_SIZE, 2),
+                                                  (10**6, 1024, 3)])
+def test_worker_share_peak_within_one_stream(limit, segment_size, w, tmp_path):
+    # a forked worker's whole job, run in this process so tracemalloc sees it
+    _, n_slots, seg_slots = _plan(0, limit, segment_size)
+    share = range(1, -(-n_slots // seg_slots), w)
+    fd = os.open(tmp_path / "parts", os.O_WRONLY | os.O_CREAT)
+    tracemalloc.start()
+    try:
+        sieve._run_worker(fd, share, n_slots, seg_slots, sieve._base_primes(math.isqrt(limit)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _one_worker_mem(limit, segment_size, len(share))
+    parts = np.fromfile(tmp_path / "parts", dtype=np.int64).reshape(-1, 4)
+    rows = _pair_rows(limit, lambda: None, segment_size=segment_size, allow_large=False)[0]
+    assert np.array_equal(parts[:, 0], rows[share, 1])
+    assert np.array_equal(2 * (np.array(share) * seg_slots + parts[:, 2]) + 1, rows[share, 3])
+
+
+@pytest.mark.usefixtures("cold_summaries")
+@pytest.mark.parametrize("limit,size", [(10**6, 1024), (10**8, DEFAULT_SEGMENT_SIZE)])
+def test_mem_cap_fits_fewer_workers(limit, size, monkeypatch, forks):
+    # w workers need w streams and gap bound works, the parts the w - 1
+    # forked ones hold, and the rows and two blocks; a cap that fits fewer
+    # gets fewer, and one that fits no stream is refused.  Two blocks
+    # outweigh three gap bound works at 1024, not at the default size.
+    _, n_slots, seg_slots = _plan(0, limit, size)
+    n = -(-n_slots // seg_slots)
+    stream = sieve._stream_mem(0, limit, size)
+    blocks = 2 * 8 * sieve._block_bound(seg_slots)
+
+    def need(w):
+        worker = _one_worker_mem(limit, size, 0) - stream
+        return (w * stream + max(w * worker, blocks)
+                + sieve._PART_BYTES * (n - len(range(0, n, w))) + 64 * n)
+
+    run = lambda: _pair_rows(limit, lambda: None, segment_size=size, allow_large=False)[0]
+    assert _estimate(run) == need(1)
+    monkeypatch.setattr(sieve, "_usable_cpus", lambda: 3)
+    want = run()
+    for cap, w in [(need(1), 1), (need(2) - 1, 1), (need(2), 2), (need(3) - 1, 2),
+                   (need(3), 3)]:
+        monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(cap))
+        monkeypatch.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
+        forks.clear()
+        assert np.array_equal(run(), want)
+        assert len(forks) == w - 1
+    monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need(1) - 1))
+    with pytest.raises(CapacityError):
+        run()
 
 
 def test_max_gap_segment_size_independent():

@@ -893,6 +893,8 @@ def test_summary_table_warm_matches_cold(first, second, x1, x2, segment_size, fi
 
 @pytest.mark.usefixtures("cold_summaries")
 def test_second_pair_stream_sieves_few_segments(monkeypatch):
+    # one worker: the sieve calls counted below are those of this process
+    monkeypatch.setattr(sieve, "_usable_cpus", lambda: 1)
     real, calls = sieve._segment_flags, []
 
     def counted(*args):
@@ -911,6 +913,51 @@ def test_second_pair_stream_sieves_few_segments(monkeypatch):
     warm = verify_gap_upper(10**6, **kw)
     assert warm == replace(cold, elapsed=ANY)
     assert 0 < len(calls) < 977 // 10
+
+
+def _pair_stream_outputs(limit, **kw):
+    """The rows, the largest gap and the Firoozbakht and GapUpper JSON up to limit."""
+    ticks = []
+    rows, _ = sieve._pair_rows(limit, lambda: ticks.append(None), allow_large=False, **kw)
+    assert len(ticks) == len(rows)
+    reports = [verify_firoozbakht(limit, **kw), verify_gap_upper(limit, **kw)]
+    return rows.tolist(), sieve.max_gap_up_to(limit, **kw), emit_reports(reports, "json")
+
+
+@pytest.mark.parametrize("limit,segment_size", [(3 * 10**5, 1024), (3 * 10**5 + 7, 2048),
+                                                (10**6, 1 << 16)])
+def test_pair_stream_output_identical_at_any_worker_count(limit, segment_size, monkeypatch,
+                                                          forks):
+    # each limit ends in a partial segment, so the calls after the first
+    # stream read the table and sieve that one segment in this process
+    kw = {"segment_size": segment_size}
+    want = None
+    for w in (1, 2, 3):
+        monkeypatch.setattr(sieve, "_usable_cpus", lambda: w)
+        monkeypatch.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
+        forks.clear()
+        cold = _pair_stream_outputs(limit, **kw)
+        assert len(forks) == w - 1
+        want = want or cold
+        assert cold == want
+        # warm: a shorter stream fills part of the table first
+        monkeypatch.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
+        forks.clear()
+        sieve.max_gap_up_to(limit // 3, **kw)
+        assert _pair_stream_outputs(limit, **kw) == want
+        assert len(forks) == 2 * (w - 1)
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_more_cpus_than_segments(monkeypatch, forks):
+    kw = {"segment_size": 2048}  # 5000 is three segments of 1024 odd slots
+    monkeypatch.setattr(sieve, "_usable_cpus", lambda: 1)
+    want = _pair_stream_outputs(5000, **kw)
+    assert not forks
+    monkeypatch.setattr(sieve, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
+    assert _pair_stream_outputs(5000, **kw) == want
+    assert len(forks) == 2
 
 
 @pytest.mark.usefixtures("cold_summaries")
