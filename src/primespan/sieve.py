@@ -3,10 +3,19 @@
 Only odd numbers are stored: bit j of a table whose first odd slot is s
 covers the integer 2*(s+j)+1, and the prime 2 is reconstructed from the
 range bounds.  Segments are aligned to multiples of 8 odd slots so the
-packed bitmap is byte-identical for every segment size.  The pair stream's
-summary rows (see _pair_rows) are sieved by one forked worker per usable
-CPU; everything else runs in the calling thread.  The public functions
-accept workers= and ignore it.
+packed bitmap is byte-identical for every segment size.
+
+A stream up to hi crosses off the base primes up to c, at least the cube
+root of hi, by strides.  Each base prime q above c crosses off only its
+products q*r with primes r >= q: as q**3 > hi, a composite up to hi whose
+least prime factor is q has one more prime factor, no more.  These are
+the products of the P2 term in Meissel-Lehmer prime counting (Deleglise
+and Rivat, "Computing pi(x): the Meissel, Lehmer, Lagarias, Miller, Odlyzko
+method", Experimental Math. 5, 1996); see _Base and _segment_flags.
+
+The pair stream's summary rows (see _pair_rows) are sieved by one forked
+worker per usable CPU; everything else runs in the calling thread.  The
+public functions accept workers= and ignore it.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -66,20 +75,61 @@ def _validate_range(lo: int, hi: int, allow_large: bool) -> None:
             "set allow_large (CLI flag --allow-large) to override")
 
 
-def _base_primes(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Odd primes up to limit and their squares, as int64 arrays."""
+def _base_primes(limit: int) -> np.ndarray:
+    """Odd primes up to limit, as an int64 array."""
     if limit < 3:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    n_slots = (limit + 1) // 2
-    flags = np.ones(n_slots, dtype=bool)
+        return np.empty(0, dtype=np.int64)
+    flags = np.ones((limit + 1) // 2, dtype=bool)
     flags[0] = False
     for i in range(1, math.isqrt(limit) // 2 + 1):
         if flags[i]:
             p = 2 * i + 1
             flags[(p * p) // 2 :: p] = False
-    odd = (np.flatnonzero(flags).astype(np.int64) << 1) + 1
-    return odd, odd * odd
+    odd = np.flatnonzero(flags)
+    odd <<= 1
+    odd += 1
+    return odd
+
+
+def _icbrt(n: int) -> int:
+    """The integer cube root of n >= 0: the largest x with x**3 <= n."""
+    x = round(n ** (1 / 3))
+    while x**3 > n:
+        x -= 1
+    while (x + 1) ** 3 <= n:
+        x += 1
+    return x
+
+
+def _band_start(hi: int, slots: int) -> int:
+    """c of a stream up to hi in segments of at most slots odd slots (see _Base).
+
+    c >= cbrt(hi) makes the band's products exact; c >= hi // (slots + 1)
+    keeps rtab to the odd primes up to about slots, so it is never much
+    larger than a segment's flags.
+    """
+    return max(_icbrt(hi), hi // (slots + 1))
+
+
+class _Base(NamedTuple):
+    """What a sieve stream up to hi keeps for every segment: odd, c and rtab.
+
+    odd are the odd primes up to isqrt(hi).  Those up to c are crossed off
+    by strides; each one above c, a band prime q, by its products q*r with
+    the primes r of rtab, the odd primes up to hi // (c + 1).  odd is a
+    prefix of rtab, and all of it where c >= isqrt(hi) leaves no band.
+    """
+
+    odd: np.ndarray
+    c: int
+    rtab: np.ndarray
+
+
+def _stream_base(hi: int, slots: int) -> _Base:
+    """The _Base of a stream up to hi in segments of at most slots odd slots."""
+    root, c = math.isqrt(hi), _band_start(hi, slots)
+    rtab = _base_primes(max(root, hi // (c + 1)))
+    return _Base(rtab[: np.searchsorted(rtab, root, side="right")], c, rtab)
 
 
 # The pre-sieve tile: odd slots 0 .. 15014 with every odd multiple of 3, 5, 7,
@@ -102,13 +152,26 @@ _TILE_SURVIVORS = int(np.count_nonzero(_TILE[:_TILE_PERIOD]))
 # Slots 0 .. 6 are 1, 3, .., 13: the tile crosses off the tile primes, and 1 is no prime
 _TILE_HEAD = np.array([False, True, True, True, False, True, True])
 
+# Most products q*r that one pass of _cross_band builds.  At 2^16 glibc
+# handed the freed temporaries back to the system every segment: a stream
+# to 1e9 took 75 times the page faults and 0.2 s of system time.
+_BAND_CHUNK = 1 << 15
 
-def _segment_flags(i_start: int, i_stop: int,
-                   odd_primes: np.ndarray, odd_primes_sq: np.ndarray) -> np.ndarray:
+
+def _segment_flags(i_start: int, i_stop: int, base: _Base) -> np.ndarray:
     """Primality flags for global odd slots [i_start, i_stop); slot i is 2*i+1.
 
-    odd_primes are the odd primes from 3 on, as _base_primes gives them; the
-    tile crosses off the first five, so only those from 17 on are sieved.
+    The tile crosses off the multiples of 3 to 13.  Each base prime p from
+    17 to c crosses off its odd multiples from p*p by a strided write.
+    Each base prime q above c with q*q in reach crosses off only its
+    products q*r with primes r >= q (see _cross_band).  That is exact
+    because q > c >= cbrt(hi): an odd composite n <= hi whose least prime
+    factor is q has n/q < q*q, so n/q is a prime r >= q.  These are the
+    products that the P2 term of Meissel-Lehmer counting enumerates
+    (Deleglise and Rivat, Experimental Math. 5, 1996).  A stream at
+    1e9 in default segments has c = 1000: 162 strided writes and about
+    68k products per segment, where crossing off every multiple would take
+    3,395 strided writes.
     """
     size = i_stop - i_start
     if size <= 0:
@@ -120,8 +183,12 @@ def _segment_flags(i_start: int, i_stop: int,
         buf[:n] = _TILE_HEAD[i_start : i_start + n]
     lo_num = 2 * i_start + 1
     hi_num = 2 * i_stop - 1
-    n_app = int(np.searchsorted(odd_primes_sq, hi_num, side="right"))
-    p = odd_primes[len(_TILE_PRIMES) : n_app]
+    odd = base.odd
+    n_app = int(np.searchsorted(odd, math.isqrt(hi_num), side="right"))
+    n_c = min(int(np.searchsorted(odd, base.c, side="right")), n_app)
+    if n_app > n_c:
+        _cross_band(buf, i_start, hi_num, odd[n_c:n_app], base.rtab)
+    p = odd[len(_TILE_PRIMES) : n_c]
     if not p.size:
         return buf
     # First odd multiple of p at or above max(p*p, lo_num), as an offset
@@ -138,6 +205,40 @@ def _segment_flags(i_start: int, i_stop: int,
     return buf
 
 
+def _cross_band(buf: np.ndarray, i_start: int, hi_num: int, q: np.ndarray,
+                rtab: np.ndarray) -> None:
+    """Cross off q*r in buf, whose slot 0 is i_start, for each band prime q.
+
+    r runs over the primes of rtab with max(q, ceil(lo/q)) <= r <= hi_num/q,
+    lo being the odd number in slot i_start; r = q crosses off q*q.  The
+    products are numbered t = 0, 1, .. in order of q, then r, so q's run
+    from ends[i] - counts[i] up to ends[i], and t's r is rtab[t + shift[i]].
+    They are built and scattered at most _BAND_CHUNK at a time.
+    """
+    lo_num = 2 * i_start + 1
+    shift = np.searchsorted(rtab, np.maximum(q, -(-lo_num // q)))
+    counts = np.searchsorted(rtab, hi_num // q, side="right")
+    counts -= shift
+    np.maximum(counts, 0, out=counts)
+    ends = np.cumsum(counts)
+    shift -= ends
+    shift += counts
+    total = int(ends[-1])
+    for t0 in range(0, total, _BAND_CHUNK):
+        t1 = min(t0 + _BAND_CHUNK, total)
+        g = slice(int(np.searchsorted(ends, t0, side="right")),
+                  int(np.searchsorted(ends, t1 - 1, side="right")) + 1)
+        # how many of each q's products fall in [t0, t1)
+        n = np.minimum(ends[g], t1) - np.maximum(ends[g] - counts[g], t0)
+        r = np.repeat(shift[g], n)
+        r += np.arange(t0, t1)
+        r = rtab[r]
+        r *= np.repeat(q[g], n)
+        r >>= 1
+        r -= i_start
+        buf[r] = False
+
+
 def _plan(lo: int, hi: int, segment_size: int) -> tuple[int, int, int]:
     """First slot, slot count, and slots per byte-aligned segment for [lo, hi]."""
     i0 = (lo | 1) >> 1
@@ -152,10 +253,21 @@ def _segment_count(lo: int, hi: int, segment_size: int) -> int:
     return -(-n_slots // seg_slots)
 
 
-# Bytes a sieve stream holds per base prime: the int64 prime and square that
-# _base_primes keeps, and what _segment_flags works through for each: int64
+# Bytes a sieve stream holds per base prime: the int64 prime that
+# _stream_base keeps, and what _segment_flags works through for each: int64
 # offsets and two lists of Python ints (a pointer and a 28-byte int each)
-_BASE_PRIME_BYTES = 16 + 3 * 8 + 2 * (8 + 28)
+# for a strided prime, which is more than three int64 for a band prime
+_BASE_PRIME_BYTES = 8 + 3 * 8 + 2 * (8 + 28)
+
+# Bytes per product that a pass of _cross_band holds: the int64 indices
+# and, while the next array is made from them, that array
+_BAND_PRODUCT_BYTES = 2 * 8
+
+
+def _pi_bound(x: int) -> int:
+    """An upper bound on pi(x), the primes up to x."""
+    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962)
+    return int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
 
 
 def _stream_mem(lo: int, hi: int, segment_size: int) -> int:
@@ -163,13 +275,18 @@ def _stream_mem(lo: int, hi: int, segment_size: int) -> int:
 
     A consumer's loop variable keeps one segment while the next is
     sieved, and each segment is cut from whole periods of the pre-sieve
-    tile; add the base primes and _segment_flags' work on each of them.
+    tile; add the base primes and _segment_flags' work on each of them
+    and, where the band is not empty, rtab and one pass of products.  A
+    segment of s slots holds at most s products q*r, since each is a
+    distinct odd number in it.
     """
     _, n_slots, seg_slots = _plan(lo, hi, segment_size)
-    root = math.isqrt(hi)
-    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962)
-    n_base = int(1.25506 * root / math.log(root)) + 1 if root > 1 else 0
-    return 2 * (min(seg_slots, n_slots) + _TILE_PERIOD) + _BASE_PRIME_BYTES * n_base
+    slots = min(seg_slots, n_slots)
+    root, c = math.isqrt(hi), _band_start(hi, slots)
+    band = 0
+    if c < root:
+        band = 8 * _pi_bound(hi // (c + 1)) + _BAND_PRODUCT_BYTES * min(_BAND_CHUNK, slots)
+    return 2 * (slots + _TILE_PERIOD) + _BASE_PRIME_BYTES * _pi_bound(root) + band
 
 
 def _check_sieve(lo: int, hi: int, *, segment_size: int, allow_large: bool,
@@ -204,14 +321,14 @@ def _iter_flag_chunks(lo: int, hi: int, *, segment_size: int, allow_large: bool,
     i0, n_slots, seg_slots = _plan(lo, hi, segment_size)
     if not n_slots:
         return iter(())
-    return _flag_chunks(i0, n_slots, seg_slots, _base_primes(math.isqrt(hi)))
+    return _flag_chunks(i0, n_slots, seg_slots, _stream_base(hi, min(seg_slots, n_slots)))
 
 
 def _flag_chunks(i0: int, n_slots: int, seg_slots: int,
-                 base: tuple[np.ndarray, np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+                 base: _Base) -> Iterator[tuple[int, np.ndarray]]:
     """Yield the flags of odd slots [i0, i0 + n_slots), one segment at a time."""
     for a in range(i0, i0 + n_slots, seg_slots):
-        yield a, _segment_flags(a, min(a + seg_slots, i0 + n_slots), *base)
+        yield a, _segment_flags(a, min(a + seg_slots, i0 + n_slots), base)
 
 
 def _rank_nbytes(bitmap_nbytes: int) -> int:
@@ -514,7 +631,7 @@ def _usable_cpus() -> int:
 
 
 def _segment_parts(ks: range, n_slots: int, seg_slots: int,
-                   base: tuple[np.ndarray, np.ndarray]) -> Iterator[tuple[int, int, int, int]]:
+                   base: _Base) -> Iterator[tuple[int, int, int, int]]:
     """Yield (pairs, first, last, zeros) of each pair segment k in ks.
 
     pairs is the number of primes in the segment, first and last are the
@@ -524,7 +641,7 @@ def _segment_parts(ks: range, n_slots: int, seg_slots: int,
     """
     for k in ks:
         a = k * seg_slots
-        flags = _segment_flags(a, min(a + seg_slots, n_slots), *base)
+        flags = _segment_flags(a, min(a + seg_slots, n_slots), base)
         pairs, last = _count_last(flags)
         if not pairs:
             yield 0, 0, 0, 0
@@ -534,7 +651,7 @@ def _segment_parts(ks: range, n_slots: int, seg_slots: int,
 
 
 def _run_worker(fd: int, ks: range, n_slots: int, seg_slots: int,
-                base: tuple[np.ndarray, np.ndarray]) -> None:
+                base: _Base) -> None:
     """Write the parts of segments ks (see _segment_parts) to fd, as int64, and close it."""
     parts = np.zeros((len(ks), 4), dtype=np.int64)
     for i, part in enumerate(_segment_parts(ks, n_slots, seg_slots, base)):
@@ -544,7 +661,7 @@ def _run_worker(fd: int, ks: range, n_slots: int, seg_slots: int,
 
 
 def _fork_parts(rows: np.ndarray, ks: range, w: int, tick: Callable[[], None],
-                n_slots: int, seg_slots: int, base: tuple[np.ndarray, np.ndarray]) -> None:
+                n_slots: int, seg_slots: int, base: _Base) -> None:
     """Fill rows[k, 1:] with the parts of each segment k in ks, using w processes.
 
     This process and w - 1 forked children each sieve every w-th segment
@@ -658,7 +775,7 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     rows[:known] = stored[:known]
     for _ in range(known):
         tick()
-    base = _base_primes(math.isqrt(limit))
+    base = _stream_base(limit, slots)
     _fork_parts(rows, todo, w, tick, n_slots, seg_slots, base)
     start = (1, 2)  # n0 and carry of the first segment past the table
     if known:
@@ -675,7 +792,7 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
 
     def block(k: int) -> np.ndarray:
         a = k * seg_slots
-        flags = _segment_flags(a, min(a + seg_slots, n_slots), *base)
+        flags = _segment_flags(a, min(a + seg_slots, n_slots), base)
         return _pair_block(int(rows[k, 2]), a, flags)
 
     return rows, block
@@ -695,7 +812,7 @@ def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     _, n_slots, seg_slots = _plan(0, limit, segment_size)
     _check_sieve(0, limit, segment_size=segment_size, allow_large=allow_large,
                  extra_mem=2 * 8 * _block_bound(min(seg_slots, n_slots)))
-    chunks = _flag_chunks(0, n_slots, seg_slots, _base_primes(math.isqrt(limit)))
+    chunks = _flag_chunks(0, n_slots, seg_slots, _stream_base(limit, min(seg_slots, n_slots)))
     segments = ((a, *_count_last(flags), (a, flags)) for a, flags in chunks)
     for n0, pairs, carry, _, (slot_start, flags) in _stitch(1, 2, segments):
         if pairs:

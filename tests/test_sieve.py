@@ -261,9 +261,84 @@ def _oracle_flags() -> bytearray:
        size=st.one_of(st.integers(1, _TILE_PERIOD - 1), st.integers(_TILE_PERIOD, 70_000)))
 def test_segment_flags_match_oracle(i_start, size):
     i_stop = i_start + size
-    got = sieve._segment_flags(i_start, i_stop, *sieve._base_primes(math.isqrt(2 * i_stop - 1)))
+    got = sieve._segment_flags(i_start, i_stop, sieve._stream_base(2 * i_stop - 1, size))
     want = _oracle_flags()[2 * i_start + 1 : 2 * i_stop : 2]
     assert got.astype(np.uint8).tobytes() == bytes(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hi=st.integers(10**5, 2 * 10**6), data=st.data())
+def test_band_flags_match_oracle(hi, data):
+    # in 70,000-slot segments up to hi, the base primes above c = cbrt(hi),
+    # which is 46 to 125, cross off their products q*r
+    base = sieve._stream_base(hi, 70_000)
+    assert base.c == sieve._icbrt(hi) < math.isqrt(hi)
+    n_slots = _plan(0, hi, 0)[1]
+    i_start = data.draw(st.integers(0, n_slots - 1))
+    i_stop = min(n_slots, i_start + data.draw(st.integers(1, 70_000)))
+    got = sieve._segment_flags(i_start, i_stop, base)
+    want = _oracle_flags()[2 * i_start + 1 : 2 * i_stop : 2]
+    assert got.astype(np.uint8).tobytes() == bytes(want)
+
+
+def _strided(base):
+    """base with an empty band, so that strides cross off every base prime."""
+    return base._replace(c=sys.maxsize, rtab=base.rtab[:0])
+
+
+def _same_as_strided(base, segments):
+    for a, b in segments:
+        got = sieve._segment_flags(a, b, base)
+        assert np.array_equal(got, sieve._segment_flags(a, b, _strided(base))), (a, b)
+
+
+@pytest.mark.parametrize("hi,c,picks", [
+    (10**8, 464, None),
+    (10**9, 1000, [0, 1, 2, 55, 137, 256, 300, 419, 476]),
+], ids=["every-segment-1e8", "sampled-1e9"])
+def test_band_equals_strides(hi, c, picks):
+    # the first segment holds band primes and their squares; 476 is the short last one at 1e9
+    _, n_slots, seg_slots = _plan(0, hi, DEFAULT_SEGMENT_SIZE)
+    base = sieve._stream_base(hi, seg_slots)
+    assert base.c == c and base.rtab.size == prime_count(hi // (c + 1)) - 1
+    ks = range(-(-n_slots // seg_slots)) if picks is None else picks
+    assert ks[-1] * seg_slots < n_slots <= (ks[-1] + 1) * seg_slots
+    _same_as_strided(base, [(k * seg_slots, min((k + 1) * seg_slots, n_slots)) for k in ks])
+
+
+@pytest.mark.parametrize("lo,width,segment_size", [(10**12, 4000, 1024),
+                                                   (10**12, 10**6, DEFAULT_SEGMENT_SIZE)])
+def test_narrow_high_window_has_no_band(lo, width, segment_size):
+    # c >= sqrt(hi): strides cross off every base prime, and rtab holds no more than they
+    i0, n_slots, seg_slots = _plan(lo, lo + width, segment_size)
+    base = sieve._stream_base(lo + width, min(seg_slots, n_slots))
+    assert base.c >= math.isqrt(lo + width) and base.rtab.size == base.odd.size
+    _same_as_strided(base, [(a, min(a + seg_slots, i0 + n_slots))
+                            for a in range(i0, i0 + n_slots, seg_slots)])
+    if width <= 4000:
+        flags = naive_sieve_window(lo, lo + width)
+        want = [lo + i for i, f in enumerate(flags) if f]
+        assert sieve_range(lo, lo + width, segment_size).primes().tolist() == want
+
+
+@pytest.mark.parametrize("p", [101, 149, 157])
+def test_band_starts_past_the_cube_root(p):
+    # p = cbrt(p**3) is prime: were it a band prime, no product q*r would cross off p**3
+    _, n_slots, seg_slots = _plan(0, p**3, DEFAULT_SEGMENT_SIZE)
+    assert sieve._stream_base(p**3, min(seg_slots, n_slots)).c == p
+    table = sieve_range(0, p**3)
+    assert not table.is_prime(p**3)
+    assert table.count() == sum(_oracle_flags()[: p**3 + 1])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64, 1000])
+def test_band_passes_split_anywhere(chunk, monkeypatch):
+    # passes of any size, ending inside one band prime's products or between two
+    hi = 2 * 10**6
+    base = sieve._stream_base(hi, 70_000)
+    monkeypatch.setattr(sieve, "_BAND_CHUNK", chunk)
+    n_slots = _plan(0, hi, 0)[1]
+    _same_as_strided(base, [(a, min(a + 70_000, n_slots)) for a in (0, 70_000, 420_000, 980_000)])
 
 
 @settings(max_examples=6, deadline=None)
@@ -645,7 +720,8 @@ def test_worker_share_peak_within_one_stream(limit, segment_size, w, tmp_path):
     fd = os.open(tmp_path / "parts", os.O_WRONLY | os.O_CREAT)
     tracemalloc.start()
     try:
-        sieve._run_worker(fd, share, n_slots, seg_slots, sieve._base_primes(math.isqrt(limit)))
+        sieve._run_worker(fd, share, n_slots, seg_slots,
+                          sieve._stream_base(limit, min(seg_slots, n_slots)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
