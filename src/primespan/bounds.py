@@ -278,6 +278,30 @@ def _pi_upper_array(x) -> np.ndarray:
     return PI_UPPER_COEF * x / np.log(x)
 
 
+# Rosser and Schoenfeld (Illinois J. Math. 6, 1962, Thm. 9): theta(x) < 1.01624 x for x > 0
+THETA_UPPER_COEF = 1.01624
+
+# p_n < n(ln n + ln ln n - 1/2) for n >= 20 (Rosser and Schoenfeld 1962, (3.13)), and
+# p_n >= n(ln n + ln ln n - 1 + (ln ln n - 2.1)/ln n) for n >= 3 (Dusart 2010, arXiv:1002.0442)
+NTH_PRIME_UPPER_FROM = 20
+NTH_PRIME_LOWER_FROM = 3
+
+
+def _nth_prime_upper_array(n) -> np.ndarray:
+    """n(ln n + ln ln n - 1/2) per real n >= NTH_PRIME_UPPER_FROM, above p_n; it increases."""
+    n = np.asarray(n, dtype=np.float64)
+    ln = np.log(n)
+    return n * (ln + np.log(ln) - 0.5)
+
+
+def _nth_prime_lower_array(n) -> np.ndarray:
+    """n(ln n + ln ln n - 1 + (ln ln n - 2.1)/ln n) per real n >= NTH_PRIME_LOWER_FROM, at most p_n."""
+    n = np.asarray(n, dtype=np.float64)
+    ln = np.log(n)
+    lnln = np.log(ln)
+    return n * (ln + lnln - 1.0 + (lnln - 2.1) / ln)
+
+
 def _f_levels(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The maximal runs [a, b] of [lo, hi] on which f_of_k is constant, as arrays a and b."""
     starts = [lo] + [_f_start(v) for v in range(f_of_k(lo) + 1, f_of_k(hi) + 1)]

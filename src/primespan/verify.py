@@ -31,10 +31,11 @@ from typing import Callable, Iterator
 import mpmath
 import numpy as np
 
-from .bounds import (LogBase, IntervalRule, PRIME_INTERVAL_RULE, RuleName, RULES, f_of_k,
-                     f_of_k_array, firoozbakht_rhs, rule_g, _f_levels, _gap_upper_bound_array,
-                     _lemma3_rhs_array, _lemma_lhs_array, _lemma_rhs_array,
-                     _mps_upper_bound_array, _nth_prime_bounds_array, _pi_lower_array,
+from .bounds import (LogBase, IntervalRule, NTH_PRIME_UPPER_FROM, PRIME_INTERVAL_RULE, RuleName,
+                     RULES, THETA_UPPER_COEF, f_of_k, f_of_k_array, firoozbakht_rhs, rule_g,
+                     _f_levels, _gap_upper_bound_array, _lemma3_rhs_array, _lemma_lhs_array,
+                     _lemma_rhs_array, _mps_upper_bound_array, _nth_prime_bounds_array,
+                     _nth_prime_lower_array, _nth_prime_upper_array, _pi_lower_array,
                      _pi_upper_array, _prime_interval_end_array)
 from .errors import CapacityError, ThresholdError
 from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _iter_flag_chunks,
@@ -737,15 +738,44 @@ def verify_basic_props(limit: int, *, workers: int = 1,
 
     limit plays both roles: the largest prime index for the first and
     third checks and the largest primorial argument for the second.
+
+    Each check counts its first point (n = 1; n = 2; n = 6), whose slack
+    is s.  A later point is left uncounted when a theorem (see bounds)
+    puts its slack at or above max(1, s) (Prop4, whose slacks are
+    integers) or strictly above max(0, s) (Prop6 and the bracket): it is
+    no violation, and it cannot take the least slack from the first
+    point.  Per check a bisection (see _first_certified) finds the first
+    point whose floor clears that, and the floor does not fall after it:
+
+    - Prop4: p_(n+1) >= p_n + 1, so p_n - n never falls below s.  Only
+      n = 1 is counted.
+    - Prop6: theta(x) < 1.01624 x puts the slack at every prime q >= x
+      above (ln 4 - 1.01624) q.  The cumulative sum of its logs, at most
+      m = 1.25506 limit/ln limit >= pi(limit) of them (see bounds), each
+      within a few ulps, errs by at most (m + 8) u theta(q), u = 2^-53
+      (the gamma_m bound of Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., ch. 4), and q ln 4 and the difference by a
+      few u q more; the floor takes off 2u (m + 8) q for all of them, so
+      it is linear in x.  Only 2, 3 and 5 are counted.
+    - the bracket, from n = 20: the upper side is above n/2
+      (Rosser-Schoenfeld (3.13)) and the lower side at least
+      h(n) = n (ln ln n - 2.1)/ln n (Dusart 2010).  h is negative below
+      n = 3520, and with l = ln n, h'(n) = ((l - 1)(ln l - 2.1) + 1)/l^2
+      >= 1/l^2 from there.  A margin of 2^-40 of the upper side, whose
+      slope is below 1/l^2 up to 2^63, covers the float error of the
+      floor and of the scan.  So the floor is at most 0 <= max(0, s)
+      before 3520 and nondecreasing after; it clears s = 1.2497 from
+      n = 3603.
+
+    Only the counted points' primes are generated: the first 3602 for
+    any limit from 3603 on.
     """
     t_call = perf_counter()
     if limit < 6:
         raise ValueError(f"limit must be >= 6, got {limit}")
-    primes = _primes_for_indices(limit, segment_size=segment_size, allow_large=allow_large)
-    n4, prop4_batches = _batches(np.ones(1, dtype=np.int64), np.array([limit + 1]))
-    n_bracket, bracket_batches = _batches(np.array([6]), np.array([limit + 1]))
-    prog = _Progress("props", n4 + 1 + n_bracket, progress)
-    reports = []
+    _validate_range(0, _prime_bound(limit), allow_large)
+    kw = {"segment_size": segment_size, "allow_large": allow_large}
+    primes = _primes_for_indices(6, **kw)  # the first points' primes; replaced below
 
     # n + 1 <= p_n over 1 <= n <= limit; slack p_n - n is the distance to violation
     def prop4(run, ns):
@@ -756,33 +786,22 @@ def verify_basic_props(limit: int, *, workers: int = 1,
              for j in np.flatnonzero(pn < ns + 1).tolist()]
         return v, (int(slack[i]), f"n={int(ns[i])}")
 
-    t0 = perf_counter()
-    reports.append(_report(ClaimId.PROP4, f"1<=n<={limit}",
-                           _merge(starmap(prop4, prog.each(prop4_batches)), cap, limit),
-                           perf_counter() - t0))
-
     # theta(n) <= n*ln4 over 2 <= n <= limit; theta only jumps at primes and
     # n*ln4 grows between jumps, so the margin is smallest at the jump points
-    t0 = perf_counter()
-    q = primes[: int(np.searchsorted(primes, limit, side="right"))]
-    qf = q.astype(np.float64)
-    qlogs = np.log(qf)
-    theta = np.cumsum(qlogs)
-    fsum_check = math.fsum(qlogs.tolist())
-    if abs(float(theta[-1]) - fsum_check) > 1e-6 * max(1.0, abs(fsum_check)):
-        raise RuntimeError("cumulative log-primorial drifted from compensated sum")
-    slack = qf * _LN4 - theta
-    i = int(np.argmin(slack))
-    best = (float(slack[i]), f"n={int(q[i])}")
-    bad = np.flatnonzero(slack <= 0).tolist()
-    v = [Violation(f"n={int(q[j])}", float(theta[j]), float(qf[j] * _LN4))
-         for j in bad[:cap]]
-    notes = ("checked at every prime jump point, where the margin over the "
-             "whole range is smallest",)
-    reports.append(_report(ClaimId.PROP6, f"2<=n<={limit}",
-                           (tuple(v), len(bad), best, limit - 1),
-                           perf_counter() - t0, notes))
-    prog.tick()
+    def prop6(x_stop):
+        q = primes[: int(np.searchsorted(primes, x_stop - 1, side="right"))]
+        qf = q.astype(np.float64)
+        qlogs = np.log(qf)
+        theta = np.cumsum(qlogs)
+        fsum_check = math.fsum(qlogs.tolist())
+        if abs(float(theta[-1]) - fsum_check) > 1e-6 * max(1.0, abs(fsum_check)):
+            raise RuntimeError("cumulative log-primorial drifted from compensated sum")
+        slack = qf * _LN4 - theta
+        i = int(np.argmin(slack))
+        bad = np.flatnonzero(slack <= 0).tolist()
+        v = [Violation(f"n={int(q[j])}", float(theta[j]), float(qf[j] * _LN4))
+             for j in bad[:cap]]
+        return tuple(v), len(bad), (float(slack[i]), f"n={int(q[i])}"), limit - 1
 
     # n ln(n ln n / e) < p_n < n ln(n ln n) over 6 <= n <= limit
     def bracket(run, ns):
@@ -795,21 +814,56 @@ def verify_basic_props(limit: int, *, workers: int = 1,
              for j in np.flatnonzero((p <= lower) | (p >= upper)).tolist()]
         return v, (float(slack[i]), f"n={int(ns[i])}")
 
+    def stop(ok, first: int) -> int:
+        """One past the last point of first..limit that is counted; first always is."""
+        end = _first_certified(ok, np.array([first]), np.array([limit]))
+        return max(int(end[0]), first + 1)
+
+    one = np.array([1])
+    s4 = prop4(None, one)[1][0]
+    stop4 = stop(lambda n: np.full(n.shape, s4 >= _least_counted_slack(s4)), 1)
+    need6 = max(0.0, prop6(3)[2][0])
+    coef6 = _LN4 - THETA_UPPER_COEF - 2.0**-52 * (float(_pi_upper_array(limit)) + 8)
+    stop6 = stop(lambda x: coef6 * x > need6, 2)
+    need_b = max(0.0, bracket(None, np.array([6]))[1][0])
+
+    def bracket_ok(n):
+        lower, upper = _nth_prime_bounds_array(n)
+        floor = np.minimum(upper - _nth_prime_upper_array(n), _nth_prime_lower_array(n) - lower)
+        return (n >= NTH_PRIME_UPPER_FROM) & (floor - _FLOOR_MARGIN * upper > need_b)
+
+    stop_b = stop(bracket_ok, 6)
+    # p_m > m, so the first m primes hold every prime below stop6 too
+    primes = _primes_for_indices(max(stop4, stop6, stop_b) - 1, **kw)
+    n4, prop4_batches = _batches(one, np.array([stop4]))
+    n_bracket, bracket_batches = _batches(np.array([6]), np.array([stop_b]))
+    prog = _Progress("props", n4 + 1 + n_bracket, progress)
+
     t0 = perf_counter()
-    reports.append(_report(ClaimId.NTH_PRIME_BOUNDS, f"6<=n<={limit}",
-                           _merge(starmap(bracket, prog.each(bracket_batches)), cap, limit - 5),
+    merged = _merge(starmap(prop4, prog.each(prop4_batches)), cap, limit)
+    reports = [_report(ClaimId.PROP4, f"1<=n<={limit}", merged, perf_counter() - t0)]
+    t0 = perf_counter()
+    notes = ("checked at every prime jump point, where the margin over the "
+             "whole range is smallest",)
+    reports.append(_report(ClaimId.PROP6, f"2<=n<={limit}", prop6(stop6),
+                           perf_counter() - t0, notes))
+    prog.tick()
+    t0 = perf_counter()
+    merged = _merge(starmap(bracket, prog.each(bracket_batches)), cap, limit - 5)
+    reports.append(_report(ClaimId.NTH_PRIME_BOUNDS, f"6<=n<={limit}", merged,
                            perf_counter() - t0))
     return _share_setup(reports, t_call)
 
 
-def _lemma_sweep(claim_id, range_desc, lo, stop, sides, param, default_base, *,
+def _lemma_sweep(claim_id, range_desc, lo, stop, scanned, sides, param, default_base, *,
                  prog: _Progress, cap: int) -> ClaimReport:
     """Judge lhs < rhs under both log bases over the points of _batches(lo, stop).
 
     sides(run, x) returns a function of the base that gives (lhs, rhs) at
     each point, so the side that does not depend on the base is computed
-    once per batch; param(run, x) names one point.  default_base decides
-    the report, and its notes record both bases.
+    once per batch; param(run, x) names one point.  scanned counts the
+    claim's whole grid, the certified points with the counted ones.
+    default_base decides the report, and its notes record both bases.
     """
     t0 = perf_counter()
     per_base = {base: [] for base in LogBase}
@@ -822,12 +876,39 @@ def _lemma_sweep(claim_id, range_desc, lo, stop, sides, param, default_base, *,
             v = [Violation(param(int(run[j]), int(x[j])), float(lhs[j]), float(rhs[j]))
                  for j in np.flatnonzero(lhs >= rhs).tolist()]
             results.append((v, (float(slack[i]), param(int(run[i]), int(x[i])))))
-    scanned = int(np.maximum(stop - lo, 0).sum())
     merged = {base: _merge(results, cap, scanned) for base, results in per_base.items()}
     notes = tuple(f"base={base.value}: violations={total}; min_slack={best[0]!r}; "
                   f"at={best[1]}" for base, (_, total, best, _) in merged.items())
     notes += (f"default base={default_base.value} decides holds; both bases recorded",)
     return _report(claim_id, range_desc, merged[default_base], perf_counter() - t0, notes)
+
+
+def _lemma_stop(sides, floor, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per run, one past the last point counted from lo; the claim's first point always is.
+
+    s_b is the first point's slack under base b.  floor(x, b) is a lower
+    bound on the slack under b at every point from x to the run's end,
+    nondecreasing in x.  A point from which it is above max(0, s_b) under
+    both bases, as both go into the notes, starts the certified rest of
+    its run: those points are no violation and cannot take the least
+    slack from the first point.
+    """
+    at = sides(np.zeros(1, dtype=np.int64), lo[:1])
+    need = {}
+    for base in LogBase:
+        lhs, rhs = at(base)
+        need[base] = max(0.0, float(rhs[0] - lhs[0]))
+
+    def ok(x):
+        return np.logical_and.reduce([floor(x, base) > need[base] for base in LogBase])
+
+    stop = _first_certified(ok, lo, hi)
+    stop[0] = max(int(stop[0]), int(lo[0]) + 1)
+    return stop
+
+
+# L3's floor below: from here on L(n ln(n ln n))^2 >= 4.5088 under either base
+_L3_KNEE = 29
 
 
 def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
@@ -839,6 +920,23 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
     The first two default to natural log, the third to base 10; every
     report records the outcome under both bases in its notes.  Each grid
     is swept in batches (see _batches): L2's has one run of r per k.
+
+    Each sweep counts only the points before the first one from which
+    its floor certifies the rest of the run (see _lemma_stop; each floor
+    takes off 2^-40 of its terms for float error):
+
+    - L1 and L2, per k over r up to its last value t, m_t = f(k) + k + t
+      >= 20: p_m < P = P(m_t), the Rosser-Schoenfeld bound (3.13), and
+      |L(p)^2 - L(p)| grows with p from p = 5 on, the least p_m being 11.
+      So the slack at r' >= r is at least (k + 4 + r)(f(k) + 1) - P
+      - |L(P)^2 - L(P)|, which rises with r.  L1 has one point per k.
+    - L3: both factors of rhs(n) = (2n/9 + 4) L(n ln(n ln n))^2 rise
+      with n, and from n = 29 on L^2 >= 4.5088 under either base, so
+      rhs(n) - n = n (2 L^2/9 - 1) + 4 L^2 rises too, even less
+      2^-40 rhs(n).  The slack itself is the floor there.
+
+    At the CLI defaults L1 counts its k <= 17, L2 its k below about 600
+    and L3 its n <= 28; only their primes are generated.
     """
     t_call = perf_counter()
     if k_max < 5:
@@ -851,9 +949,9 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
         raise CapacityError(
             f"L3 range width {n_max - 5} exceeds the default limit {DEFAULT_RANGE_LIMIT}; "
             "set allow_large (CLI flag --allow-large) to override")
-    m_max = f_of_k(k_max) + k_max + r_max
-    primes = _primes_for_indices(max(m_max, 6), segment_size=segment_size,
-                                 allow_large=allow_large)
+    _validate_range(0, _prime_bound(max(f_of_k(k_max) + k_max + r_max, 6)), allow_large)
+    kw = {"segment_size": segment_size, "allow_large": allow_large}
+    primes = _primes_for_indices(6, **kw)  # p_5 and p_6 for the first points; replaced below
     ks = np.arange(5, k_max + 1, dtype=np.int64)
     fk = f_of_k_array(ks)
 
@@ -865,22 +963,44 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
         rhs = _lemma_rhs_array(k, r, f, p)
         return lambda base: (_lemma_lhs_array(p, base), rhs)
 
+    def l12_floor(top: int):
+        m_top = fk + ks + top
+        p_top = _nth_prime_upper_array(m_top)
+
+        def floor(r, base):
+            rhs = _lemma_rhs_array(ks, r, fk, p_top)
+            lhs = _lemma_lhs_array(p_top, base)
+            return np.where(m_top >= NTH_PRIME_UPPER_FROM,
+                            rhs - lhs - _FLOOR_MARGIN * (rhs + 2 * p_top + lhs), -np.inf)
+        return floor
+
     # n < (2n/9 + 4) * L(n*ln(n*ln n))^2, n in [5, n_max], base-10 default
     def l3_sides(run, n):
         nf = n.astype(np.float64)
         return lambda base: (nf, _lemma3_rhs_array(n, base))
 
+    def l3_floor(n, base):
+        rhs = _lemma3_rhs_array(n, base)
+        return np.where(n >= _L3_KNEE, rhs - n - _FLOOR_MARGIN * rhs, -np.inf)
+
     sweeps = [
-        (ClaimId.L1, f"5<=k<={k_max}", np.full_like(ks, -3), np.full_like(ks, -2), l12_sides,
-         lambda run, r: f"k={ks[run]}", LogBase.NAT),
+        (ClaimId.L1, f"5<=k<={k_max}", np.full_like(ks, -3), np.full_like(ks, -3), l12_sides,
+         l12_floor(-3), lambda run, r: f"k={ks[run]}", LogBase.NAT),
         (ClaimId.L2, f"5<=k<={k_max}; -2<=r<={r_max}", np.full_like(ks, -2),
-         np.full_like(ks, r_max + 1), l12_sides, lambda run, r: f"k={ks[run]};r={r}", LogBase.NAT),
-        (ClaimId.L3, f"5<=n<={n_max}", np.array([5]), np.array([n_max + 1]), l3_sides,
+         np.full_like(ks, r_max), l12_sides, l12_floor(r_max),
+         lambda run, r: f"k={ks[run]};r={r}", LogBase.NAT),
+        (ClaimId.L3, f"5<=n<={n_max}", np.array([5]), np.array([n_max]), l3_sides, l3_floor,
          lambda run, n: f"n={n}", LogBase.TEN),
     ]
-    prog = _Progress("lemmas", sum(_batches(lo, stop)[0] for _, _, lo, stop, *_ in sweeps),
-                     progress)
-    reports = [_lemma_sweep(*sweep, prog=prog, cap=cap) for sweep in sweeps]
+    stops = [_lemma_stop(sides, floor, lo, hi) for _, _, lo, hi, sides, floor, *_ in sweeps]
+    m_counted = max(int((fk + ks + stop - 1)[stop > lo].max())
+                    for (_, _, lo, *_), stop in zip(sweeps[:2], stops))
+    primes = _primes_for_indices(max(m_counted, 6), **kw)
+    prog = _Progress("lemmas", sum(_batches(lo, stop)[0]
+                                   for (_, _, lo, *_), stop in zip(sweeps, stops)), progress)
+    reports = [_lemma_sweep(claim_id, desc, lo, stop, int((hi + 1 - lo).sum()), sides, param,
+                            base, prog=prog, cap=cap)
+               for (claim_id, desc, lo, hi, sides, _, param, base), stop in zip(sweeps, stops)]
     return _share_setup(reports, t_call)
 
 

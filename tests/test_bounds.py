@@ -262,13 +262,18 @@ def test_interval_rule_frozen():
 _TRUST_LIMIT = 10**8
 # float error allowed for, always in the theorem's disfavour
 _TRUST_MARGIN = 2.0**-40
+# theta's running sum of about 5.8e6 logs to 10^8 errs by at most about
+# 5.8e6 * 2^-53 = 6.4e-10 of itself, so it is allowed 1e-9
+_THETA_MARGIN = 1e-9
 
 
 @pytest.fixture(scope="module")
 def trust_base_failures():
     """Per theorem, the p_n of the first pairs that break it (empty when it holds)."""
     n_min = bounds.PRIME_INTERVAL_RULE.n_min
-    bad = {"interval rule": [], "pi upper": [], "pi lower": []}
+    bad = {"interval rule": [], "pi upper": [], "pi lower": [], "theta upper": [],
+           "p_n upper": [], "p_n lower": []}
+    theta = 0.0
     for n0, pv in iter_prime_pairs(_TRUST_LIMIT):
         n = np.arange(n0, n0 + pv.size - 1, dtype=np.int64)
         p, q = pv[:-1], pv[1:]
@@ -285,6 +290,18 @@ def trust_base_failures():
         # [p_n, p_{n+1}) as x -> p_{n+1}
         low = bounds._pi_lower_array(q) * (1 + _TRUST_MARGIN)
         bad["pi lower"] += p[(p >= bounds.PI_LOWER_FROM) & (n < low)].tolist()
+        # theta(x) < 1.01624 x for x > 0: theta is theta(p_n) on [p_n, p_{n+1}),
+        # so the bound is least at x = p_n
+        thetas = theta + np.cumsum(np.log(p.astype(np.float64)))
+        theta = float(thetas[-1])
+        bad["theta upper"] += p[thetas * (1 + _THETA_MARGIN)
+                                >= bounds.THETA_UPPER_COEF * p].tolist()
+        # p_n < n(ln n + ln ln n - 1/2) for n >= 20, and
+        # p_n >= n(ln n + ln ln n - 1 + (ln ln n - 2.1)/ln n) for n >= 3
+        up = bounds._nth_prime_upper_array(np.maximum(n, 20)) * (1 - _TRUST_MARGIN)
+        bad["p_n upper"] += p[(n >= bounds.NTH_PRIME_UPPER_FROM) & (p >= up)].tolist()
+        low = bounds._nth_prime_lower_array(np.maximum(n, 3)) * (1 + _TRUST_MARGIN)
+        bad["p_n lower"] += p[(n >= bounds.NTH_PRIME_LOWER_FROM) & (p < low)].tolist()
     return {name: ps[:5] for name, ps in bad.items()}
 
 
@@ -301,3 +318,14 @@ def test_pi_upper_bound_holds_to_1e8(trust_base_failures):
 def test_pi_lower_bound_holds_to_1e8(trust_base_failures):
     assert trust_base_failures["pi lower"] == []
 
+
+def test_theta_upper_bound_holds_to_1e8(trust_base_failures):
+    assert trust_base_failures["theta upper"] == []
+
+
+def test_nth_prime_upper_bound_holds_to_1e8(trust_base_failures):
+    assert trust_base_failures["p_n upper"] == []
+
+
+def test_nth_prime_lower_bound_holds_to_1e8(trust_base_failures):
+    assert trust_base_failures["p_n lower"] == []

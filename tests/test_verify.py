@@ -10,7 +10,7 @@ from unittest.mock import ANY
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import primespan.sieve as sieve
@@ -463,7 +463,8 @@ def test_lemmas_l3_range_checked_before_any_sweep(monkeypatch):
         verify_lemmas(10, 5, 1005)
     assert totals == [2 + 1]
 
-    # with allow_large the L3 chunks are counted, not listed
+    # with allow_large L3 is certified from n = 29 on, so it counts one batch
+    # and nothing is sized by n_max
     n_max = 10**11
     tracemalloc.start()
     try:
@@ -472,7 +473,7 @@ def test_lemmas_l3_range_checked_before_any_sweep(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert totals[-1] == 2 + -(-(n_max - 4) // 65536)
+    assert totals[-1] == 2 + 1
     assert peak < 10**6
 
 
@@ -730,7 +731,11 @@ def test_best_first_tie_keeps_earlier_site(monkeypatch):
 
 
 def _certify_nothing(monkeypatch):
-    """Make every theorem certificate certify no point, so T1, T2, T3 and GapInterval count each one."""
+    """Make every theorem certificate certify no point, so every claim but the pair streams counts each one.
+
+    T1, T2, T3, GapInterval, the three props and the three lemmas all
+    find their certified points through verify._first_certified.
+    """
     monkeypatch.setattr(verify, "_first_certified", lambda ok, lo, hi: hi + 1)
 
 
@@ -814,6 +819,87 @@ def test_index_claims_sieve_little(where, monkeypatch):
     for call in _INDEX_CALLS[where]:
         call()
     assert 0 < max(his) <= 2 * 10**4
+
+
+def _props_and_lemmas_json(limit, k_max, r_max, n_max, cap):
+    reports = [*verify_basic_props(limit, cap=cap), *verify_lemmas(k_max, r_max, n_max, cap=cap)]
+    return emit_reports(reports, "json")
+
+
+@settings(max_examples=25, deadline=None)
+@given(limit=st.integers(6, 20_000), k_max=st.integers(5, 700), r_max=st.integers(-2, 120),
+       n_max=st.integers(5, 70_000), cap=st.sampled_from([0, 1, 5, 1000]))
+# the bracket is certified from n = 3603; L3's first batch of 2^16 points
+# ends at n = 65540, and its second starts at 65541
+@example(limit=6, k_max=5, r_max=-2, n_max=5, cap=0)
+@example(limit=3602, k_max=5, r_max=-2, n_max=65_541, cap=1)
+@example(limit=3603, k_max=37, r_max=11, n_max=65_542, cap=0)
+@example(limit=3604, k_max=600, r_max=100, n_max=65_541, cap=1)
+def test_props_and_lemmas_prune_match_exhaustive(limit, k_max, r_max, n_max, cap):
+    args = (limit, k_max, r_max, n_max, cap)
+    pruned = _props_and_lemmas_json(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        _certify_nothing(mp)
+        assert _props_and_lemmas_json(*args) == pruned
+
+
+def test_props_and_lemmas_evaluate_few_points(monkeypatch):
+    spec = {s.name: s for s in CLAIMS}
+    his, sides = [], {"points": 0}
+    flag_chunks = verify._iter_flag_chunks
+
+    def recorded(lo, hi, **kw):
+        his.append(hi)
+        return flag_chunks(lo, hi, **kw)
+
+    monkeypatch.setattr(verify, "_iter_flag_chunks", recorded)
+    for name in ("_lemma_lhs_array", "_lemma_rhs_array", "_lemma3_rhs_array"):
+        def counted(*args, real=getattr(verify, name)):
+            out = real(*args)
+            sides["points"] += np.size(out)
+            return out
+
+        monkeypatch.setattr(verify, name, counted)
+    props, peak = _traced_peak(lambda: spec["props"].run(spec["props"].params, "open"))
+    # the bracket counts n < 3603, whose primes end at 33,619; the whole
+    # range would need the first 10^6 primes, to 15,485,863
+    assert 0 < max(his) < 10**5
+    assert peak < 10**6
+    lemmas = spec["lemmas"].run(spec["lemmas"].params, "open")
+    # a sweep of every point evaluates about 4 * 10^6 sides: two bases on
+    # L1 and L2's 1.04 * 10^6 points and on L3's 10^6
+    assert 0 < sides["points"] < 5 * 10**5
+    assert max(his) < 10**5
+    # the count is real: with nothing certified every point is evaluated
+    sides["points"] = 0
+    _certify_nothing(monkeypatch)
+    assert spec["props"].run(spec["props"].params, "open") == tuple(
+        replace(r, elapsed=ANY) for r in props)
+    assert max(his) > 1.5 * 10**7
+    assert spec["lemmas"].run(spec["lemmas"].params, "open") == tuple(
+        replace(r, elapsed=ANY) for r in lemmas)
+    assert sides["points"] > 4 * 10**6
+
+
+@pytest.mark.parametrize("certify", [True, False])
+def test_props_and_lemmas_progress_ends_at_its_total(certify, monkeypatch):
+    bars = []
+
+    class Counted(verify._Progress):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bars.append(self)
+
+    monkeypatch.setattr(verify, "_Progress", Counted)
+    if not certify:
+        _certify_nothing(monkeypatch)
+    verify_basic_props(10**5)
+    verify_lemmas(1000, 100, 10**5)
+    # one step per batch evaluated: Prop4, Prop6's pass and the bracket;
+    # then L1, L2 and L3, and with nothing certified every batch of each
+    want = [3, 3] if certify else [2 + 1 + 2, 1 + 2 + 2]
+    assert [b.total for b in bars] == want
+    assert [b.done for b in bars] == want
 
 
 def test_one_prime_claims_at_1e12():
@@ -1005,7 +1091,8 @@ def test_primes_for_indices_holds_one_array(monkeypatch):
 
 
 def test_basic_props_peak_below_two_prime_arrays():
-    # the first 10^6 primes take 8 MB as int64; the checks over n go in chunks
+    # below two copies of the first 10^6 primes (8 MB as int64), which a count
+    # of every point holds
     tracemalloc.start()
     try:
         reports = verify_basic_props(10**6)
