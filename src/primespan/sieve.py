@@ -533,14 +533,16 @@ def iter_prime_blocks(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_S
         yield np.array([2], dtype=np.int64)
 
 
-def _longest_true_run(z: np.ndarray) -> int:
-    """Length of the longest run of True in the bool array z.
+def _longest_true_run(z: np.ndarray) -> tuple[int, np.ndarray]:
+    """Length L of the longest run of True in the bool array z, and where they start.
 
-    runs[j][i] says that z[i : i + 2**j] is all True; doubling finds the
-    largest such power, then a descent adds the smaller powers that fit.
+    The second array has a True at i iff z[i : i + L] is all True, so at
+    the start of each run of length L; it is empty when L is 0.  runs[j][i]
+    says that z[i : i + 2**j] is all True; doubling finds the largest such
+    power, then a descent adds the smaller powers that fit.
     """
     if not z.any():
-        return 0
+        return 0, z[:0]
     runs = [z]
     while runs[-1].size > (k := 1 << (len(runs) - 1)):
         longer = runs[-1][:-k] & runs[-1][k:]
@@ -554,7 +556,37 @@ def _longest_true_run(z: np.ndarray) -> int:
             longer = cur[:-k] & runs[j][length:]
             if longer.any():
                 length, cur = length + k, longer
-    return length
+    return length, cur
+
+
+# The first and the last set bit of each byte, most significant bit first
+# as np.packbits lays out odd slots; a zero byte has neither and gets 8
+_FIRST_BIT = np.array([8 - b.bit_length() for b in range(256)], dtype=np.int8)
+_LAST_BIT = np.array([8 - (b & -b).bit_length() for b in range(256)], dtype=np.int8)
+
+
+def _slot_gap_bound(packed: np.ndarray) -> int:
+    """A bound on the distance between consecutive set bits of packed, in bits.
+
+    packed's first and last bytes are nonzero.  With Z the longest run of
+    zero bytes, two consecutive set bits are in one byte, at most 7 apart,
+    or on both sides of a run of r <= Z zero bytes, 8(r + 1) + 7 apart at
+    most.  The distance across each run of Z bytes is read exactly from
+    the last set bit of the byte before it and the first set bit of the
+    byte after it, so the bound is max(those, 8Z + 7).  It is exact when
+    the largest distance crosses a run of Z bytes and is at least 8Z + 7,
+    and at most 6 above it otherwise, as a run of Z bytes spans at least
+    8Z + 1.  Where Z <= 1 the runs are not gathered, and the bound is
+    8Z + 15, at most 23.
+    """
+    z, at = _longest_true_run(packed == 0)
+    if z <= 1:
+        return 8 * z + 15
+    starts = np.flatnonzero(at)
+    before = packed[starts - 1]
+    starts += z
+    across = _FIRST_BIT[packed[starts]] - _LAST_BIT[before]
+    return max(8 * (z + 1) + int(across.max()), 8 * z + 7)
 
 
 def _last_true(flags: np.ndarray) -> int:
@@ -632,11 +664,13 @@ def _usable_cpus() -> int:
 
 def _segment_parts(ks: range, n_slots: int, seg_slots: int,
                    base: _Base) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (pairs, first, last, zeros) of each pair segment k in ks.
+    """Yield (pairs, first, last, part) of each pair segment k in ks.
 
     pairs is the number of primes in the segment, first and last are the
-    offsets of its first and last ones, and zeros is the longest run of
-    zero bytes in its flags packed between them; a segment without a
+    offsets of its first and last ones, and part bounds the odd slots
+    between any two consecutive primes of the segment: _slot_gap_bound of
+    its flags packed from first to last, so at most 6 slots above the
+    largest such distance, or at most 23 slots.  A segment without a
     prime gives zeros.  _pair_rows stitches its rows from these alone.
     """
     for k in ks:
@@ -647,7 +681,7 @@ def _segment_parts(ks: range, n_slots: int, seg_slots: int,
             yield 0, 0, 0, 0
             continue
         first = int(np.argmax(flags))
-        yield pairs, first, last, _longest_true_run(np.packbits(flags[first : last + 1]) == 0)
+        yield pairs, first, last, _slot_gap_bound(np.packbits(flags[first : last + 1]))
 
 
 def _run_worker(fd: int, ks: range, n_slots: int, seg_slots: int,
@@ -724,10 +758,13 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     and block(k), which sieves segment k again into the block
     iter_prime_pairs yields for it.  tick is called once per segment.
 
-    gap_bound is exact for the pair that crosses into the segment.  Between
-    the segment's first and last primes, pack the flags into bytes of 8 odd
-    slots; if at most Z consecutive bytes are zero, two consecutive primes
-    there sit in bytes at most Z + 1 apart, so their gap is below 16(Z + 2).
+    gap_bound is max(c, 2 part): c is the exact gap of the pair that
+    crosses into the segment, and part bounds the odd slots between any
+    two consecutive primes inside it (see _segment_parts), each slot being
+    2 apart.  So gap_bound is at least every gap of the segment's pairs,
+    and at most max(largest gap + 12, 46); it is exact when the largest
+    gap crosses the segment's longest run of Z zero bytes and is at least
+    16Z + 14.
 
     Full segments already in the summary table take their rows from it.
     The segments past them are sieved by one worker per usable CPU (see
@@ -752,7 +789,11 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     todo = range(known, n_segments)
     # the gap bound's work on a segment of m packed bytes: its zero mask, at
     # most bit_length(m) - 1 doubling levels and the descent's two arrays,
-    # each of at most m bytes
+    # each of at most m bytes.  The gather across the longest runs comes
+    # after the levels are freed: the runs are Z >= 2 bytes and apart, so
+    # at most m/3 of them, with an int64 start, an int64 index and three
+    # bytes each; with the descent's last array, m + 19m/3 bytes, below
+    # (bit_length(m) + 2) m for m >= 32
     slots = min(seg_slots, n_slots)
     m = -(-slots // 8)
     work, blocks = (m.bit_length() + 2) * m, 2 * 8 * _block_bound(slots)
@@ -782,10 +823,10 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
         n0, pairs, _, p_hi, _ = rows[known - 1].tolist()
         start = (n0 + pairs, p_hi)
     # rows[k, 1:] holds segment k's parts until the stitch makes them its row
-    parts = ((k * seg_slots, pairs, last, (k, first, zeros)) for k, (pairs, first, last, zeros)
+    parts = ((k * seg_slots, pairs, last, (k, first, part)) for k, (pairs, first, last, part)
              in zip(todo, map(np.ndarray.tolist, rows[known:, 1:])))
-    for n0, pairs, p_lo, p_hi, (k, first, zeros) in _stitch(*start, parts):
-        gap = max(2 * (k * seg_slots + first) + 1 - p_lo, 16 * (zeros + 2)) if pairs else 0
+    for n0, pairs, p_lo, p_hi, (k, first, part) in _stitch(*start, parts):
+        gap = max(2 * (k * seg_slots + first) + 1 - p_lo, 2 * part) if pairs else 0
         rows[k] = n0, pairs, p_lo, p_hi, gap
     if full > known:
         _summaries = (seg_slots, rows[:full])
@@ -888,7 +929,9 @@ def max_gap_up_to(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
 
     Segments are built in descending order of their gap bounds while the
     bound is at least the largest gap found: a segment left out holds no
-    gap as large, so not even a tie.
+    gap as large, so not even a tie.  A bound is at most 12 above its
+    segment's largest gap, or at most 46 (see _pair_rows), so few
+    segments besides the one holding the answer are built.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")

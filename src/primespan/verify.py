@@ -31,8 +31,9 @@ from typing import Callable, Iterator
 import mpmath
 import numpy as np
 
-from .bounds import (LogBase, IntervalRule, NTH_PRIME_UPPER_FROM, PRIME_INTERVAL_RULE, RuleName,
-                     RULES, THETA_UPPER_COEF, f_of_k, f_of_k_array, firoozbakht_rhs, rule_g,
+from .bounds import (LogBase, IntervalRule, NTH_PRIME_UPPER_FROM, PI_UPPER_COEF,
+                     PRIME_INTERVAL_RULE, RuleName, RULES, THETA_UPPER_COEF, f_of_k,
+                     f_of_k_array, firoozbakht_rhs, rule_g,
                      _f_levels, _gap_upper_bound_array, _lemma3_rhs_array, _lemma_lhs_array,
                      _lemma_rhs_array, _mps_upper_bound_array, _nth_prime_bounds_array,
                      _nth_prime_lower_array, _nth_prime_upper_array, _pi_lower_array,
@@ -175,21 +176,37 @@ def _slack_floor(claim_id: ClaimId, rows: np.ndarray) -> np.ndarray:
     """A certified lower bound on every slack the claim's scan computes in each segment.
 
     rows are _pair_rows' (n0, pairs, p_lo, p_hi, G) rows, G being
-    the segment's gap bound.  GapUpper: the bound ln^2 p - ln p grows for
-    p >= 2, so ln^2 p - ln p - g is at least the bound at p_lo less G.
+    the segment's gap bound; each pair (p, q) of the segment has
+    p_lo <= p < q <= p_hi, n <= n_hi = n0 + pairs - 1 and g = q - p <= G.
+    GapUpper: the bound ln^2 p - ln p grows for p >= 2, so ln^2 p - ln p - g
+    is at least the bound at p_lo less G.
+
     Firoozbakht: (1 + 1/n) ln p - ln q = ln p / n - log1p(g/p), and
-    log1p(x) <= x, so it is at least ln p_lo / n_hi - G / p_lo.  The
-    margin, 2^-40 of the size of the terms, covers the float error of both
-    this bound and the scan's slacks, so a segment whose floor clears a
-    threshold has no computed slack at or below it.
+    log1p(x) <= x, so the slack is at least ln p / n - g / p.  The floor is
+    the larger of two bounds on that:
+    - ln p_lo / n_hi - G / p_lo, as ln p >= ln p_lo, n <= n_hi, p >= p_lo;
+    - (ln^2 p_lo / c - G) / p with c = PI_UPPER_COEF: n = pi(p) <
+      c p / ln p (Rosser and Schoenfeld, see bounds), so ln p / n >
+      ln^2 p / (c p).  The numerator A at p_lo is at most that at p, and
+      A / p is least at p = p_hi where A >= 0, and at p = p_lo where A < 0.
+    The first is tight where n_hi is close to pi(p_lo), the second where a
+    segment spans a wide range of p, as the early segments do.
+
+    The margin, 2^-40 of the size of the terms, covers the float error of
+    both this bound and the scan's slacks, so a segment whose floor clears
+    a threshold has no computed slack at or below it.  The second bound
+    errs by a few ulps of (ln^2 p_lo / c + G) / p, and as ln^2 p_lo / p <=
+    ln p_hi, that is a few ulps of ln p_hi + G / p_lo, far below the
+    margin, which already covers the same terms of the first bound.
     """
     n0, pairs, p_lo, p_hi, g = rows.T
     l_hi, g = np.log(p_hi.astype(np.float64)), g.astype(np.float64)
     if claim_id is ClaimId.GAP_UPPER:
         return _gap_upper_bound_array(p_lo) - g - _FLOOR_MARGIN * (l_hi * l_hi + l_hi + g)
-    g_rel = g / p_lo
-    return np.log(p_lo.astype(np.float64)) / (n0 + pairs - 1) - g_rel \
-        - _FLOOR_MARGIN * (3 * l_hi + g_rel)
+    l_lo, g_rel = np.log(p_lo.astype(np.float64)), g / p_lo
+    a = l_lo * l_lo / PI_UPPER_COEF - g
+    by_pi = a / np.where(a >= 0, p_hi, p_lo)
+    return np.maximum(l_lo / (n0 + pairs - 1) - g_rel, by_pi) - _FLOOR_MARGIN * (3 * l_hi + g_rel)
 
 
 def _best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,

@@ -23,7 +23,7 @@ from primespan import (CapacityError, GapRecord, Interval, count_primes_in,
                        iter_prime_blocks, iter_prime_pairs, iterate_gaps, log_primorial,
                        max_gap_up_to, nth_prime, prime_count, sieve_range)
 from primespan.sieve import (DEFAULT_SEGMENT_SIZE, MIN_SEGMENT_SIZE, _longest_true_run,
-                             _pair_rows, _plan)
+                             _pair_rows, _plan, _slot_gap_bound)
 
 from oracles import naive_sieve, naive_sieve_window, primes_from_flags
 
@@ -462,10 +462,37 @@ def test_max_gap_tie_keeps_earliest_pair(monkeypatch):
 @given(st.lists(st.booleans(), max_size=80))
 def test_longest_true_run_matches_loop(bits):
     longest = run = 0
-    for b in bits:
+    ends = []
+    for i, b in enumerate(bits):
         run = run + 1 if b else 0
+        if run and run == longest:
+            ends.append(i)
+        elif run > longest:
+            longest, ends = run, [i]
+    length, at = _longest_true_run(np.array(bits, dtype=bool))
+    assert length == longest
+    assert np.flatnonzero(at).tolist() == [i + 1 - longest for i in ends]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=60).map(lambda b: [b[0] | 1] + b[1:]),
+       st.integers(1, 255), st.integers(0, 6))
+def test_slot_gap_bound_matches_loop(body, tail, zeros):
+    # packed bytes whose first and last are nonzero, with long zero runs common
+    packed = np.array(body + [0] * zeros + [tail], dtype=np.uint8)
+    bits = np.flatnonzero(np.unpackbits(packed)).tolist()
+    largest = max((b - a for a, b in zip(bits, bits[1:])), default=0)
+    longest = run = 0
+    for byte in packed.tolist():
+        run = run + 1 if byte == 0 else 0
         longest = max(longest, run)
-    assert _longest_true_run(np.array(bits, dtype=bool)) == longest
+    bound = _slot_gap_bound(packed)
+    assert largest <= bound <= max(largest + 6, 23)
+    # exact when the largest distance crosses a run of the longest zero bytes
+    # and is at least 8 longest + 7, the most any shorter run allows
+    crossing = [b - a for a, b in zip(bits, bits[1:]) if (b >> 3) - (a >> 3) - 1 == longest]
+    if longest >= 2 and max(crossing) == largest >= 8 * longest + 7:
+        assert bound == largest
 
 
 @pytest.mark.parametrize("limit,segment_size", [(2, 1024), (3, 1024), (10**5, 1024),
@@ -480,9 +507,9 @@ def test_pair_segment_summaries_match_blocks(limit, segment_size):
         assert row_n0 == n0 and pv.tolist() == primes[n0 - 1 : n0 + pairs]
         assert (p_lo, p_hi) == (pv[0], pv[-1])
         if pairs:
-            # a bound on every gap, and within two packed bytes of the largest
+            # a bound on every gap, at most 12 above the largest or at most 46
             gap = int(np.diff(pv).max())
-            assert gap <= gap_bound < max(gap, 32) + 32
+            assert gap <= gap_bound <= max(gap + 12, 46)
         n0 += pairs
     assert n0 == max(len(primes), 1)
 

@@ -599,10 +599,13 @@ def test_segment_skip_matches_exhaustive(limit, segment_size, workers):
         assert _pair_stream_json(limit, **kw) == skipping
 
 
-@pytest.mark.parametrize("segment_size", [1024, 1 << 16])
-def test_slack_floor_below_every_slack(segment_size):
+@pytest.mark.parametrize("limit,segment_size", [
+    pytest.param(10**6, 1024, id="1024"), pytest.param(10**6, 1 << 16, id="65536"),
+    # the default segments, where the pi bound gives the early floors
+    pytest.param(10**7, 1 << 21, id="10000000-2097152")])
+def test_slack_floor_below_every_slack(limit, segment_size):
     # each slack exactly as the scan computes it, against its segment's floor
-    rows, block = verify._pair_rows(10**6, lambda: None, segment_size=segment_size,
+    rows, block = verify._pair_rows(limit, lambda: None, segment_size=segment_size,
                                     allow_large=False)
     floors = {claim: verify._slack_floor(claim, rows)
               for claim in (ClaimId.FIROOZBAKHT, ClaimId.GAP_UPPER)}
@@ -617,6 +620,21 @@ def test_slack_floor_below_every_slack(segment_size):
         if n0 > 4:
             gap_upper = lg[:-1] * lg[:-1] - lg[:-1] - np.diff(pv)
             assert floors[ClaimId.GAP_UPPER][k] < gap_upper.min()
+
+
+def test_slack_floor_below_each_pair_slack():
+    # one-pair rows (n, 1, p_n, p_(n+1), g_n) make each floor as tight as it
+    # gets: the pi bound's is within 5 % of the slack at p_n = 107 and 109,
+    # where pi(x) ln x / x is near its peak of 1.25506 at x = 113
+    primes = np.array(primes_from_flags(naive_sieve(10**5)))
+    p, q = primes[:-1], primes[1:]
+    n = np.arange(1, p.size + 1)
+    rows = np.stack([n, np.ones_like(n), p, q, q - p], axis=1)
+    lg = np.log(primes.astype(np.float64))
+    firoozbakht = (1.0 + 1.0 / n) * lg[:-1] - lg[1:]
+    assert (verify._slack_floor(ClaimId.FIROOZBAKHT, rows) < firoozbakht).all()
+    gap_upper = lg[:-1] * lg[:-1] - lg[:-1] - (q - p)
+    assert (verify._slack_floor(ClaimId.GAP_UPPER, rows)[4:] < gap_upper[4:]).all()
 
 
 def _count_built(monkeypatch):
@@ -663,6 +681,22 @@ def test_firoozbakht_builds_few_segments(monkeypatch):
     _exhaustive(monkeypatch)
     assert verify_firoozbakht(10**6, segment_size=1024) == replace(r, elapsed=ANY)
     assert counts["built"] == counts["segments"] == 977
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_pair_streams_build_few_default_segments(monkeypatch):
+    # the CLI default, 48 segments: Firoozbakht builds segment 0, whose floor
+    # is below its guard, and segment 43, which holds its least slack;
+    # GapUpper builds segment 0, which holds its least slack
+    counts = _count_built(monkeypatch)
+    firoozbakht = verify_firoozbakht(10**8)
+    assert counts["segments"] == 48 and counts["built"] <= 3
+    counts.update(built=0)
+    gap_upper = verify_gap_upper(10**8)
+    assert counts["built"] == 1
+    _exhaustive(monkeypatch)
+    assert verify_firoozbakht(10**8) == replace(firoozbakht, elapsed=ANY)
+    assert verify_gap_upper(10**8) == replace(gap_upper, elapsed=ANY)
 
 
 @pytest.mark.usefixtures("cold_summaries")
