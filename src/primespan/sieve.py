@@ -5,13 +5,17 @@ covers the integer 2*(s+j)+1, and the prime 2 is reconstructed from the
 range bounds.  Segments are aligned to multiples of 8 odd slots so the
 packed bitmap is byte-identical for every segment size.
 
-A stream up to hi crosses off the base primes up to c, at least the cube
-root of hi, by strides.  Each base prime q above c crosses off only its
-products q*r with primes r >= q: as q**3 > hi, a composite up to hi whose
-least prime factor is q has one more prime factor, no more.  These are
-the products of the P2 term in Meissel-Lehmer prime counting (Deleglise
-and Rivat, "Computing pi(x): the Meissel, Lehmer, Lagarias, Miller, Odlyzko
-method", Experimental Math. 5, 1996); see _Base and _segment_flags.
+A pre-sieve crosses off the odd multiples of the odd primes up to 113 on
+packed 64-bit words, one repeating word pattern per group of primes, and
+unpacks them into a flag byte per slot.  A stream up to hi then crosses
+off the base primes from 127 up to c, at least the cube root of hi, by
+strides.  Each base prime q above both crosses off only its products q*r
+with primes r >= q: as q**3 > hi, a composite up to hi whose least prime
+factor is q has one more prime factor, no more.  These are the products
+of the P2 term in Meissel-Lehmer prime counting (Deleglise and Rivat,
+"Computing pi(x): the Meissel, Lehmer, Lagarias, Miller, Odlyzko method",
+Experimental Math. 5, 1996); see _Base and _segment_flags.  Rank queries
+over a bitmap of the primes r give each q its first and last r.
 
 The pair stream's summary rows (see _pair_rows) are sieved by one forked
 worker per usable CPU; everything else runs in the calling thread.  The
@@ -40,6 +44,8 @@ MEM_LIMIT_ENV = "PRIMESPAN_MEM_LIMIT"
 _Item = TypeVar("_Item")
 
 _ALL_ONES = np.uint64(2**64 - 1)
+# The bits below bit b of a uint64 word, for each b < 64
+_LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 
 def _mem_limit() -> int | None:
@@ -75,20 +81,15 @@ def _validate_range(lo: int, hi: int, allow_large: bool) -> None:
             "set allow_large (CLI flag --allow-large) to override")
 
 
-def _base_primes(limit: int) -> np.ndarray:
-    """Odd primes up to limit, as an int64 array."""
-    if limit < 3:
-        return np.empty(0, dtype=np.int64)
+def _odd_prime_flags(limit: int) -> np.ndarray:
+    """A flag per odd slot up to limit, slot i being 2*i+1, set iff 2*i+1 is prime."""
     flags = np.ones((limit + 1) // 2, dtype=bool)
-    flags[0] = False
+    flags[:1] = False
     for i in range(1, math.isqrt(limit) // 2 + 1):
         if flags[i]:
             p = 2 * i + 1
             flags[(p * p) // 2 :: p] = False
-    odd = np.flatnonzero(flags)
-    odd <<= 1
-    odd += 1
-    return odd
+    return flags
 
 
 def _icbrt(n: int) -> int:
@@ -112,45 +113,87 @@ def _band_start(hi: int, slots: int) -> int:
 
 
 class _Base(NamedTuple):
-    """What a sieve stream up to hi keeps for every segment: odd, c and rtab.
+    """What a sieve stream up to hi keeps for every segment.
 
     odd are the odd primes up to isqrt(hi).  Those up to c are crossed off
     by strides; each one above c, a band prime q, by its products q*r with
     the primes r of rtab, the odd primes up to hi // (c + 1).  odd is a
     prefix of rtab, and all of it where c >= isqrt(hi) leaves no band.
+    Where there is a band, rwords and rrank are a rank index of rtab (see
+    _rtab_rank); otherwise they are empty.
     """
 
     odd: np.ndarray
     c: int
     rtab: np.ndarray
+    rwords: np.ndarray = np.zeros(0, dtype="<u8")
+    rrank: np.ndarray = np.zeros(0, dtype=np.int64)
 
 
 def _stream_base(hi: int, slots: int) -> _Base:
-    """The _Base of a stream up to hi in segments of at most slots odd slots."""
+    """The _Base of a stream up to hi in segments of at most slots odd slots.
+
+    Where there is a band, it also packs rtab's flags into a bitmap of
+    uint64 words, bit b of word w being odd slot 64w + b, with one zero
+    word past the last slot, and counts the set bits before each word.
+    """
     root, c = math.isqrt(hi), _band_start(hi, slots)
-    rtab = _base_primes(max(root, hi // (c + 1)))
-    return _Base(rtab[: np.searchsorted(rtab, root, side="right")], c, rtab)
+    flags = _odd_prime_flags(max(root, hi // (c + 1)))
+    rtab = np.flatnonzero(flags)
+    rtab <<= 1
+    rtab += 1
+    odd = rtab[: np.searchsorted(rtab, root, side="right")]
+    if c >= root:
+        return _Base(odd, c, rtab)
+    words = np.zeros((flags.size >> 6) + 1, dtype="<u8")
+    words.view(np.uint8)[: -(-flags.size // 8)] = np.packbits(flags, bitorder="little")
+    del flags
+    rank = np.zeros(words.size, dtype=np.int64)
+    np.cumsum(np.bitwise_count(words[:-1]), out=rank[1:])
+    return _Base(odd, c, rtab, words, rank)
 
 
-# The pre-sieve tile: odd slots 0 .. 15014 with every odd multiple of 3, 5, 7,
-# 11 and 13 crossed off, the primes included, laid out twice.  Slot i + 15015
-# is crossed off exactly when slot i is, so the 15015 slots from i % 15015,
-# repeated, give any run of slots from i with those primes sieved out.
+def _rtab_rank(base: _Base, m: np.ndarray) -> np.ndarray:
+    """np.searchsorted(base.rtab, 2m): the primes of rtab in odd slots below m, for each m.
+
+    Each int64 m is at most the odd slots up to rtab's limit.  As in
+    PrimeTable.pi, a query is the set bits before m's word plus those of
+    that word below m; the index has a word past the last slot, so m >> 6
+    stays within it.
+    """
+    w = m >> 6
+    below = base.rwords.take(w)
+    below &= _LOW_BITS.take(m & 63)
+    return base.rrank.take(w) + np.bitwise_count(below)
+
+
+# The pre-sieve crosses off the odd multiples of the odd primes up to 113, the
+# primes included, with one word pattern per group of primes.  A group of
+# primes whose product is L crosses off the same slots in slot i as in slot
+# i + 64L, so its pattern is L uint64 words, bit b of word w being slot
+# 64w + b, and words w0 % L on, repeated, pre-sieve the run of words from
+# word w0.  The first group is the tile, whose survivors _block_bound counts.
 _TILE_PRIMES = (3, 5, 7, 11, 13)
 _TILE_PERIOD = math.prod(_TILE_PRIMES)
+# the slots of a tile period that no tile prime divides, by the Chinese remainder theorem
+_TILE_SURVIVORS = math.prod(p - 1 for p in _TILE_PRIMES)
+_PRE_GROUPS = (_TILE_PRIMES, (17, 19), (23, 29), (31, 37), (41, 43), (47, 53), (59, 61),
+               (67, 71), (73, 79), (83, 89), (97, 101), (103, 107), (109, 113))
 
 
-def _tile() -> np.ndarray:
-    tile = np.ones(_TILE_PERIOD, dtype=bool)
-    for p in _TILE_PRIMES:
-        tile[p >> 1 :: p] = False
-    return np.concatenate((tile, tile))
+def _word_pattern(primes: tuple[int, ...]) -> np.ndarray:
+    """The pre-sieve pattern of a group of odd primes: prod(primes) uint64 words."""
+    bits = np.ones(64 * math.prod(primes), dtype=bool)
+    for p in primes:
+        bits[p >> 1 :: p] = False
+    return np.packbits(bits, bitorder="little").view(np.uint64)
 
 
-_TILE = _tile()
-_TILE_SURVIVORS = int(np.count_nonzero(_TILE[:_TILE_PERIOD]))
-# Slots 0 .. 6 are 1, 3, .., 13: the tile crosses off the tile primes, and 1 is no prime
-_TILE_HEAD = np.array([False, True, True, True, False, True, True])
+_PRE_PATTERNS = tuple(_word_pattern(g) for g in _PRE_GROUPS)
+_PRE_PRIMES = sum(_PRE_GROUPS, ())
+# Slots 0 .. 56 are 1, 3, .., 113: the odd primes up to 113 are the pre-sieve
+# primes, which the patterns cross off, and 1 is no prime
+_PRE_HEAD = np.isin(np.arange(1, max(_PRE_PRIMES) + 1, 2), _PRE_PRIMES)
 
 # Most products q*r that one pass of _cross_band builds.  At 2^16 glibc
 # handed the freed temporaries back to the system every segment: a stream
@@ -158,37 +201,58 @@ _TILE_HEAD = np.array([False, True, True, True, False, True, True])
 _BAND_CHUNK = 1 << 15
 
 
+def _and_repeated(words: np.ndarray, pattern: np.ndarray, a: int) -> None:
+    """AND words with pattern's words from a on, then whole copies of pattern, in place."""
+    head = min(words.size, pattern.size - a)
+    words[:head] &= pattern[a : a + head]
+    if head < words.size:
+        rest = words[head:]
+        whole = rest.size - rest.size % pattern.size
+        rest[:whole].reshape(-1, pattern.size)[...] &= pattern
+        rest[whole:] &= pattern[: rest.size - whole]
+
+
 def _segment_flags(i_start: int, i_stop: int, base: _Base) -> np.ndarray:
     """Primality flags for global odd slots [i_start, i_stop); slot i is 2*i+1.
 
-    The tile crosses off the multiples of 3 to 13.  Each base prime p from
-    17 to c crosses off its odd multiples from p*p by a strided write.
-    Each base prime q above c with q*q in reach crosses off only its
-    products q*r with primes r >= q (see _cross_band).  That is exact
-    because q > c >= cbrt(hi): an odd composite n <= hi whose least prime
-    factor is q has n/q < q*q, so n/q is a prime r >= q.  These are the
-    products that the P2 term of Meissel-Lehmer counting enumerates
-    (Deleglise and Rivat, Experimental Math. 5, 1996).  A stream at
-    1e9 in default segments has c = 1000: 162 strided writes and about
-    68k products per segment, where crossing off every multiple would take
-    3,395 strided writes.
+    The pre-sieve ANDs its word patterns into the words from slot
+    64 (i_start // 64) to the last one that i_stop reaches, and unpacks
+    them into one flag byte per slot; slots 0 .. 56 then get back the
+    primes up to 113.  Each base prime p from 127 to c crosses off its odd
+    multiples from p*p by a strided write.  Each base prime q above c and
+    113 with q*q in reach crosses off only its products q*r with primes
+    r >= q (see _cross_band).  That is exact because q > c >= cbrt(hi): an odd
+    composite n <= hi whose least prime factor is q has n/q < q*q, so n/q
+    is a prime r >= q.  These are the products that the P2 term of
+    Meissel-Lehmer counting enumerates (Deleglise and Rivat, Experimental
+    Math. 5, 1996).  A stream at 1e9 in default segments has c = 1000:
+    138 strided writes and about 68k products per segment, where crossing
+    off every multiple from 17 on would take 3,395 strided writes.  The
+    flags are a view into the unpacked words.
     """
     size = i_stop - i_start
     if size <= 0:
         return np.ones(0, dtype=bool)
-    a = i_start % _TILE_PERIOD
-    buf = np.resize(_TILE[a : a + _TILE_PERIOD], size)  # the period, repeated
-    if i_start < _TILE_HEAD.size:
-        n = min(size, _TILE_HEAD.size - i_start)
-        buf[:n] = _TILE_HEAD[i_start : i_start + n]
+    w0 = i_start >> 6
+    words = np.full(((i_stop + 63) >> 6) - w0, _ALL_ONES)
+    for pattern in _PRE_PATTERNS:
+        _and_repeated(words, pattern, w0 % pattern.size)
+    skip = i_start & 63
+    buf = np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)[skip : skip + size]
+    del words
+    if i_start < _PRE_HEAD.size:
+        n = min(size, _PRE_HEAD.size - i_start)
+        buf[:n] = _PRE_HEAD[i_start : i_start + n]
     lo_num = 2 * i_start + 1
     hi_num = 2 * i_stop - 1
     odd = base.odd
     n_app = int(np.searchsorted(odd, math.isqrt(hi_num), side="right"))
     n_c = min(int(np.searchsorted(odd, base.c, side="right")), n_app)
-    if n_app > n_c:
-        _cross_band(buf, i_start, hi_num, odd[n_c:n_app], base.rtab)
-    p = odd[len(_TILE_PRIMES) : n_c]
+    # the pre-sieve has crossed off every odd multiple of a band prime up to 113
+    n_band = max(n_c, len(_PRE_PRIMES))
+    if n_app > n_band:
+        _cross_band(buf, i_start, hi_num, odd[n_band:n_app], base)
+    p = odd[len(_PRE_PRIMES) : n_c]
     if not p.size:
         return buf
     # First odd multiple of p at or above max(p*p, lo_num), as an offset
@@ -206,18 +270,23 @@ def _segment_flags(i_start: int, i_stop: int, base: _Base) -> np.ndarray:
 
 
 def _cross_band(buf: np.ndarray, i_start: int, hi_num: int, q: np.ndarray,
-                rtab: np.ndarray) -> None:
+                base: _Base) -> None:
     """Cross off q*r in buf, whose slot 0 is i_start, for each band prime q.
 
-    r runs over the primes of rtab with max(q, ceil(lo/q)) <= r <= hi_num/q,
-    lo being the odd number in slot i_start; r = q crosses off q*q.  The
-    products are numbered t = 0, 1, .. in order of q, then r, so q's run
-    from ends[i] - counts[i] up to ends[i], and t's r is rtab[t + shift[i]].
-    They are built and scattered at most _BAND_CHUNK at a time.
+    r runs over the primes of base.rtab with max(q, ceil(lo/q)) <= r <=
+    hi_num/q, lo being the odd number in slot i_start; r = q crosses off
+    q*q.  Both bounds are rank queries over rtab's bitmap (see
+    _rtab_rank): the primes below the first, and those up to the second.
+    As q > c, neither bound is above hi // (c + 1) + 1, so neither query
+    passes the odd slots up to rtab's limit.  The products are numbered
+    t = 0, 1, .. in order of q, then r, so q's run from ends[i] - counts[i]
+    up to ends[i], and t's r is rtab[t + shift[i]].  They are built and
+    scattered at most _BAND_CHUNK at a time.
     """
     lo_num = 2 * i_start + 1
-    shift = np.searchsorted(rtab, np.maximum(q, -(-lo_num // q)))
-    counts = np.searchsorted(rtab, hi_num // q, side="right")
+    rtab = base.rtab
+    shift = _rtab_rank(base, np.maximum(q, -(-lo_num // q)) >> 1)
+    counts = _rtab_rank(base, (hi_num // q + 1) >> 1)
     counts -= shift
     np.maximum(counts, 0, out=counts)
     ends = np.cumsum(counts)
@@ -274,19 +343,24 @@ def _stream_mem(lo: int, hi: int, segment_size: int) -> int:
     """Bytes a stream of segment flags over [lo, hi] holds at its peak.
 
     A consumer's loop variable keeps one segment while the next is
-    sieved, and each segment is cut from whole periods of the pre-sieve
-    tile; add the base primes and _segment_flags' work on each of them
-    and, where the band is not empty, rtab and one pass of products.  A
+    sieved: the pre-sieve's words of the next one, and the two segments'
+    flags, a byte per slot of every word they span.  Add the base primes
+    and _segment_flags' work on each of them and, where the band is not
+    empty, rtab, its rank index (two 8-byte words per 64 odd slots up to
+    rtab's limit, and one more of each) and one pass of products.  A
     segment of s slots holds at most s products q*r, since each is a
     distinct odd number in it.
     """
     _, n_slots, seg_slots = _plan(lo, hi, segment_size)
     slots = min(seg_slots, n_slots)
     root, c = math.isqrt(hi), _band_start(hi, slots)
+    words = (slots + 126) >> 6  # the most words that a segment of slots spans
     band = 0
     if c < root:
-        band = 8 * _pi_bound(hi // (c + 1)) + _BAND_PRODUCT_BYTES * min(_BAND_CHUNK, slots)
-    return 2 * (slots + _TILE_PERIOD) + _BASE_PRIME_BYTES * _pi_bound(root) + band
+        limit = hi // (c + 1)
+        band = (8 * _pi_bound(limit) + 16 * ((((limit + 1) >> 1) >> 6) + 1)
+                + _BAND_PRODUCT_BYTES * min(_BAND_CHUNK, slots))
+    return (2 * 64 + 8) * words + _BASE_PRIME_BYTES * _pi_bound(root) + band
 
 
 def _check_sieve(lo: int, hi: int, *, segment_size: int, allow_large: bool,

@@ -172,6 +172,14 @@ def test_stream_peak_within_estimate(call, monkeypatch):
     assert peak <= need
 
 
+@pytest.mark.usefixtures("cold_summaries")
+def test_band_stream_at_high_base_peak_within_estimate(monkeypatch):
+    # the band at a high base: rtab, its rank index and the products
+    assert sieve._stream_base(10**9, 1 << 20).c < math.isqrt(10**9)
+    test_stream_peak_within_estimate(lambda: count_primes_in(Interval(10**9 - 10**7, 10**9)),
+                                     monkeypatch)
+
+
 def test_rank_index_size_and_reuse():
     for hi in (0, 2, 64, 10**3, 10**6 + 1):
         table = sieve_range(0, hi)
@@ -264,6 +272,54 @@ def test_segment_flags_match_oracle(i_start, size):
     got = sieve._segment_flags(i_start, i_stop, sieve._stream_base(2 * i_stop - 1, size))
     want = _oracle_flags()[2 * i_start + 1 : 2 * i_stop : 2]
     assert got.astype(np.uint8).tobytes() == bytes(want)
+
+
+_PRE_PERIODS = [math.prod(g) for g in sieve._PRE_GROUPS]  # in odd slots; 64 times as many in words
+
+
+@settings(max_examples=300, deadline=None)
+@given(i_start=st.one_of(
+           st.integers(0, 60),  # windows that hold the pre-sieve primes 17 .. 113 (slots 8 .. 56)
+           st.builds(lambda w, d: max(0, 64 * w + d), st.integers(0, 30_000), st.integers(-3, 3)),
+           st.builds(lambda period, m, d: max(0, m * period + d),
+                     st.sampled_from(_PRE_PERIODS), st.integers(1, 100), st.integers(-9, 9)),
+           st.builds(lambda period, m, d: max(0, 64 * m * period + d),
+                     st.sampled_from(_PRE_PERIODS), st.integers(1, 2), st.integers(-70, 70))),
+       size=st.integers(1, 200))
+def test_presieve_edges_match_oracle(i_start, size):
+    # starts at word boundaries, at multiples of a group's period in slots
+    # and in words (where its pattern wraps), and short windows over the
+    # pre-sieve primes themselves
+    i_stop = i_start + size
+    got = sieve._segment_flags(i_start, i_stop, sieve._stream_base(2 * i_stop - 1, size))
+    want = _oracle_flags()[2 * i_start + 1 : 2 * i_stop : 2]
+    assert got.astype(np.uint8).tobytes() == bytes(want)
+
+
+@pytest.mark.parametrize("hi,picks", [(10**8, [0, 1, 23, 46, 47]),
+                                      (10**9, [0, 1, 2, 137, 300, 475, 476])],
+                         ids=["1e8", "1e9"])
+def test_band_rank_matches_searchsorted(hi, picks):
+    # each band prime's first product and product count, from the rank
+    # index and from searchsorted over rtab; the last pick is the short
+    # last segment
+    _, n_slots, seg_slots = _plan(0, hi, DEFAULT_SEGMENT_SIZE)
+    base = sieve._stream_base(hi, seg_slots)
+    assert picks[-1] * seg_slots < n_slots < (picks[-1] + 1) * seg_slots
+    rtab = base.rtab
+    for k in picks:
+        lo_num, hi_num = 2 * k * seg_slots + 1, 2 * min((k + 1) * seg_slots, n_slots) - 1
+        q = base.odd[(base.odd > base.c) & (base.odd <= math.isqrt(hi_num))]
+        assert q.size
+        first = np.maximum(q, -(-lo_num // q))
+        start = np.searchsorted(rtab, first)
+        count = np.searchsorted(rtab, hi_num // q, side="right") - start
+        got = sieve._rtab_rank(base, first >> 1)
+        assert np.array_equal(got, start), k
+        assert np.array_equal(sieve._rtab_rank(base, (hi_num // q + 1) >> 1) - got, count), k
+    # and every odd slot count up to rtab's limit
+    m = np.arange((int(rtab[-1]) + 3) >> 1)
+    assert np.array_equal(sieve._rtab_rank(base, m), np.searchsorted(rtab, 2 * m))
 
 
 @settings(max_examples=40, deadline=None)
