@@ -711,6 +711,14 @@ def _count_last(flags: np.ndarray) -> tuple[int, int]:
     return pairs, _last_true(flags) if pairs else 0
 
 
+def _pair_blocks(n0: int, carry: int, chunks: Iterable) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n0, pv) of each (slot_start, flags) of chunks that holds a prime (see _stitch)."""
+    segments = ((a, *_count_last(flags), (a, flags)) for a, flags in chunks)
+    for n0, pairs, carry, _, (slot_start, flags) in _stitch(n0, carry, segments):
+        if pairs:
+            yield n0, _pair_block(carry, slot_start, flags)
+
+
 # The pair stream's summary of every full segment from slot 0 that a stream
 # has run through to its end, at one segment length: (seg_slots, rows), row k
 # being (n0, pairs, p_lo, p_hi, gap_bound) of slots [k seg_slots, (k+1) seg_slots).
@@ -724,6 +732,13 @@ _SUMMARY_ROW_BYTES = 40
 # it: the int64 row, and three arrays of one float64 or int64 per segment
 # (slack floors, guards and the order of the floors)
 _ROW_WORK_BYTES = _SUMMARY_ROW_BYTES + 3 * 8
+
+# Odd slots of a slice: the run of a pair segment's flags made into one block
+_SLICE_SLOTS = 1 << 17
+# Bytes per prime of a slice's block and of the arrays a caller's scan derives
+# from it: eight int64 or float64 (Firoozbakht's scan holds seven at once), more
+# than two blocks and a slice's bool copy, as a block bound is >= 3/8 of its slots
+_SLICE_PRIME_BYTES = 8 * 8
 
 # Bytes per segment of the parts a forked worker holds until it writes them:
 # four int64 (see _segment_parts)
@@ -824,13 +839,15 @@ def _fork_parts(rows: np.ndarray, ks: range, w: int, tick: Callable[[], None],
 
 
 def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
-               allow_large: bool) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
+               allow_large: bool) -> tuple[np.ndarray, Callable[[int], Iterator]]:
     """Summarize the consecutive prime pairs with p_next <= limit, one sieve segment at a time.
 
     Returns rows, an int64 array of one row (n0, pairs, p_lo, p_hi,
     gap_bound) per sieve segment from slot 0, the last one cut at limit,
-    and block(k), which sieves segment k again into the block
-    iter_prime_pairs yields for it.  tick is called once per segment.
+    and slices(k), which sieves segment k again and yields an (n0, pv)
+    block per run of _SLICE_SLOTS of its flags that holds a prime,
+    stitched as iter_prime_pairs' blocks are, so that joined they are its
+    block for segment k.  tick is called once per segment.
 
     gap_bound is max(c, 2 part): c is the exact gap of the pair that
     crosses into the segment, and part bounds the odd slots between any
@@ -851,9 +868,10 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     The memory budget is checked before anything sized by the range is
     allocated: a stream and the gap bound's work per worker, the parts the
     forked workers hold, the stored table, the rows and the arrays a
-    caller derives from them, and what follows the stream: a block and one
-    array of its size that the caller derives from it.  A budget that fits
-    fewer workers gets fewer; one that fits no stream is refused.
+    caller derives from them, and what follows the stream: a segment's
+    flags and a slice's block with what a scan derives from it (see
+    _SLICE_PRIME_BYTES).  A budget that fits fewer workers gets fewer;
+    one that fits no stream is refused.
     """
     global _summaries
     held_slots, stored = _summaries
@@ -870,7 +888,8 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     # (bit_length(m) + 2) m for m >= 32
     slots = min(seg_slots, n_slots)
     m = -(-slots // 8)
-    work, blocks = (m.bit_length() + 2) * m, 2 * 8 * _block_bound(slots)
+    work = (m.bit_length() + 2) * m
+    blocks = _SLICE_PRIME_BYTES * (_block_bound(min(_SLICE_SLOTS, slots)) + 1)
     stream = _stream_mem(0, limit, segment_size)
 
     def extra_mem(w: int) -> int:  # what w workers need beyond one stream
@@ -905,12 +924,13 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     if full > known:
         _summaries = (seg_slots, rows[:full])
 
-    def block(k: int) -> np.ndarray:
+    def slices(k: int) -> Iterator[tuple[int, np.ndarray]]:
         a = k * seg_slots
         flags = _segment_flags(a, min(a + seg_slots, n_slots), base)
-        return _pair_block(int(rows[k, 2]), a, flags)
+        runs = ((a + i, flags[i : i + _SLICE_SLOTS]) for i in range(0, flags.size, _SLICE_SLOTS))
+        yield from _pair_blocks(int(rows[k, 0]), int(rows[k, 2]), runs)
 
-    return rows, block
+    return rows, slices
 
 
 def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -928,10 +948,7 @@ def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     _check_sieve(0, limit, segment_size=segment_size, allow_large=allow_large,
                  extra_mem=2 * 8 * _block_bound(min(seg_slots, n_slots)))
     chunks = _flag_chunks(0, n_slots, seg_slots, _stream_base(limit, min(seg_slots, n_slots)))
-    segments = ((a, *_count_last(flags), (a, flags)) for a, flags in chunks)
-    for n0, pairs, carry, _, (slot_start, flags) in _stitch(1, 2, segments):
-        if pairs:
-            yield n0, _pair_block(carry, slot_start, flags)
+    yield from _pair_blocks(1, 2, chunks)
 
 
 def _prime_bound(n: int) -> int:
@@ -1001,24 +1018,24 @@ def max_gap_up_to(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
                   workers: int = 1, allow_large: bool = False) -> GapRecord:
     """The maximal gap among records with p_next <= limit; ties go to the smallest n.
 
-    Segments are built in descending order of their gap bounds while the
-    bound is at least the largest gap found: a segment left out holds no
-    gap as large, so not even a tie.  A bound is at most 12 above its
-    segment's largest gap, or at most 46 (see _pair_rows), so few
-    segments besides the one holding the answer are built.
+    Segments are built, a slice at a time, in descending order of their
+    gap bounds while the bound is at least the largest gap found: a
+    segment left out holds no gap as large, so not even a tie.  A bound is
+    at most 12 above its segment's largest gap, or at most 46 (see
+    _pair_rows), so few segments besides the one holding the answer are built.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
-    rows, block = _pair_rows(limit, lambda: None, segment_size=segment_size,
-                             allow_large=allow_large)
+    rows, slices = _pair_rows(limit, lambda: None, segment_size=segment_size,
+                              allow_large=allow_large)
     best = (0, 0, 0)  # (g, -n, p_n): the larger gap, then the smaller n
     for k in np.argsort(-rows[:, 4]).tolist():
         if rows[k, 4] < best[0]:
             break
-        pv = block(k)
-        d = np.diff(pv)
-        i = int(np.argmax(d))  # first occurrence keeps the smallest n
-        best = max(best, (int(d[i]), -int(rows[k, 0]) - i, int(pv[i])))
+        for n0, pv in slices(k):
+            d = np.diff(pv)
+            i = int(np.argmax(d))  # first occurrence keeps the smallest n
+            best = max(best, (int(d[i]), -n0 - i, int(pv[i])))
     g, n, p = best
     return GapRecord(-n, p, p + g, g)
 

@@ -45,6 +45,7 @@ from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _iter
 VIOLATION_CAP = 1000
 _CHUNK_POINTS = 1 << 16
 _LN4 = math.log(4.0)
+_FIRST_PRIMES = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
 
 
 class ClaimId(str, Enum):
@@ -220,14 +221,16 @@ def _best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
     violation and each near tie, then the rest in ascending floor order
     while the floor is at most the least slack found.  A segment left out
     has a floor above the final least slack, so each slack in it is
-    larger.  Results merge in scan order, so the earliest site wins ties
-    as in a scan of every pair, and the pairs left out count as scanned.
+    larger.  A segment is scanned a slice at a time (see _pair_rows), and
+    results merge in scan order, by segment then slice, so the earliest
+    site wins ties as in a scan of every pair, and the pairs left out
+    count as scanned.
     The segment order stays here rather than in a shared driver: its
     floor threshold moves as segments are built.
     """
     prog = _Progress(claim_id.value, _segment_count(0, limit, segment_size), progress)
-    rows, block = _pair_rows(limit, prog.tick, segment_size=segment_size,
-                             allow_large=allow_large)
+    rows, slices = _pair_rows(limit, prog.tick, segment_size=segment_size,
+                              allow_large=allow_large)
     n0 = rows[:, 0]
     counted = np.maximum(rows[:, 1] - np.maximum(first_n - n0, 0), 0)
     floors = np.where(counted > 0, _slack_floor(claim_id, rows), np.inf)
@@ -236,8 +239,8 @@ def _best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
 
     def build(k: int) -> None:
         nonlocal least
-        built[k] = out = scan(int(n0[k]), block(k))
-        least = min(least, out[1][0])
+        built[k] = out = [scan(*s) for s in slices(k)]
+        least = min(least, *(best[0] for _, best in out))
 
     for k in np.flatnonzero(floors <= guard(rows)).tolist():
         build(k)
@@ -246,7 +249,7 @@ def _best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
             break
         if k not in built:
             build(k)
-    return _merge([built[k] for k in sorted(built)], cap, int(counted.sum()))
+    return _merge(chain.from_iterable(built[k] for k in sorted(built)), cap, int(counted.sum()))
 
 
 def _share_setup(reports: list[ClaimReport], t0: float) -> tuple[ClaimReport, ...]:
@@ -792,7 +795,7 @@ def verify_basic_props(limit: int, *, workers: int = 1,
         raise ValueError(f"limit must be >= 6, got {limit}")
     _validate_range(0, _prime_bound(limit), allow_large)
     kw = {"segment_size": segment_size, "allow_large": allow_large}
-    primes = _primes_for_indices(6, **kw)  # the first points' primes; replaced below
+    primes = _FIRST_PRIMES  # the first points' primes; replaced below
 
     # n + 1 <= p_n over 1 <= n <= limit; slack p_n - n is the distance to violation
     def prop4(run, ns):
@@ -968,7 +971,7 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
             "set allow_large (CLI flag --allow-large) to override")
     _validate_range(0, _prime_bound(max(f_of_k(k_max) + k_max + r_max, 6)), allow_large)
     kw = {"segment_size": segment_size, "allow_large": allow_large}
-    primes = _primes_for_indices(6, **kw)  # p_5 and p_6 for the first points; replaced below
+    primes = _FIRST_PRIMES  # p_5 and p_6 for the first points; replaced below
     ks = np.arange(5, k_max + 1, dtype=np.int64)
     fk = f_of_k_array(ks)
 

@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import primespan.sieve as sieve
@@ -106,6 +106,26 @@ def test_mem_limit_counts_rank_index(monkeypatch):
         assert peak < bitmap // 4  # refused before the bitmap was allocated
     monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(other + bitmap + index))
     assert sieve_range(lo, hi).count() == 664579
+
+
+@pytest.mark.parametrize("hi,segment_size", [(10**9, DEFAULT_SEGMENT_SIZE), (10**8, 1 << 16)])
+def test_stream_mem_terms_match_arrays(hi, segment_size):
+    # the estimate term by term, each against the nbytes of what it stands for
+    slots = min(_plan(0, 0, segment_size)[2], _plan(0, hi, segment_size)[1])
+    base = sieve._stream_base(hi, slots)
+    root, r_limit = math.isqrt(hi), hi // (base.c + 1)
+    assert base.c < root  # a band stream
+    # a segment starting one slot before a word ends spans the most words;
+    # its flags are a view of a byte per slot of each, unpacked from its words
+    unpacked = sieve._segment_flags(63, 63 + slots, base).base
+    terms = [2 * unpacked.nbytes,  # the segment the caller holds and the next
+             unpacked.nbytes // 8,  # the next one's packed words
+             sieve._BASE_PRIME_BYTES * sieve._pi_bound(root),
+             8 * sieve._pi_bound(r_limit),  # rtab
+             base.rwords.nbytes + base.rrank.nbytes,  # its rank index
+             sieve._BAND_PRODUCT_BYTES * min(sieve._BAND_CHUNK, slots)]
+    assert sum(terms) == sieve._stream_mem(0, hi, segment_size)
+    assert base.odd.nbytes <= 8 * sieve._pi_bound(root) and base.rtab.nbytes <= terms[3]
 
 
 def _estimate(call):
@@ -498,20 +518,23 @@ def test_max_gap_matches_oracle_scan():
 def test_max_gap_tie_keeps_earliest_pair(monkeypatch):
     # below 9000 the largest gap, 34, follows p_217 = 1327 and p_1059 = 8467,
     # in segments 1 and 8 of 1024 integers.  Stand-in bounds, still above
-    # every gap, put segment 8 first, so its tie is found first
+    # every gap, put segment 8 first, so its tie is found first.  Slices of
+    # 8 slots leave a gap of 34 across an empty slice.
     want = GapRecord(217, 1327, 1361, 34)
     assert max_gap_up_to(9000, segment_size=1024) == want
     pair_rows = sieve._pair_rows
 
     def later_first(*args, **kw):
-        rows, block = pair_rows(*args, **kw)
+        rows, slices = pair_rows(*args, **kw)
         rows = rows.copy()
         rows[:, 4] = np.where(rows[:, 1] > 0, 34, 0)
         rows[8, 4] = 35
-        return rows, block
+        return rows, slices
 
     monkeypatch.setattr(sieve, "_pair_rows", later_first)
-    assert max_gap_up_to(9000, segment_size=1024) == want
+    for slice_slots in (1 << 17, 8):
+        monkeypatch.setattr(sieve, "_SLICE_SLOTS", slice_slots)
+        assert max_gap_up_to(9000, segment_size=1024) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -551,16 +574,26 @@ def test_slot_gap_bound_matches_loop(body, tail, zeros):
         assert bound == largest
 
 
+def _joined(slices, k, n0, carry):
+    """Segment k's pairs from slices(k) as one block, from its row's n0 and carry;
+    each slice must hold a pair and start where the one before it ended."""
+    block = [carry]
+    for m0, pv in slices(k):
+        assert (m0, int(pv[0])) == (n0 + len(block) - 1, block[-1]) and pv.size > 1
+        block += pv[1:].tolist()
+    return block
+
+
 @pytest.mark.parametrize("limit,segment_size", [(2, 1024), (3, 1024), (10**5, 1024),
                                                 (10**5 + 3, 2048), (10**6, 1 << 16)])
 def test_pair_segment_summaries_match_blocks(limit, segment_size):
     primes = primes_from_flags(naive_sieve(limit))
-    rows, block = _pair_rows(limit, lambda: None, segment_size=segment_size, allow_large=False)
+    rows, slices = _pair_rows(limit, lambda: None, segment_size=segment_size, allow_large=False)
     assert len(rows) == sieve._segment_count(0, limit, segment_size)
     n0 = 1
     for k, (row_n0, pairs, p_lo, p_hi, gap_bound) in enumerate(rows.tolist()):
-        pv = block(k)
-        assert row_n0 == n0 and pv.tolist() == primes[n0 - 1 : n0 + pairs]
+        pv = _joined(slices, k, row_n0, p_lo)
+        assert row_n0 == n0 and pv == primes[n0 - 1 : n0 + pairs]
         assert (p_lo, p_hi) == (pv[0], pv[-1])
         if pairs:
             # a bound on every gap, at most 12 above the largest or at most 46
@@ -570,14 +603,31 @@ def test_pair_segment_summaries_match_blocks(limit, segment_size):
     assert n0 == max(len(primes), 1)
 
 
+@settings(max_examples=60, deadline=None)
+@example(limit=3000, segment_size=1024, width=1)
+@given(limit=st.integers(2, 3 * 10**4), segment_size=st.sampled_from([1024, 2048, 4096, 1 << 16]),
+       width=st.integers(1, 300) | st.just(1 << 17))
+def test_slices_join_into_pair_blocks(limit, segment_size, width):
+    # slices narrow enough to be empty or to start on a prime, 2 being the
+    # prime carried into segment 0 and into its slices before 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_SLICE_SLOTS", width)
+        rows, slices = _pair_rows(limit, lambda: None, segment_size=segment_size,
+                                  allow_large=False)
+        got = [(n0, _joined(slices, k, n0, p_lo))
+               for k, (n0, pairs, p_lo, *_) in enumerate(rows.tolist()) if pairs]
+    want = [(n0, pv.tolist()) for n0, pv in iter_prime_pairs(limit, segment_size=segment_size)]
+    assert got == want
+
+
 def _stream(limit, segment_size):
     """Each pair segment up to limit: its summary, its block, its first odd slot,
     and whether its row came from the summary table."""
     seg_slots = _plan(0, 0, segment_size)[2]
     held_slots, stored = sieve._summaries
     known = min(_full_segments(limit, segment_size), len(stored)) if held_slots == seg_slots else 0
-    rows, block = _pair_rows(limit, lambda: None, segment_size=segment_size, allow_large=False)
-    return [(tuple(row), block(k).tolist(), k * seg_slots, k < known)
+    rows, slices = _pair_rows(limit, lambda: None, segment_size=segment_size, allow_large=False)
+    return [(tuple(row), _joined(slices, k, row[0], row[2]), k * seg_slots, k < known)
             for k, row in enumerate(rows.tolist())]
 
 
@@ -609,7 +659,7 @@ def test_stored_segments_rebuild_their_blocks(first, limit, segment_size, monkey
     assert [stored for *_, stored in warm] == [
         slot < known * seg_slots for _, _, slot, _ in warm]
     assert any(stored for *_, stored in warm)
-    # the stream sieves only the segments past the table; block(k) sieves each
+    # the stream sieves only the segments past the table; slices(k) sieves each
     assert Counter(sieved) == {slot: 1 + (not stored) for _, _, slot, stored in warm}
     assert len(sieve._summaries[1]) == _full_segments(max(first, limit), segment_size)
 
@@ -653,12 +703,13 @@ def test_mem_limit_counts_summary_table(monkeypatch):
 
     def estimate(limit, stored):
         # the stream, the stored table, 64 bytes per segment for the rows and
-        # what a caller derives from them, and two blocks, which are more
-        # than the gap bounds' work
+        # what a caller derives from them, and 64 bytes per prime of a slice,
+        # a whole segment here, for its block and what a scan derives from it,
+        # which are more than the gap bounds' work
         seg_slots = _plan(0, 0, 1024)[2]
         return (sieve._stream_mem(0, limit, 1024) + 40 * stored
                 + 64 * sieve._segment_count(0, limit, 1024)
-                + 2 * 8 * sieve._block_bound(seg_slots))
+                + 64 * (sieve._block_bound(seg_slots) + 1))
 
     def run_at(cap, limit):
         monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(cap))
@@ -819,13 +870,14 @@ def test_worker_share_peak_within_one_stream(limit, segment_size, w, tmp_path):
 @pytest.mark.parametrize("limit,size", [(10**6, 1024), (10**8, DEFAULT_SEGMENT_SIZE)])
 def test_mem_cap_fits_fewer_workers(limit, size, monkeypatch, forks):
     # w workers need w streams and gap bound works, the parts the w - 1
-    # forked ones hold, and the rows and two blocks; a cap that fits fewer
-    # gets fewer, and one that fits no stream is refused.  Two blocks
-    # outweigh three gap bound works at 1024, not at the default size.
+    # forked ones hold, and the rows and a slice's block and scan, 64 bytes
+    # per prime; a cap that fits fewer gets fewer, and one that fits no
+    # stream is refused.  A slice outweighs three gap bound works at 1024,
+    # and one but not two at the default size.
     _, n_slots, seg_slots = _plan(0, limit, size)
     n = -(-n_slots // seg_slots)
     stream = sieve._stream_mem(0, limit, size)
-    blocks = 2 * 8 * sieve._block_bound(seg_slots)
+    blocks = 64 * (sieve._block_bound(min(seg_slots, sieve._SLICE_SLOTS)) + 1)
 
     def need(w):
         worker = _one_worker_mem(limit, size, 0) - stream

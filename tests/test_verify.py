@@ -1,6 +1,7 @@
 """Unit tests for the exhaustive claim checkers."""
 
 import math
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -605,21 +606,19 @@ def test_segment_skip_matches_exhaustive(limit, segment_size, workers):
     pytest.param(10**7, 1 << 21, id="10000000-2097152")])
 def test_slack_floor_below_every_slack(limit, segment_size):
     # each slack exactly as the scan computes it, against its segment's floor
-    rows, block = verify._pair_rows(limit, lambda: None, segment_size=segment_size,
-                                    allow_large=False)
+    rows, slices = verify._pair_rows(limit, lambda: None, segment_size=segment_size,
+                                     allow_large=False)
     floors = {claim: verify._slack_floor(claim, rows)
               for claim in (ClaimId.FIROOZBAKHT, ClaimId.GAP_UPPER)}
-    for k, (n0, pairs, *_) in enumerate(rows.tolist()):
-        if not pairs:
-            continue
-        pv = block(k)
-        lg = np.log(pv.astype(np.float64))
-        n = np.arange(n0, n0 + pairs, dtype=np.float64)
-        firoozbakht = (1.0 + 1.0 / n) * lg[:-1] - lg[1:]
-        assert floors[ClaimId.FIROOZBAKHT][k] < firoozbakht.min()
-        if n0 > 4:
-            gap_upper = lg[:-1] * lg[:-1] - lg[:-1] - np.diff(pv)
-            assert floors[ClaimId.GAP_UPPER][k] < gap_upper.min()
+    for k in range(len(rows)):
+        for n0, pv in slices(k):
+            lg = np.log(pv.astype(np.float64))
+            n = np.arange(n0, n0 + pv.size - 1, dtype=np.float64)
+            firoozbakht = (1.0 + 1.0 / n) * lg[:-1] - lg[1:]
+            assert floors[ClaimId.FIROOZBAKHT][k] < firoozbakht.min()
+            if n0 > 4:
+                gap_upper = lg[:-1] * lg[:-1] - lg[:-1] - np.diff(pv)
+                assert floors[ClaimId.GAP_UPPER][k] < gap_upper.min()
 
 
 def test_slack_floor_below_each_pair_slack():
@@ -638,19 +637,19 @@ def test_slack_floor_below_each_pair_slack():
 
 
 def _count_built(monkeypatch):
-    """Count the segments the verifiers summarize and the pair blocks they build,
+    """Count the segments the verifiers summarize and the pair segments they build,
     and list the built segments in build order."""
     counts = {"segments": 0, "built": 0, "order": []}
     pair_rows = verify._pair_rows
 
     def counted(*args, **kw):
-        rows, block = pair_rows(*args, **kw)
+        rows, slices = pair_rows(*args, **kw)
         counts["segments"] += len(rows)
 
         def built(k):
             counts["built"] += 1
             counts["order"].append(k)
-            return block(k)
+            return slices(k)
         return rows, built
 
     monkeypatch.setattr(verify, "_pair_rows", counted)
@@ -737,6 +736,23 @@ def test_firoozbakht_best_first_keeps_late_violations(monkeypatch):
     assert best_first.violations == exhaustive.violations
     assert best_first.violations_total == exhaustive.violations_total
     assert emit_reports([best_first], "json") == emit_reports([exhaustive], "json")
+
+
+@pytest.mark.usefixtures("cold_summaries")
+@pytest.mark.parametrize("slice_slots", [8, 1 << 17])
+def test_slices_merge_in_scan_order(slice_slots, monkeypatch):
+    # stand-ins: three twin pairs of segment 4 of 1024 integers, in three
+    # slices of 8 odd slots, are violations that tie at the least slack -1
+    twins = [p for p in range(4097, 5119, 2)
+             if trial_division_is_prime(p) and trial_division_is_prime(p + 2)]
+    ties = (twins[0], twins[len(twins) // 2], twins[-1])
+    monkeypatch.setattr(verify, "_gap_upper_bound_array",
+                        lambda p: np.where(np.isin(p, ties), 1.0, 1000.0))
+    monkeypatch.setattr(sieve, "_SLICE_SLOTS", slice_slots)
+    _exhaustive(monkeypatch)
+    r = verify_gap_upper(10**4, segment_size=1024)
+    assert [v.param.split(";")[1] for v in r.violations] == [f"p_n={p}" for p in ties]
+    assert (r.min_slack, r.min_slack_at.split(";")[1]) == (-1.0, f"p_n={ties[0]}")
 
 
 @pytest.mark.usefixtures("cold_summaries")
@@ -1083,18 +1099,47 @@ def test_more_cpus_than_segments(monkeypatch, forks):
 @pytest.mark.usefixtures("cold_summaries")
 def test_mem_limit_counts_pair_rows(monkeypatch):
     # the sieve, 64 bytes per segment for the rows, which become the summary
-    # table, and the floors, guards and order derived from them, and two
-    # blocks, which are more than the gap bounds' work
+    # table, and the floors, guards and order derived from them, and 64 bytes
+    # per prime of a slice, a whole segment here, for its block and what the
+    # scan derives from it, which are more than the gap bounds' work
     _, n_slots, seg_slots = sieve._plan(0, 10**6, 1024)
     segments = -(-n_slots // seg_slots)
     need = (sieve._stream_mem(0, 10**6, 1024) + 64 * segments
-            + 2 * 8 * sieve._block_bound(seg_slots))
+            + 64 * (sieve._block_bound(seg_slots) + 1))
     monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need - 1))
     with pytest.raises(CapacityError):
         verify_gap_upper(10**6, segment_size=1024)
     assert sieve._summaries is sieve._NO_SUMMARIES
     monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need))
     assert verify_gap_upper(10**6, segment_size=1024).holds
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_pair_build_peak_within_estimate(monkeypatch):
+    # segments of 2^24 odd slots: the call stays within the cap's estimate,
+    # and past the stream a build holds a segment's flags, which a stream
+    # holds twice, and one slice of 2^17 slots: its block and what the scan
+    # derives from it, 64 bytes per prime
+    limit, size = 2 * 10**8, 1 << 25
+    call = lambda: verify_firoozbakht(limit, segment_size=size)
+    monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", "1")
+    with pytest.raises(CapacityError, match=r"needs about \d+ bytes") as refused:
+        call()
+    need = int(re.search(r"needs about (\d+) bytes", str(refused.value)).group(1))
+    monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need))
+    pair_rows, stream = verify._pair_rows, []
+
+    def reset_after_stream(*args, **kw):
+        out = pair_rows(*args, **kw)
+        stream.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(verify, "_pair_rows", reset_after_stream)
+    r, build = _traced_peak(call)
+    assert r.holds and max(stream[0], build) <= need
+    one_slice = 64 * (sieve._block_bound(1 << 17) + 1)
+    assert build <= sieve._stream_mem(0, limit, size) + one_slice
 
 
 def test_primes_for_indices_holds_one_array(monkeypatch):
