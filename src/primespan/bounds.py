@@ -4,7 +4,8 @@ lemma margins, and the catalog of prime-interval rules.
 All functions are pure apart from read-only nth-prime lookups, so they are
 safe for unrestricted parallel use.  Inequality margins can be evaluated
 under either natural or base-10 logarithms; every Margin records the base
-that produced it.
+that produced it.  sieve.py sizes its streams with the pi(x) and p_n
+bounds here, so the lemma margins import nth_prime only when called.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import mpmath
 import numpy as np
 
 from .errors import CeilingAmbiguityError, ThresholdError
-from .sieve import nth_prime
 
 # exp(gamma) for the heuristic gap coefficient (gamma itself is 0.5772...)
 EXP_EULER_GAMMA = 1.78107241799
@@ -57,21 +57,16 @@ class Margin:
         return cls(lhs=lhs, rhs=rhs, slack=rhs - lhs, holds=lhs < rhs, base=base)
 
 
-def f_of_k(k: int, *, recheck: bool = True) -> int:
+def f_of_k(k: int) -> int:
     """ceil(1.1 * ln(2.5k)), guarded against near-integer double rounding.
 
     When 1.1*ln(2.5k) lands within 1e-9 of an integer the value is
-    recomputed at 113-bit precision before taking the ceiling; with
-    recheck disabled that case raises CeilingAmbiguityError instead.
+    recomputed at 113-bit precision before taking the ceiling.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     x = 1.1 * math.log(2.5 * k)
     if abs(x - round(x)) < CEIL_GUARD:
-        if not recheck:
-            raise CeilingAmbiguityError(
-                f"1.1*ln(2.5*{k}) is within {CEIL_GUARD} of an integer "
-                "and the extended-precision recheck is disabled")
         with mpmath.workprec(_MP_PREC):
             xm = mpmath.mpf(11) / 10 * mpmath.log(mpmath.mpf(5 * k) / 2)
             if abs(xm - mpmath.nint(xm)) < mpmath.mpf("1e-25"):
@@ -323,31 +318,28 @@ def _lemma_rhs_array(k, r, fk, p_m) -> np.ndarray:
     return ((k + 4 + r) * (fk + 1) - p_m).astype(np.float64)
 
 
-def _lemma_margin(k: int, r: int, base: LogBase, primes) -> Margin:
+def _lemma_margin(k: int, r: int, base: LogBase) -> Margin:
+    from .sieve import nth_prime  # here, as sieve imports this module's bounds
+
     fk = f_of_k(k)
-    m = fk + k + r
-    p = _one(nth_prime(m) if primes is None else int(primes[m - 1]))
+    p = _one(nth_prime(fk + k + r))
     return Margin.of(_lemma_lhs_array(p, base)[0], _lemma_rhs_array(k, r, fk, p)[0], base)
 
 
-def lemma1_margin(k: int, base: LogBase = LogBase.NAT, *, primes=None) -> Margin:
-    """|L(p_m)^2 - L(p_m)| < (k+1)(f(k)+1) - p_m with m = f(k) + k - 3, for k >= 5.
-
-    primes, when given, is an indexable of the prime sequence (primes[i-1]
-    is the i-th prime) used instead of per-call nth_prime lookups.
-    """
+def lemma1_margin(k: int, base: LogBase = LogBase.NAT) -> Margin:
+    """|L(p_m)^2 - L(p_m)| < (k+1)(f(k)+1) - p_m with m = f(k) + k - 3, for k >= 5."""
     if k < 5:
         raise ValueError(f"k must be >= 5, got {k}")
-    return _lemma_margin(k, -3, base, primes)
+    return _lemma_margin(k, -3, base)
 
 
-def lemma2_margin(k: int, r: int, base: LogBase = LogBase.NAT, *, primes=None) -> Margin:
+def lemma2_margin(k: int, r: int, base: LogBase = LogBase.NAT) -> Margin:
     """|L(p_m)^2 - L(p_m)| < (k+4+r)(f(k)+1) - p_m with m = f(k) + k + r, r >= -2."""
     if k < 5:
         raise ValueError(f"k must be >= 5, got {k}")
     if r < -2:
         raise ValueError(f"r must be >= -2, got {r}")
-    return _lemma_margin(k, r, base, primes)
+    return _lemma_margin(k, r, base)
 
 
 def _lemma3_rhs_array(n: np.ndarray, base: LogBase) -> np.ndarray:

@@ -6,7 +6,7 @@ standard error so standard output stays machine-parseable.  Serialized
 reports exclude wall time unless --include-timing is given, keeping
 output byte-identical across reruns.  The pair stream of firoozbakht,
 gap-upper and gaps --max-only forks one sieve worker per usable CPU
-(limit them with taskset); --workers is accepted and ignored.
+(limit them with taskset).
 """
 
 from __future__ import annotations
@@ -290,10 +290,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "are slow, as each one loops over every base prime from 127 "
                         "on: a cold gap-upper to 1e8 takes about 12 s at 1024 against "
                         "0.07 s at the default")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored: firoozbakht, gap-upper and gaps "
-                        "--max-only sieve with one process per usable CPU (limit them "
-                        "with taskset), every other command in one thread")
     p.add_argument("--allow-large", action="store_true",
                    help="permit ranges wider than 1e9 integers")
     p.add_argument("--out", default=None, metavar="FILE",
@@ -379,7 +375,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _positive("--workers", args.workers)
         return args.fn(args)
     except (ValueError, ThresholdError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ factor is q has one more prime factor, no more.  These are the products
 of the P2 term in Meissel-Lehmer prime counting (Deleglise and Rivat,
 "Computing pi(x): the Meissel, Lehmer, Lagarias, Miller, Odlyzko method",
 Experimental Math. 5, 1996); see _Base and _segment_flags.  Rank queries
-over a bitmap of the primes r give each q its first and last r.
+over a bitmap of the primes r give each q its first and last r, by the
+rank function (_bit_rank) that PrimeTable.pi counts with too.
 
 The pair stream's summary rows (see _pair_rows) are sieved by one forked
 worker per usable CPU; everything else runs in the calling thread.  The
@@ -33,6 +34,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
+from .bounds import _nth_prime_bounds_array, _pi_upper_array
 from .errors import CapacityError
 
 MIN_SEGMENT_SIZE = 1024
@@ -119,8 +121,8 @@ class _Base(NamedTuple):
     by strides; each one above c, a band prime q, by its products q*r with
     the primes r of rtab, the odd primes up to hi // (c + 1).  odd is a
     prefix of rtab, and all of it where c >= isqrt(hi) leaves no band.
-    Where there is a band, rwords and rrank are a rank index of rtab (see
-    _rtab_rank); otherwise they are empty.
+    Where there is a band, rwords is a bitmap of rtab's odd slots and rrank
+    its rank index (see _bit_rank); otherwise they are empty.
     """
 
     odd: np.ndarray
@@ -131,12 +133,7 @@ class _Base(NamedTuple):
 
 
 def _stream_base(hi: int, slots: int) -> _Base:
-    """The _Base of a stream up to hi in segments of at most slots odd slots.
-
-    Where there is a band, it also packs rtab's flags into a bitmap of
-    uint64 words, bit b of word w being odd slot 64w + b, with one zero
-    word past the last slot, and counts the set bits before each word.
-    """
+    """The _Base of a stream up to hi in segments of at most slots odd slots."""
     root, c = math.isqrt(hi), _band_start(hi, slots)
     flags = _odd_prime_flags(max(root, hi // (c + 1)))
     rtab = np.flatnonzero(flags)
@@ -148,23 +145,30 @@ def _stream_base(hi: int, slots: int) -> _Base:
     words = np.zeros((flags.size >> 6) + 1, dtype="<u8")
     words.view(np.uint8)[: -(-flags.size // 8)] = np.packbits(flags, bitorder="little")
     del flags
+    return _Base(odd, c, rtab, words, _rank_index(words))
+
+
+def _rank_index(words: np.ndarray) -> np.ndarray:
+    """The set bits before each uint64 word of a bitmap, as int64."""
     rank = np.zeros(words.size, dtype=np.int64)
     np.cumsum(np.bitwise_count(words[:-1]), out=rank[1:])
-    return _Base(odd, c, rtab, words, rank)
+    return rank
 
 
-def _rtab_rank(base: _Base, m: np.ndarray) -> np.ndarray:
-    """np.searchsorted(base.rtab, 2m): the primes of rtab in odd slots below m, for each m.
+def _bit_rank(words: np.ndarray, rank: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The set bits of a bitmap below bit m, for each int64 m >= 0.
 
-    Each int64 m is at most the odd slots up to rtab's limit.  As in
-    PrimeTable.pi, a query is the set bits before m's word plus those of
-    that word below m; the index has a word past the last slot, so m >> 6
-    stays within it.
+    words is the bitmap as little-endian uint64 words, bit b of word w
+    being bit 64w + b, with one word past its last bit, and rank is
+    _rank_index(words).  A query (Jacobson 1989; Vigna, "Broadword
+    implementation of rank/select queries", 2008) is the set bits before
+    m's word plus those of that word below m, so m may be the bitmap's
+    length, and no more: m >> 6 must stay within words.
     """
     w = m >> 6
-    below = base.rwords.take(w)
+    below = words.take(w)
     below &= _LOW_BITS.take(m & 63)
-    return base.rrank.take(w) + np.bitwise_count(below)
+    return rank.take(w) + np.bitwise_count(below)
 
 
 # The pre-sieve crosses off the odd multiples of the odd primes up to 113, the
@@ -276,7 +280,7 @@ def _cross_band(buf: np.ndarray, i_start: int, hi_num: int, q: np.ndarray,
     r runs over the primes of base.rtab with max(q, ceil(lo/q)) <= r <=
     hi_num/q, lo being the odd number in slot i_start; r = q crosses off
     q*q.  Both bounds are rank queries over rtab's bitmap (see
-    _rtab_rank): the primes below the first, and those up to the second.
+    _bit_rank): the primes below the first, and those up to the second.
     As q > c, neither bound is above hi // (c + 1) + 1, so neither query
     passes the odd slots up to rtab's limit.  The products are numbered
     t = 0, 1, .. in order of q, then r, so q's run from ends[i] - counts[i]
@@ -285,8 +289,8 @@ def _cross_band(buf: np.ndarray, i_start: int, hi_num: int, q: np.ndarray,
     """
     lo_num = 2 * i_start + 1
     rtab = base.rtab
-    shift = _rtab_rank(base, np.maximum(q, -(-lo_num // q)) >> 1)
-    counts = _rtab_rank(base, (hi_num // q + 1) >> 1)
+    shift = _bit_rank(base.rwords, base.rrank, np.maximum(q, -(-lo_num // q)) >> 1)
+    counts = _bit_rank(base.rwords, base.rrank, (hi_num // q + 1) >> 1)
     counts -= shift
     np.maximum(counts, 0, out=counts)
     ends = np.cumsum(counts)
@@ -334,9 +338,13 @@ _BAND_PRODUCT_BYTES = 2 * 8
 
 
 def _pi_bound(x: int) -> int:
-    """An upper bound on pi(x), the primes up to x."""
-    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962)
-    return int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
+    """An upper bound on pi(x), the primes up to x (see bounds._pi_upper_array)."""
+    return int(_pi_upper_array(x)) + 1 if x > 1 else 0
+
+
+def _bitmap_mem(slots: int) -> int:
+    """Bytes of a bitmap of slots bits in uint64 words, one past its last bit, and its rank index."""
+    return 16 * ((slots >> 6) + 1)
 
 
 def _stream_mem(lo: int, hi: int, segment_size: int) -> int:
@@ -346,10 +354,9 @@ def _stream_mem(lo: int, hi: int, segment_size: int) -> int:
     sieved: the pre-sieve's words of the next one, and the two segments'
     flags, a byte per slot of every word they span.  Add the base primes
     and _segment_flags' work on each of them and, where the band is not
-    empty, rtab, its rank index (two 8-byte words per 64 odd slots up to
-    rtab's limit, and one more of each) and one pass of products.  A
-    segment of s slots holds at most s products q*r, since each is a
-    distinct odd number in it.
+    empty, rtab, the bitmap of its odd slots with their rank index (see
+    _bitmap_mem) and one pass of products.  A segment of s slots holds at
+    most s products q*r, since each is a distinct odd number in it.
     """
     _, n_slots, seg_slots = _plan(lo, hi, segment_size)
     slots = min(seg_slots, n_slots)
@@ -358,7 +365,7 @@ def _stream_mem(lo: int, hi: int, segment_size: int) -> int:
     band = 0
     if c < root:
         limit = hi // (c + 1)
-        band = (8 * _pi_bound(limit) + 16 * ((((limit + 1) >> 1) >> 6) + 1)
+        band = (8 * _pi_bound(limit) + _bitmap_mem((limit + 1) >> 1)
                 + _BAND_PRODUCT_BYTES * min(_BAND_CHUNK, slots))
     return (2 * 64 + 8) * words + _BASE_PRIME_BYTES * _pi_bound(root) + band
 
@@ -375,12 +382,6 @@ def _check_sieve(lo: int, hi: int, *, segment_size: int, allow_large: bool,
         raise ValueError(f"segment_size must be >= {MIN_SEGMENT_SIZE}, got {segment_size}")
     if _plan(lo, hi, segment_size)[1]:
         _check_mem(_stream_mem(lo, hi, segment_size) + extra_mem)
-
-
-def _table_mem(lo: int, hi: int) -> int:
-    """Bytes of sieve_range's bitmap over [lo, hi] plus the rank index that pi builds."""
-    nbytes = (_plan(lo, hi, 0)[1] + 7) // 8
-    return nbytes + _rank_nbytes(nbytes)
 
 
 def _iter_flag_chunks(lo: int, hi: int, *, segment_size: int, allow_large: bool,
@@ -405,36 +406,30 @@ def _flag_chunks(i0: int, n_slots: int, seg_slots: int,
         yield a, _segment_flags(a, min(a + seg_slots, i0 + n_slots), base)
 
 
-def _rank_nbytes(bitmap_nbytes: int) -> int:
-    """Bytes of a PrimeTable's rank index over a bitmap of bitmap_nbytes bytes."""
-    return 8 * ((bitmap_nbytes >> 3) + 1)
-
-
 @dataclass(frozen=True)
 class PrimeTable:
-    """Bit-packed primality flags over [base, hi], odd numbers only.
+    """Bit-packed primality flags over [base, hi], odd numbers only, and their rank index.
 
-    Bit j of bitmap, most significant bit first within each byte, is set
-    iff the odd number 2*(s+j)+1 is prime, where s is the first odd slot
-    at or above base.
+    bitmap is little-endian uint64 words, as a stream keeps its band
+    primes: bit b of word w is set iff the odd number 2*(s+64w+b)+1 is
+    prime, where s is the first odd slot at or above base, and a word past
+    the last slot ends it.  The rank index that pi reads, the set bits
+    before each word, is built with the table (see _bit_rank).
     """
 
     base: int
     hi: int
     bitmap: np.ndarray
-    # set bits before each whole 64-bit word of bitmap, and before its tail
-    _rank: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _rank: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.base <= self.hi:
             raise ValueError(f"need 0 <= base <= hi, got base={self.base} hi={self.hi}")
+        object.__setattr__(self, "_rank", _rank_index(self.bitmap))
 
     @property
     def _first_slot(self) -> int:
         return (self.base | 1) >> 1
-
-    def _n_slots(self) -> int:
-        return _plan(self.base, self.hi, 0)[1]
 
     def is_prime(self, x: int) -> bool:
         if x < self.base or x > self.hi:
@@ -444,16 +439,13 @@ class PrimeTable:
         if x < 2 or x % 2 == 0:
             return False
         j = (x >> 1) - self._first_slot
-        return bool((int(self.bitmap[j >> 3]) >> (7 - (j & 7))) & 1)
+        return bool((int(self.bitmap[j >> 6]) >> (j & 63)) & 1)
 
     def primes(self) -> np.ndarray:
         """All primes in [base, hi] as a sorted int64 array."""
-        n = self._n_slots()
-        if n:
-            bits = np.unpackbits(self.bitmap, count=n)
-            odd = (np.flatnonzero(bits).astype(np.int64) + self._first_slot) * 2 + 1
-        else:
-            odd = np.empty(0, dtype=np.int64)
+        bits = np.unpackbits(self.bitmap.view(np.uint8), count=_plan(self.base, self.hi, 0)[1],
+                             bitorder="little")
+        odd = (np.flatnonzero(bits).astype(np.int64) + self._first_slot) * 2 + 1
         if self.base <= 2 <= self.hi:
             return np.concatenate((np.array([2], dtype=np.int64), odd))
         return odd
@@ -463,50 +455,17 @@ class PrimeTable:
         two = 1 if self.base <= 2 <= self.hi else 0
         return int(np.bitwise_count(self.bitmap).sum()) + two
 
-    def build_index(self) -> None:
-        """Build the rank index that pi reads; calls after the first do nothing.
-
-        The index is one int64 per 64-bit word of the bitmap, so it takes
-        the bitmap's size plus at most 8 bytes.  pi builds it on first use;
-        call this before sharing the table between threads, so that they
-        never both build it.
-        """
-        if self._rank is None:
-            rank = np.zeros((self.bitmap.size >> 3) + 1, dtype=np.int64)
-            np.cumsum(np.bitwise_count(self._full_words()), out=rank[1:])
-            object.__setattr__(self, "_rank", rank)
-
-    def _full_words(self) -> np.ndarray:
-        """The bitmap's whole 64-bit words, most significant bit first, as a view."""
-        return self.bitmap[: (self.bitmap.size >> 3) << 3].view(">u8")
-
-    def _words_at(self, w: np.ndarray) -> np.ndarray:
-        """64-bit word w of the bitmap for each w, zero-padded past its end."""
-        full = self._full_words()
-        tail = np.zeros(8, dtype=np.uint8)
-        tail[: self.bitmap.size & 7] = self.bitmap[full.size << 3 :]
-        tail = tail.view(">u8")[0]
-        if not full.size:
-            return np.full(w.shape, tail)
-        return np.where(w < full.size, full.take(w, mode="clip"), tail)
-
     def pi(self, x) -> np.ndarray:
         """Number of primes in [base, min(x, hi)] for each int64 x, as int64.
 
         Equal to np.searchsorted(self.primes(), x, side="right") for every
         x, negative or beyond hi included, without building the prime
-        array.  A query is a rank over the bitmap (Jacobson 1989; Vigna,
-        "Broadword implementation of rank/select queries", 2008): the
-        index's count before the word that holds x's odd slot, plus the
-        popcount of that word's leading bits.
+        array: a rank query over the bitmap (see _bit_rank).
         """
-        self.build_index()
         x = np.clip(np.asarray(x, dtype=np.int64), -1, self.hi)
         # odd numbers in [base, x]: those up to x, less the slots below base
         m = np.maximum(((x - 1) >> 1) + (1 - self._first_slot), 0)
-        w = m >> 6
-        lead = ~(_ALL_ONES >> (m & 63).astype(np.uint64))
-        counts = self._rank.take(w) + np.bitwise_count(self._words_at(w) & lead)
+        counts = _bit_rank(self.bitmap, self._rank, m)
         if self.base <= 2 <= self.hi:
             counts += x >= 2
         return counts
@@ -557,15 +516,14 @@ def sieve_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE, *,
     (without allow_large) or the memory budget is exceeded.
     """
     i0, n_slots, _ = _plan(lo, hi, segment_size)
-    nbytes = (n_slots + 7) // 8
-    # the budget covers the rank index that PrimeTable.pi builds later
+    # the budget covers the rank index that PrimeTable builds at the end
     chunks = _iter_flag_chunks(lo, hi, segment_size=segment_size, allow_large=allow_large,
-                               extra_mem=_table_mem(lo, hi))
-    bitmap = np.zeros(nbytes, dtype=np.uint8)
+                               extra_mem=_bitmap_mem(n_slots))
+    bitmap = np.zeros((n_slots >> 6) + 1, dtype="<u8")
     for slot_start, buf in chunks:
-        a = slot_start - i0
-        packed = np.packbits(buf)
-        bitmap[a >> 3 : (a >> 3) + packed.size] = packed
+        a = (slot_start - i0) >> 3
+        packed = np.packbits(buf, bitorder="little")
+        bitmap.view(np.uint8)[a : a + packed.size] = packed
     return PrimeTable(base=int(lo), hi=int(hi), bitmap=bitmap)
 
 
@@ -933,6 +891,26 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     return rows, slices
 
 
+def _best_first(floors: np.ndarray, build: Callable[[int], float],
+                first: Iterable[int] = ()) -> None:
+    """Build the pair segments that can hold the least value, best first.
+
+    floors[k] is at most every value that build(k), which builds segment
+    k, can find in it, and build(k) returns the least it found.  The
+    segments in first are built, then the rest in ascending floor order
+    while the floor is at most the least value found: a segment left out
+    has a floor above that, so every value in it is larger.
+    """
+    built = dict.fromkeys(first)
+    least = min(map(build, built), default=math.inf)
+    for k in np.argsort(floors).tolist():
+        if floors[k] > least:
+            break
+        if k not in built:
+            built[k] = None
+            least = min(least, build(k))
+
+
 def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
                      workers: int = 1, allow_large: bool = False
                      ) -> Iterator[tuple[int, np.ndarray]]:
@@ -952,12 +930,8 @@ def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
 
 
 def _prime_bound(n: int) -> int:
-    """An integer above p_n, the n-th prime."""
-    if n < 6:
-        return 12
-    # p_n < n(ln n + ln ln n) for n >= 6
-    ln = math.log(n)
-    return int(n * (ln + math.log(ln))) + 2
+    """An integer above p_n, the n-th prime: p_n < n ln(n ln n) from n = 6 (see bounds)."""
+    return int(_nth_prime_bounds_array(np.array([n]))[1][0]) + 2 if n >= 6 else 12
 
 
 def prime_count(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -969,24 +943,67 @@ def prime_count(x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
                            allow_large=allow_large)
 
 
+def _flags_to_nth_prime(n: int, *, segment_size: int, allow_large: bool,
+                        extra_mem: int = 0) -> Iterator[tuple[int, np.ndarray, int]]:
+    """Yield (slot_start, flags, take) of each segment from slot 0 up to the n-th prime.
+
+    take is how many of the primes set in flags are among p_2 .. p_n, so
+    the last segment yielded holds p_n at its take-th set flag.  The range,
+    the segment size and the memory budget are checked when this is called.
+    """
+    bound = _prime_bound(n)
+    chunks = _iter_flag_chunks(0, bound, segment_size=segment_size, allow_large=allow_large,
+                               extra_mem=extra_mem)
+
+    def segments(left: int) -> Iterator[tuple[int, np.ndarray, int]]:
+        for slot_start, flags in chunks:
+            c = int(np.count_nonzero(flags))
+            yield slot_start, flags, min(c, left)
+            if c >= left:
+                return
+            left -= c
+            del flags  # freed before the next segment is sieved, not after
+        raise RuntimeError(f"prime bound {bound} too small for n={n}")
+
+    return segments(n - 1)
+
+
 def nth_prime(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
               workers: int = 1, allow_large: bool = False) -> int:
-    """The n-th prime, 1-based with p_1 = 2."""
+    """The n-th prime, 1-based with p_1 = 2.
+
+    Segments are only counted up to the one that holds p_n (see
+    _flags_to_nth_prime); that one alone is searched.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return 2
-    bound = _prime_bound(n)
-    target = n - 1  # odd primes to skip past
-    seen = 0
-    for slot_start, buf in _iter_flag_chunks(0, bound, segment_size=segment_size,
-                                             allow_large=allow_large):
-        c = int(np.count_nonzero(buf))
-        if seen + c >= target:
-            idx = int(np.flatnonzero(buf)[target - seen - 1])
-            return (slot_start + idx) * 2 + 1
-        seen += c
-    raise RuntimeError(f"prime bound {bound} too small for n={n}")
+    for slot_start, flags, take in _flags_to_nth_prime(n, segment_size=segment_size,
+                                                       allow_large=allow_large):
+        pass
+    return 2 * (slot_start + int(np.flatnonzero(flags)[take - 1])) + 1
+
+
+def _primes_for_indices(n: int, *, segment_size: int, allow_large: bool) -> np.ndarray:
+    """The first n primes, written into one array as the sieve streams.
+
+    The array is checked against the memory cap with the sieve, before
+    it is allocated, and the stream stops at the n-th prime.
+    """
+    segments = _flags_to_nth_prime(n, segment_size=segment_size, allow_large=allow_large,
+                                   extra_mem=8 * n)
+    primes = np.empty(n, dtype=np.int64)
+    primes[0] = 2
+    filled = 1
+    for slot_start, flags, take in segments:
+        out = primes[filled : filled + take]
+        np.add(np.flatnonzero(flags)[:take], slot_start, out=out)
+        out *= 2
+        out += 1
+        filled += take
+        del flags, out  # freed before the next segment is sieved, not after
+    return primes
 
 
 def count_primes_in(iv: Interval, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -1018,24 +1035,28 @@ def max_gap_up_to(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
                   workers: int = 1, allow_large: bool = False) -> GapRecord:
     """The maximal gap among records with p_next <= limit; ties go to the smallest n.
 
-    Segments are built, a slice at a time, in descending order of their
-    gap bounds while the bound is at least the largest gap found: a
-    segment left out holds no gap as large, so not even a tie.  A bound is
-    at most 12 above its segment's largest gap, or at most 46 (see
-    _pair_rows), so few segments besides the one holding the answer are built.
+    Segments are built best first (see _best_first), a slice at a time,
+    with floor -G for a gap bound G: in descending order of their gap
+    bounds while the bound is at least the largest gap found, so a segment
+    left out holds no gap as large, not even a tie.  A bound is at most 12
+    above its segment's largest gap, or at most 46 (see _pair_rows), so
+    few segments besides the one holding the answer are built.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     rows, slices = _pair_rows(limit, lambda: None, segment_size=segment_size,
                               allow_large=allow_large)
     best = (0, 0, 0)  # (g, -n, p_n): the larger gap, then the smaller n
-    for k in np.argsort(-rows[:, 4]).tolist():
-        if rows[k, 4] < best[0]:
-            break
+
+    def build(k: int) -> int:
+        nonlocal best
         for n0, pv in slices(k):
             d = np.diff(pv)
             i = int(np.argmax(d))  # first occurrence keeps the smallest n
             best = max(best, (int(d[i]), -n0 - i, int(pv[i])))
+        return -best[0]
+
+    _best_first(-rows[:, 4], build)
     g, n, p = best
     return GapRecord(-n, p, p + g, g)
 

@@ -39,8 +39,9 @@ from .bounds import (LogBase, IntervalRule, NTH_PRIME_UPPER_FROM, PI_UPPER_COEF,
                      _nth_prime_lower_array, _nth_prime_upper_array, _pi_lower_array,
                      _pi_upper_array, _prime_interval_end_array)
 from .errors import CapacityError, ThresholdError
-from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _iter_flag_chunks,
-                    _pair_rows, _prime_bound, _segment_count, _validate_range, sieve_range)
+from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _best_first,
+                    _pair_rows, _prime_bound, _primes_for_indices, _segment_count,
+                    _validate_range, sieve_range)
 
 VIOLATION_CAP = 1000
 _CHUNK_POINTS = 1 << 16
@@ -210,23 +211,21 @@ def _slack_floor(claim_id: ClaimId, rows: np.ndarray) -> np.ndarray:
     return np.maximum(l_lo / (n0 + pairs - 1) - g_rel, by_pi) - _FLOOR_MARGIN * (3 * l_hi + g_rel)
 
 
-def _best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
-                segment_size: int, allow_large: bool, progress: bool | None, cap: int):
+def _scan_best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
+                     segment_size: int, allow_large: bool, progress: bool | None, cap: int):
     """Merge scan(n0, pv) over the pair segments that can change the report.
 
     The pair stream runs to its end first, ticking progress once per
     segment, and gives every segment's summary row; the pairs with
-    n < first_n are outside the claim.  Then segments are built: every one
-    whose slack floor is at or below guard(rows), which covers each
-    violation and each near tie, then the rest in ascending floor order
-    while the floor is at most the least slack found.  A segment left out
-    has a floor above the final least slack, so each slack in it is
-    larger.  A segment is scanned a slice at a time (see _pair_rows), and
-    results merge in scan order, by segment then slice, so the earliest
-    site wins ties as in a scan of every pair, and the pairs left out
-    count as scanned.
-    The segment order stays here rather than in a shared driver: its
-    floor threshold moves as segments are built.
+    n < first_n are outside the claim.  Then segments are built best first
+    (see sieve._best_first) with their slack floors: every one whose floor
+    is at or below guard(rows), which covers each violation and each near
+    tie, then the rest while the floor is at most the least slack found.
+    A segment left out has a floor above the final least slack, so each
+    slack in it is larger.  A segment is scanned a slice at a time (see
+    _pair_rows), and results merge in scan order, by segment then slice,
+    so the earliest site wins ties as in a scan of every pair, and the
+    pairs left out count as scanned.
     """
     prog = _Progress(claim_id.value, _segment_count(0, limit, segment_size), progress)
     rows, slices = _pair_rows(limit, prog.tick, segment_size=segment_size,
@@ -235,20 +234,12 @@ def _best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
     counted = np.maximum(rows[:, 1] - np.maximum(first_n - n0, 0), 0)
     floors = np.where(counted > 0, _slack_floor(claim_id, rows), np.inf)
     built = {}
-    least = math.inf
 
-    def build(k: int) -> None:
-        nonlocal least
+    def build(k: int) -> float:
         built[k] = out = [scan(*s) for s in slices(k)]
-        least = min(least, *(best[0] for _, best in out))
+        return min((best[0] for _, best in out), default=math.inf)
 
-    for k in np.flatnonzero(floors <= guard(rows)).tolist():
-        build(k)
-    for k in map(int, np.argsort(floors)):
-        if floors[k] > least:
-            break
-        if k not in built:
-            build(k)
+    _best_first(floors, build, np.flatnonzero(floors <= guard(rows)).tolist())
     return _merge(chain.from_iterable(built[k] for k in sorted(built)), cap, int(counted.sum()))
 
 
@@ -636,7 +627,7 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
 
     Compared in log space; slacks within 1e-12 relative are recomputed at
     200-bit precision before being judged.  Pairs are built best first
-    (see _best_first): a segment whose slack floor is above that guard and
+    (see _scan_best_first): a segment whose slack floor is above that guard and
     the least slack found can change neither, so its pairs are counted
     without being built.
     """
@@ -664,8 +655,9 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
                 v.append(Violation(f"n={n};p_n={p}", q, firoozbakht_rhs(p, n)))
         return v, (float(slack[i]), f"n={n0 + i};p_n={int(pv[i])}")
 
-    merged = _best_first(ClaimId.FIROOZBAKHT, limit, 1, guard, scan, segment_size=segment_size,
-                         allow_large=allow_large, progress=progress, cap=cap)
+    merged = _scan_best_first(ClaimId.FIROOZBAKHT, limit, 1, guard, scan,
+                              segment_size=segment_size, allow_large=allow_large,
+                              progress=progress, cap=cap)
     notes = (f"log-space comparison with 1e-12 relative guard; "
              f"{rechecked} near-ties rechecked at 200-bit precision",)
     return _report(ClaimId.FIROOZBAKHT, f"pairs with p_next<={limit}",
@@ -693,7 +685,7 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
 
     A float slack within _GAP_UPPER_TIE times the bound of 0 may have the
     wrong sign, so its pair is judged at 200-bit precision instead.
-    Pairs are built best first (see _best_first): a segment whose slack
+    Pairs are built best first (see _scan_best_first): a segment whose slack
     floor is above both 0 and the least slack found can change neither,
     so its pairs are counted without being built.
     """
@@ -715,39 +707,12 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
              if slack[j] < -tol[j] or _gap_upper_exact_slack(int(p[j]), int(g[j])) <= 0]
         return v, (float(slack[i]), f"n={n + i};p_n={int(p[i])};g_n={int(g[i])}")
 
-    merged = _best_first(ClaimId.GAP_UPPER, limit, 5, lambda rows: 0.0, scan,
-                         segment_size=segment_size, allow_large=allow_large,
-                         progress=progress, cap=cap)
+    merged = _scan_best_first(ClaimId.GAP_UPPER, limit, 5, lambda rows: 0.0, scan,
+                              segment_size=segment_size, allow_large=allow_large,
+                              progress=progress, cap=cap)
     return _report(ClaimId.GAP_UPPER,
                    f"indices n>4 with p_next<={limit}; natural log",
                    merged, perf_counter() - t0)
-
-
-def _primes_for_indices(n_index: int, *, segment_size: int, allow_large: bool) -> np.ndarray:
-    """The first n_index primes, written into one array as the sieve streams.
-
-    The array is checked against the memory cap with the sieve, before
-    it is allocated, and the stream stops at the n_index-th prime.
-    """
-    bound = _prime_bound(n_index)
-    chunks = _iter_flag_chunks(0, bound, segment_size=segment_size, allow_large=allow_large,
-                               extra_mem=8 * n_index)
-    primes = np.empty(n_index, dtype=np.int64)
-    primes[0] = 2
-    filled = 1
-    for slot_start, flags in chunks:
-        odd = np.flatnonzero(flags)[: n_index - filled]
-        out = primes[filled : filled + odd.size]
-        np.add(odd, slot_start, out=out)
-        out *= 2
-        out += 1
-        filled += odd.size
-        if filled == n_index:
-            break
-        del flags, odd, out  # freed before the next segment is sieved, not after
-    if filled < n_index:
-        raise RuntimeError(f"prime bound {bound} too small for index {n_index}")
-    return primes
 
 
 def verify_basic_props(limit: int, *, workers: int = 1,

@@ -8,12 +8,14 @@ enumeration.  Criterion 10 checks L2's violations against an independent
 enumeration in oracles.py and fails if L2 is ever reported as holding.
 """
 
+import os
 import random
 import time
 from bisect import bisect_left, bisect_right
 
 import pytest
 
+import primespan.sieve as sieve
 from primespan import (f_of_k, nth_prime, prime_count, sieve_range,
                        verify_basic_props, verify_firoozbakht,
                        verify_gap_interval, verify_gap_upper, verify_lemmas,
@@ -29,17 +31,35 @@ SEED = 20260817
 
 @pytest.fixture(scope="module")
 def runs():
-    """Criteria 3-8 engines at full scale, once per worker count."""
+    """Criteria 3-8 engines at full scale, once with 1 usable CPU and once with 2.
+
+    Each run starts from an empty pair-segment summary table, so the pair
+    streams sieve every segment with that many processes; "forks" counts
+    the processes they start.
+    """
+    calls = {
+        "t1": lambda: verify_theorem1(100, 10**4),
+        "t2": lambda: verify_theorem2(50, 10**4),
+        "t3": lambda: verify_theorem3(10**6),
+        "gap_interval": lambda: verify_gap_interval(10**7),
+        "firoozbakht": lambda: verify_firoozbakht(10**9),
+        "gap_upper": lambda: verify_gap_upper(10**8),
+    }
     out = {}
-    for w in (1, 8):
-        out[w] = {
-            "t1": verify_theorem1(100, 10**4, workers=w),
-            "t2": verify_theorem2(50, 10**4, workers=w),
-            "t3": verify_theorem3(10**6, workers=w),
-            "gap_interval": verify_gap_interval(10**7, workers=w),
-            "firoozbakht": verify_firoozbakht(10**9, workers=w),
-            "gap_upper": verify_gap_upper(10**8, workers=w),
-        }
+    for cpus in (1, 2):
+        out[cpus] = {"forks": 0}
+        real_fork = os.fork
+
+        def fork():
+            out[cpus]["forks"] += 1
+            return real_fork()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "_usable_cpus", lambda: cpus)
+            mp.setattr(os, "fork", fork)
+            for key, call in calls.items():
+                mp.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
+                out[cpus][key] = call()
     return out
 
 
@@ -181,5 +201,7 @@ def test_criterion_12_determinism(runs):
     for key in ("t1", "t2", "t3", "gap_interval", "firoozbakht", "gap_upper"):
         for fmt in ("json", "csv"):
             a = emit_report(runs[1][key], fmt)
-            b = emit_report(runs[8][key], fmt)
+            b = emit_report(runs[2][key], fmt)
             assert a == b, (key, fmt)
+    # one child per pair stream at 2 CPUs, none at 1
+    assert (runs[1]["forks"], runs[2]["forks"]) == (0, 2)

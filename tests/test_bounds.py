@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import primespan.bounds as bounds
-from primespan import (RULES, CeilingAmbiguityError, IntervalRule, LogBase,
+from primespan import (RULES, IntervalRule, LogBase,
                        Margin, RuleName, ThresholdError, f_of_k, f_of_k_array,
                        firoozbakht_rhs, gap_lower_heuristic, gap_upper_bound,
                        iter_prime_pairs, lemma1_margin, lemma2_margin,
@@ -64,8 +64,6 @@ def test_f_of_k_ambiguity_recheck(monkeypatch):
     monkeypatch.setattr(bounds, "CEIL_GUARD", 1.0)
     for k in (1, 2, 7, 240):
         assert f_of_k(k) == oracle_f(k)
-    with pytest.raises(CeilingAmbiguityError):
-        f_of_k(7, recheck=False)
     vals = f_of_k_array(np.arange(1, 300, dtype=np.int64))
     assert vals.tolist() == [oracle_f(k) for k in range(1, 300)]
 
@@ -199,10 +197,14 @@ def test_lemma3_margin():
         lemma3_margin(4)
 
 
-def test_lemma_margins_accept_precomputed_primes():
+def test_lemma_margins_match_oracle_primes():
+    # m = f(k) + k + r: p_5 = 11 for L1 at k = 5, p_10 = 29 for L2 at k = 7, r = 0
     primes = primes_from_flags(naive_sieve(1000))
-    assert lemma1_margin(5, primes=primes) == lemma1_margin(5)
-    assert lemma2_margin(7, 0, primes=primes) == lemma2_margin(7, 0)
+    for margin, k, r in ((lemma1_margin(5), 5, -3), (lemma2_margin(7, 0), 7, 0)):
+        p = primes[f_of_k(k) + k + r - 1]
+        lv = math.log(p)
+        assert margin.lhs == pytest.approx(abs(lv * lv - lv), rel=1e-15)
+        assert margin.rhs == (k + 4 + r) * (f_of_k(k) + 1) - p
 
 
 def test_rules_registry():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import primespan.sieve as sieve
 from primespan import verify_gap_interval, verify_theorem3
 from primespan.cli import dispatch, emit_compare, emit_report, emit_reports
 from primespan.verify import compare_rules
@@ -93,20 +94,24 @@ def test_verify_out_file(tmp_path, capsys):
     assert obj["claim"] == "T3" and obj["holds"] is True
 
 
-def test_verify_deterministic_bytes_across_workers(capsys):
+def test_verify_deterministic_bytes_across_workers(capsys, monkeypatch, forks):
+    # firoozbakht's pair stream sieves its 16 segments in one process per
+    # usable CPU, each run from an empty summary table
     outs = []
-    for w in ("1", "4"):
-        _, out, _ = run(capsys, "verify", "gap-interval", "--n-max", "100000",
-                        "--format", "csv", "--workers", w, "--no-progress")
+    for cpus in (1, 2):
+        monkeypatch.setattr(sieve, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
+        code, out, _ = run(capsys, "verify", "firoozbakht", "--limit", "1000000",
+                           "--segment-size", "65536", "--format", "csv", "--no-progress")
+        assert code == 0
         outs.append(out)
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] and len(forks) == 1
 
 
 def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "bogus")[0] == 2
     assert run(capsys, "verify", "t1", "--k-max", "1")[0] == 2
     assert run(capsys, "verify", "t3", "--k-max", "0")[0] == 2
-    assert run(capsys, "verify", "t3", "--workers", "0")[0] == 2
     assert run(capsys, "verify", "t3", "--k-max", "100", "--cap", "-1")[0] == 2
     assert run(capsys)[0] == 2
 

@@ -90,7 +90,6 @@ def test_mem_limit_env(monkeypatch):
 def test_mem_limit_counts_rank_index(monkeypatch):
     lo, hi = 0, 10**7
     table = sieve_range(lo, hi)
-    table.build_index()
     bitmap, index = table.bitmap.nbytes, table._rank.nbytes
     # the estimate's other term: the stream of segments and base primes
     other = sieve._stream_mem(lo, hi, DEFAULT_SEGMENT_SIZE)
@@ -201,15 +200,12 @@ def test_band_stream_at_high_base_peak_within_estimate(monkeypatch):
 
 
 def test_rank_index_size_and_reuse():
+    # the index is built with the table, one int64 per word, and pi reuses it
     for hi in (0, 2, 64, 10**3, 10**6 + 1):
         table = sieve_range(0, hi)
-        table.build_index()
         rank = table._rank
-        assert rank.nbytes <= table.bitmap.nbytes + 8
-        if table.bitmap.nbytes >= 8:
-            assert rank.nbytes <= 2 * table.bitmap.nbytes
+        assert rank.nbytes == table.bitmap.nbytes == 8 * ((_plan(0, hi, 0)[1] >> 6) + 1)
         table.pi(np.arange(hi + 2))
-        table.build_index()
         assert table._rank is rank
 
 
@@ -327,6 +323,10 @@ def test_band_rank_matches_searchsorted(hi, picks):
     base = sieve._stream_base(hi, seg_slots)
     assert picks[-1] * seg_slots < n_slots < (picks[-1] + 1) * seg_slots
     rtab = base.rtab
+
+    def rank(m):
+        return sieve._bit_rank(base.rwords, base.rrank, m)
+
     for k in picks:
         lo_num, hi_num = 2 * k * seg_slots + 1, 2 * min((k + 1) * seg_slots, n_slots) - 1
         q = base.odd[(base.odd > base.c) & (base.odd <= math.isqrt(hi_num))]
@@ -334,12 +334,12 @@ def test_band_rank_matches_searchsorted(hi, picks):
         first = np.maximum(q, -(-lo_num // q))
         start = np.searchsorted(rtab, first)
         count = np.searchsorted(rtab, hi_num // q, side="right") - start
-        got = sieve._rtab_rank(base, first >> 1)
+        got = rank(first >> 1)
         assert np.array_equal(got, start), k
-        assert np.array_equal(sieve._rtab_rank(base, (hi_num // q + 1) >> 1) - got, count), k
+        assert np.array_equal(rank((hi_num // q + 1) >> 1) - got, count), k
     # and every odd slot count up to rtab's limit
     m = np.arange((int(rtab[-1]) + 3) >> 1)
-    assert np.array_equal(sieve._rtab_rank(base, m), np.searchsorted(rtab, 2 * m))
+    assert np.array_equal(rank(m), np.searchsorted(rtab, 2 * m))
 
 
 @settings(max_examples=40, deadline=None)

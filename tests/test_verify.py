@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from time import perf_counter, sleep
 from unittest.mock import ANY
 
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import primespan.bounds as bounds
 import primespan.sieve as sieve
 import primespan.verify as verify
-from primespan import (RULES, CapacityError, ClaimId, PrimeTable, RuleName,
+from primespan import (RULES, CapacityError, ClaimId, LogBase, PrimeTable, RuleName,
                        ThresholdError, Violation, compare_rules, f_of_k,
                        f_of_k_array, sieve_range, verify_basic_props,
                        verify_firoozbakht, verify_gap_interval,
@@ -789,6 +791,158 @@ def _certify_nothing(monkeypatch):
     monkeypatch.setattr(verify, "_first_certified", lambda ok, lo, hi: hi + 1)
 
 
+def _record_certified(monkeypatch):
+    """List each verify._first_certified call's rows as (lo, hi, first certified point)."""
+    calls, real = [], verify._first_certified
+
+    def recorded(ok, lo, hi):
+        stop = real(ok, lo, hi)
+        calls.append((lo, hi, stop))
+        return stop
+
+    monkeypatch.setattr(verify, "_first_certified", recorded)
+    return calls
+
+
+def _certified_points(lo, hi, stop, limit=1 << 17):
+    """(row, x) of the certified points stop[row] <= x <= hi[row]: every one, or when
+    there are more than limit, each row's first 16 and limit random others."""
+    sizes = np.maximum(hi - stop + 1, 0)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    t = np.arange(ends[-1])
+    if t.size > limit:
+        j = np.arange(16)
+        head = (starts[:, None] + j)[j < sizes[:, None]]
+        t = np.concatenate((head, np.random.default_rng(0).integers(0, t.size, limit)))
+    row = np.searchsorted(ends, t, side="right")
+    return row, stop[row] + t - starts[row]
+
+
+def _assert_reach(slack, need, scale, where):
+    """Every slack is at least need, less the floors' float margin on terms of size scale."""
+    bad = np.flatnonzero(slack < need - verify._FLOOR_MARGIN * scale)
+    assert not bad.size, (where(bad[0]), float(slack[bad[0]]), need)
+
+
+@pytest.mark.parametrize("k_max,n_max", [(100, 10**4), (1000, 10**4)])
+@pytest.mark.parametrize("boundary", ["open", "closed"])
+def test_theorem1_certified_points_reach_need(k_max, n_max, boundary, monkeypatch):
+    calls = _record_certified(monkeypatch)
+    verify_theorem1(k_max, n_max, boundary)
+    [(lo, hi, stop)] = calls
+    table, shift = sieve_range(0, k_max * n_max), int(boundary == "open")
+
+    def slack(k, n):
+        return table.pi(k * n - shift) - table.pi(n - 1 + shift) - k + 2
+
+    need = max(1, int(slack(2, f_of_k(2))))
+    row, n = _certified_points(lo, hi, stop)
+    k = row + 2
+    _assert_reach(slack(k, n), need, 0, lambda i: (int(k[i]), int(n[i])))
+
+
+@pytest.mark.parametrize("k_max,n_max", [(12, 2000), (50, 10**4)])
+def test_theorem2_certified_points_reach_need(k_max, n_max, monkeypatch):
+    calls = _record_certified(monkeypatch)
+    verify_theorem2(k_max, n_max)
+    [(lo, hi, stop)] = calls
+    table = sieve_range(0, k_max * n_max)
+
+    def slack(k, n):
+        return k * n / 9.0 + k * k - (table.pi(k * n) - table.pi(n - 1))
+
+    # certified against the least slack of the row k = 2, which is counted whole
+    need = max(0.0, float(slack(2, np.arange(1, n_max + 1)).min()))
+    row, n = _certified_points(lo, hi, stop)
+    k = row + 2
+    _assert_reach(slack(k, n), need, k * n, lambda i: (int(k[i]), int(n[i])))
+
+
+@pytest.mark.parametrize("claim,top", [("T3", 10**4), ("T3", 10**6), ("open", 10**5),
+                                       ("open", 10**7), ("closed", 10**7)])
+def test_one_prime_certified_points_reach_need(claim, top, monkeypatch):
+    calls = _record_certified(monkeypatch)
+    if claim == "T3":
+        verifier, counts = verify_theorem3, verify._theorem3_counts
+        end = top * (f_of_k(top) + 1)
+    else:
+        verifier = partial(verify_gap_interval, boundary=claim)
+        counts, end = partial(verify._gap_interval_counts, boundary=claim), 2 * top
+    verifier(top)
+    [(lo, hi, stop)] = calls
+    table = sieve_range(0, end)
+    need = max(1, int(counts(table, np.array([2]))[0]))
+    _, x = _certified_points(lo, hi, stop)
+    _assert_reach(counts(table, x), need, 0, lambda i: int(x[i]))
+
+
+@pytest.mark.parametrize("limit", [5000, 10**6])
+@pytest.mark.parametrize("ln4", [math.log(4), 1.05])
+def test_props_certified_points_reach_need(limit, ln4, monkeypatch):
+    # ln 4 = 1.05 is a stand-in whose slacks at 2, 3 and 5 are close, so a
+    # Prop6 floor that certifies too early meets a point below its need;
+    # theta(x) < 1.01624 x still certifies it, from x = 42
+    monkeypatch.setattr(verify, "_LN4", ln4)
+    calls = _record_certified(monkeypatch)
+    verify_basic_props(limit)
+    (_, _, stop4), (_, _, stop6), (_, _, stop_b) = calls
+    primes = sieve._primes_for_indices(limit, segment_size=sieve.DEFAULT_SEGMENT_SIZE,
+                                       allow_large=False)
+    n = np.arange(1, limit + 1)
+    # Prop4: p_n - n, certified against max(1, p_1 - 1)
+    _assert_reach((primes - n)[stop4[0] - 1 :], 1, 0, lambda i: i)
+    # Prop6: at each prime q, q ln 4 - theta(q), certified against max(0, that at 2)
+    q = primes[primes <= limit].astype(np.float64)
+    theta = np.cumsum(np.log(q))
+    slack = q * ln4 - theta
+    at = q >= stop6[0]
+    _assert_reach(slack[at], max(0.0, slack[0]), q[at], lambda i: int(q[at][i]))
+    # the bracket from n = 6, certified against max(0, its slack at 6)
+    lower, upper = bounds._nth_prime_bounds_array(n[5:])
+    p = primes[5:].astype(np.float64)
+    slack = np.minimum(p - lower, upper - p)
+    at = n[5:] >= stop_b[0]
+    _assert_reach(slack[at], max(0.0, slack[0]), upper[at], lambda i: int(n[5:][at][i]))
+
+
+@pytest.mark.parametrize("k_max,r_max,n_max", [(60, 30, 5000), (10**4, 100, 10**6)])
+def test_lemmas_certified_points_reach_need(k_max, r_max, n_max, monkeypatch):
+    calls = _record_certified(monkeypatch)
+    verify_lemmas(k_max, r_max, n_max)
+    ks = np.arange(5, k_max + 1, dtype=np.int64)
+    fk = f_of_k_array(ks)
+    primes = sieve._primes_for_indices(int((fk + ks).max()) + r_max,
+                                       segment_size=sieve.DEFAULT_SEGMENT_SIZE,
+                                       allow_large=False)
+
+    def l12_sides(row, r, base):
+        p = primes[fk[row] + ks[row] + r - 1]
+        return bounds._lemma_lhs_array(p, base), bounds._lemma_rhs_array(ks[row], r, fk[row], p)
+
+    def l3_sides(row, n, base):
+        return n.astype(np.float64), bounds._lemma3_rhs_array(n, base)
+
+    for (lo, hi, stop), sides in zip(calls, (l12_sides, l12_sides, l3_sides)):
+        row, x = _certified_points(lo, hi, stop)
+        for base in LogBase:
+            lhs, rhs = sides(np.zeros(1, dtype=np.int64), lo[:1], base)
+            need = max(0.0, float(rhs[0] - lhs[0]))  # the claim's first point
+            lhs, rhs = sides(row, x, base)
+            _assert_reach(rhs - lhs, need, np.abs(rhs) + lhs,
+                          lambda i: (int(lo.size), int(row[i]), int(x[i]), base.value))
+
+
+def test_claims_count_their_first_point_when_all_certified(monkeypatch):
+    # every theorem certifies every point: each claim still counts its
+    # first point, which holds the least slack it certified the rest against
+    monkeypatch.setattr(verify, "_first_certified", lambda ok, lo, hi: lo.copy())
+    reports = [verify_theorem1(20, 100), verify_theorem3(1000), verify_gap_interval(1000),
+               *verify_basic_props(1000), *verify_lemmas(20, 5, 1000)]
+    assert [r.min_slack_at for r in reports] == [
+        "k=2;n=2", "k=2", "n=2", "n=1", "n=2", "n=6", "k=5", "k=5;r=-2", "n=5"]
+
+
 def _index_claims_json(k3, n_gi, k1, n1, k2, n2, **kw):
     reports = [verify_theorem3(k3, **kw), verify_theorem2(k2, n2, **kw)]
     for boundary in ("open", "closed"):
@@ -896,13 +1050,13 @@ def test_props_and_lemmas_prune_match_exhaustive(limit, k_max, r_max, n_max, cap
 def test_props_and_lemmas_evaluate_few_points(monkeypatch):
     spec = {s.name: s for s in CLAIMS}
     his, sides = [], {"points": 0}
-    flag_chunks = verify._iter_flag_chunks
+    flag_chunks = sieve._iter_flag_chunks
 
     def recorded(lo, hi, **kw):
         his.append(hi)
         return flag_chunks(lo, hi, **kw)
 
-    monkeypatch.setattr(verify, "_iter_flag_chunks", recorded)
+    monkeypatch.setattr(sieve, "_iter_flag_chunks", recorded)
     for name in ("_lemma_lhs_array", "_lemma_rhs_array", "_lemma3_rhs_array"):
         def counted(*args, real=getattr(verify, name)):
             out = real(*args)
@@ -1164,7 +1318,7 @@ def test_primes_for_indices_holds_one_array(monkeypatch):
         tracemalloc.stop()
     assert peak < 10**6
     monkeypatch.delenv("PRIMESPAN_MEM_LIMIT")
-    monkeypatch.setattr(verify, "_prime_bound", lambda n: 100)
+    monkeypatch.setattr(sieve, "_prime_bound", lambda n: 100)
     with pytest.raises(RuntimeError, match="prime bound 100 too small"):
         verify._primes_for_indices(100, **kw)
 
