@@ -19,18 +19,20 @@ over a bitmap of the primes r give each q its first and last r, by the
 rank function (_bit_rank) that PrimeTable.pi counts with too.
 
 The pair stream's summary rows (see _pair_rows) are sieved by one forked
-worker per usable CPU; everything else runs in the calling thread.  The
-public functions accept workers= and ignore it.
+worker per usable CPU; everything else runs in the calling thread.
+sieve_range, iter_prime_blocks and prime_count accept workers= and ignore
+it, only while the benchmark in perfbench/ passes it.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -406,7 +408,7 @@ def _flag_chunks(i0: int, n_slots: int, seg_slots: int,
         yield a, _segment_flags(a, min(a + seg_slots, i0 + n_slots), base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimeTable:
     """Bit-packed primality flags over [base, hi], odd numbers only, and their rank index.
 
@@ -414,18 +416,27 @@ class PrimeTable:
     primes: bit b of word w is set iff the odd number 2*(s+64w+b)+1 is
     prime, where s is the first odd slot at or above base, and a word past
     the last slot ends it.  The rank index that pi reads, the set bits
-    before each word, is built with the table (see _bit_rank).
+    before each word, is built with the table (see _bit_rank).  Tables
+    with equal ranges and bitmaps are equal; a mutable bitmap is unhashable.
     """
 
     base: int
     hi: int
     bitmap: np.ndarray
-    _rank: np.ndarray = field(init=False, repr=False, compare=False)
+    _rank: np.ndarray = field(init=False, repr=False)
+
+    __hash__ = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.base <= self.hi:
             raise ValueError(f"need 0 <= base <= hi, got base={self.base} hi={self.hi}")
         object.__setattr__(self, "_rank", _rank_index(self.bitmap))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PrimeTable):
+            return NotImplemented
+        return ((self.base, self.hi) == (other.base, other.hi)
+                and np.array_equal(self.bitmap, other.bitmap))
 
     @property
     def _first_slot(self) -> int:
@@ -698,10 +709,6 @@ _SLICE_SLOTS = 1 << 17
 # than two blocks and a slice's bool copy, as a block bound is >= 3/8 of its slots
 _SLICE_PRIME_BYTES = 8 * 8
 
-# Bytes per segment of the parts a forked worker holds until it writes them:
-# four int64 (see _segment_parts)
-_PART_BYTES = 4 * 8
-
 
 def _usable_cpus() -> int:
     """CPUs this process may run on, as taskset(1) or a cgroup's cpuset leaves them."""
@@ -731,69 +738,61 @@ def _segment_parts(ks: range, n_slots: int, seg_slots: int,
         yield pairs, first, last, _slot_gap_bound(np.packbits(flags[first : last + 1]))
 
 
-def _run_worker(fd: int, ks: range, n_slots: int, seg_slots: int,
-                base: _Base) -> None:
-    """Write the parts of segments ks (see _segment_parts) to fd, as int64, and close it."""
-    parts = np.zeros((len(ks), 4), dtype=np.int64)
-    for i, part in enumerate(_segment_parts(ks, n_slots, seg_slots, base)):
-        parts[i] = part
-    with open(fd, "wb") as out:
-        out.write(memoryview(parts).cast("B"))
+def _write_parts(rows: np.ndarray, ks: range, w: int, n_slots: int, seg_slots: int,
+                 base: _Base, tick: Callable[[], None] = lambda: None) -> None:
+    """Write rows[k, 1:], the parts of each segment k of ks[::w] (see _segment_parts).
+
+    tick is called once per segment of ks, a round of w at a time.
+    """
+    share = ks[::w]
+    for k, part in zip(share, _segment_parts(share, n_slots, seg_slots, base), strict=True):
+        rows[k, 1:] = part
+        for _ in range(min(w, ks.stop - k)):
+            tick()
 
 
 def _fork_parts(rows: np.ndarray, ks: range, w: int, tick: Callable[[], None],
                 n_slots: int, seg_slots: int, base: _Base) -> None:
     """Fill rows[k, 1:] with the parts of each segment k in ks, using w processes.
 
-    This process and w - 1 forked children each sieve every w-th segment
-    of ks.  A child ends in os._exit and writes its parts to a pipe;
-    this process reads them once its own share is done and waits for
-    every child, so their CPU time counts as its children's.  tick is
-    called once per segment, a round of w segments at a time, as this
-    process finishes its segment of the round.  A child that fails, or
-    any exception here, raises only after every child is killed and
-    reaped.
+    rows must be in shared memory.  This process and w - 1 forked
+    children each write every w-th segment's parts into it through
+    _write_parts, and tick is called as this process writes.  A child
+    ends in os._exit, and this process waits for every child, so their
+    CPU time counts as its children's.  pairs is set to -1 in the rows of
+    ks before the fork: a row still at -1 once every child is reaped was
+    never written, and raises as a failed child does.  Any exception here
+    raises only after every child is killed and reaped.
     """
-    children: list[tuple[int, BinaryIO, range]] = []
+    rows[ks.start : ks.stop, 1] = -1
+    children: list[int] = []
     try:
         for j in range(1, w):
-            r, wr = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child
                 code = 1
                 try:
-                    os.close(r)
-                    for _, pipe, _ in children:
-                        os.close(pipe.fileno())
-                    _run_worker(wr, ks[j::w], n_slots, seg_slots, base)
+                    _write_parts(rows, ks[j:], w, n_slots, seg_slots, base)
                     code = 0
                 finally:
                     os._exit(code)
-            children.append((pid, open(r, "rb"), ks[j::w]))
-            os.close(wr)
-        own = ks[::w]
-        for k, part in zip(own, _segment_parts(own, n_slots, seg_slots, base)):
-            rows[k, 1:] = part
-            for _ in range(min(w, ks.stop - k)):
-                tick()
+            children.append(pid)
+        _write_parts(rows, ks, w, n_slots, seg_slots, base, tick)
         while children:
-            pid, pipe, share = children[0]
-            for k in share:
-                if pipe.readinto(rows[k, 1:]) != _PART_BYTES:
-                    raise RuntimeError(f"sieve worker {pid} ended before segment {k}")
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
+            pid = children.pop(0)
             if code:
                 raise RuntimeError(f"sieve worker {pid} exited with {code}")
     finally:
-        for pid, pipe, _ in children:
-            pipe.close()
+        for pid in children:
             try:
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
+    missed = np.flatnonzero(rows[ks.start : ks.stop, 1] < 0)
+    if missed.size:
+        raise RuntimeError(f"sieve worker ended before segment {ks.start + int(missed[0])}")
 
 
 def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
@@ -818,18 +817,18 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     Full segments already in the summary table take their rows from it.
     The segments past them are sieved by one worker per usable CPU (see
     _fork_parts), or in this process alone where it cannot fork safely:
-    without os.fork, or with a second thread running.  Each worker gives
-    four numbers per segment, and one pass in segment order stitches them
-    into rows, so the rows do not depend on the number of workers.  The
-    longer table is published once the stream has run to its end.
+    without os.fork, or with a second thread running.  rows lives in an
+    anonymous shared mapping, into which each worker writes four numbers
+    per segment, and one pass in segment order stitches them into rows,
+    so the rows do not depend on the number of workers.  The longer table
+    is published once the stream has run to its end.
 
     The memory budget is checked before anything sized by the range is
-    allocated: a stream and the gap bound's work per worker, the parts the
-    forked workers hold, the stored table, the rows and the arrays a
-    caller derives from them, and what follows the stream: a segment's
-    flags and a slice's block with what a scan derives from it (see
-    _SLICE_PRIME_BYTES).  A budget that fits fewer workers gets fewer;
-    one that fits no stream is refused.
+    allocated: a stream and the gap bound's work per worker, the stored
+    table, the rows and the arrays a caller derives from them, and what
+    follows the stream: a segment's flags and a slice's block with what
+    a scan derives from it (see _SLICE_PRIME_BYTES).  A budget that fits
+    fewer workers gets fewer; one that fits no stream is refused.
     """
     global _summaries
     held_slots, stored = _summaries
@@ -852,7 +851,6 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
 
     def extra_mem(w: int) -> int:  # what w workers need beyond one stream
         return ((w - 1) * stream + max(w * work, blocks)
-                + _PART_BYTES * (len(todo) - len(todo[::w]))
                 + _SUMMARY_ROW_BYTES * len(stored) + _ROW_WORK_BYTES * n_segments)
 
     _check_sieve(0, limit, segment_size=segment_size, allow_large=allow_large,
@@ -863,7 +861,9 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     w = max(min(_usable_cpus(), len(todo)), 1) if safe else 1
     while w > 1 and cap is not None and stream + extra_mem(w) > cap:
         w -= 1
-    rows = np.empty((n_segments, 5), dtype=np.int64)
+    # shared with the forked workers; mmap refuses a length of 0
+    shared = mmap.mmap(-1, max(_SUMMARY_ROW_BYTES * n_segments, 1))
+    rows = np.frombuffer(shared, dtype=np.int64, count=5 * n_segments).reshape(-1, 5)
     rows[:known] = stored[:known]
     for _ in range(known):
         tick()
@@ -912,8 +912,7 @@ def _best_first(floors: np.ndarray, build: Callable[[int], float],
 
 
 def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
-                     workers: int = 1, allow_large: bool = False
-                     ) -> Iterator[tuple[int, np.ndarray]]:
+                     allow_large: bool = False) -> Iterator[tuple[int, np.ndarray]]:
     """Stream the consecutive prime pairs with p_next <= limit, one block per segment.
 
     Yields (n0, pv) where pv[i] and pv[i + 1] are p_{n0+i} and p_{n0+i+1};
@@ -969,7 +968,7 @@ def _flags_to_nth_prime(n: int, *, segment_size: int, allow_large: bool,
 
 
 def nth_prime(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
-              workers: int = 1, allow_large: bool = False) -> int:
+              allow_large: bool = False) -> int:
     """The n-th prime, 1-based with p_1 = 2.
 
     Segments are only counted up to the one that holds p_n (see
@@ -1007,7 +1006,7 @@ def _primes_for_indices(n: int, *, segment_size: int, allow_large: bool) -> np.n
 
 
 def count_primes_in(iv: Interval, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
-                    workers: int = 1, allow_large: bool = False) -> int:
+                    allow_large: bool = False) -> int:
     """Exact prime count of an interval, honoring its boundary modes."""
     a, b = iv.closed_bounds()
     if a > b:
@@ -1020,7 +1019,7 @@ def count_primes_in(iv: Interval, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
 
 
 def iterate_gaps(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
-                 workers: int = 1, allow_large: bool = False) -> Iterator[GapRecord]:
+                 allow_large: bool = False) -> Iterator[GapRecord]:
     """Stream GapRecords for all consecutive prime pairs with p_next <= limit."""
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
@@ -1032,7 +1031,7 @@ def iterate_gaps(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
 
 
 def max_gap_up_to(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
-                  workers: int = 1, allow_large: bool = False) -> GapRecord:
+                  allow_large: bool = False) -> GapRecord:
     """The maximal gap among records with p_next <= limit; ties go to the smallest n.
 
     Segments are built best first (see _best_first), a slice at a time,
@@ -1062,7 +1061,7 @@ def max_gap_up_to(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
 
 
 def log_primorial(n: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
-                  workers: int = 1, allow_large: bool = False) -> float:
+                  allow_large: bool = False) -> float:
     """Sum of ln p over primes p <= n, with compensated summation."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")

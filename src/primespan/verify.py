@@ -13,7 +13,8 @@ on their number (see sieve._pair_rows).  The points a claim counts are
 cut into batches (see _batches) whose edges depend only on the range,
 and batch results are merged in batch order (see _merge), so every
 report is byte-identical across reruns, segment sizes and CPU counts.
-The verifiers accept workers= and ignore it.
+The verifiers accept workers= and ignore it, only while the benchmark in
+perfbench/ passes it; compare_rules does not take it.
 """
 
 from __future__ import annotations
@@ -405,11 +406,11 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
     pi(kn) - pi(n - 1) below U(kn) - L(n - 1), so the slack is above
     k^2 + H(kn) + L(n - 1), H(y) = y/9 - U(y).  With H replaced by its
     least value up to _T2_KNEE, below which H falls and past which it
-    rises, that floor is nondecreasing in n.  The row k = 2 is counted
-    whole.  A later point is counted only while its floor is at most
-    max(0, that row's least slack): past that it is no violation, and
-    its slack is larger than one the report has already seen.  Per k,
-    bisection finds the first point past it.
+    rises, that floor is nondecreasing in n.  The first point, k = 2 and
+    n = 1, is always counted, and a point is counted only while its floor
+    is at most max(0, s), s being the first point's slack: past that it
+    is no violation, and its slack is larger than one the report sees.
+    Per k, bisection finds the first point past it.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
@@ -417,10 +418,24 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     _validate_range(0, k_max * n_max, allow_large)
     t0 = perf_counter()
-    kw = {"segment_size": segment_size, "allow_large": allow_large}
-    table = sieve_range(0, 2 * n_max, **kw)
     ks = np.arange(2, k_max + 1, dtype=np.int64)
     kf = ks.astype(np.float64)
+    # the first point's slack: [1, 2] holds one prime
+    floor_above = max(0.0, float(_mps_upper_bound_array(1, 2)) - 1)
+
+    def ok(n):
+        y = kf * n
+        rhs = _mps_upper_bound_array(n, kf)
+        upper = _pi_upper_array(y)
+        lower = _pi_lower_array(n - 1)
+        h = np.where(y > _T2_KNEE, rhs - upper, kf * kf + _t2_h_min())
+        return h + lower - _FLOOR_MARGIN * (rhs + upper + lower) > floor_above
+
+    ones = np.ones_like(ks)
+    n_stop = _first_certified(ok, ones, np.full_like(ks, n_max))
+    n_stop[0] = max(int(n_stop[0]), 2)  # the first point always
+    table = sieve_range(0, int((ks * (n_stop - 1)).max()), segment_size=segment_size,
+                        allow_large=allow_large)
 
     def scan(run, ns):
         k = ks[run]
@@ -433,27 +448,9 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
              for j in np.flatnonzero(9 * cnt > k * ns + 9 * k * k).tolist()]
         return v, (float(slack[i]), f"k={int(k[i])};n={int(ns[i])}")
 
-    n_batches, batches = _batches(np.ones(1, dtype=np.int64), np.array([n_max + 1]))
-    first = list(starmap(scan, _Progress("T2 k=2", n_batches, progress).each(batches)))
-    floor_above = max(0.0, min(b[0] for _, b in first))
-
-    def ok(n):
-        y = kf * n
-        rhs = _mps_upper_bound_array(n, kf)
-        upper = _pi_upper_array(y)
-        lower = _pi_lower_array(n - 1)
-        h = np.where(y > _T2_KNEE, rhs - upper, kf * kf + _t2_h_min())
-        return h + lower - _FLOOR_MARGIN * (rhs + upper + lower) > floor_above
-
-    ones = np.ones_like(ks)
-    n_stop = _first_certified(ok, ones, np.full_like(ks, n_max))
-    n_stop[0] = 1  # the row k = 2, counted above
-    hi = int((ks * (n_stop - 1)).max())
-    if hi > table.hi:
-        table = sieve_range(0, hi, **kw)
     n_batches, batches = _batches(ones, n_stop)
-    rest = starmap(scan, _Progress("T2", n_batches, progress).each(batches))
-    merged = _merge(chain(first, rest), cap, (k_max - 1) * n_max)
+    merged = _merge(starmap(scan, _Progress("T2", n_batches, progress).each(batches)), cap,
+                    (k_max - 1) * n_max)
     notes = ("boundary=closed-closed; the adversarial convention for an upper bound",)
     return _report(ClaimId.T2, f"2<=k<={k_max}; 1<=n<={n_max}; boundary=closed",
                    merged, perf_counter() - t0, notes)
@@ -1004,7 +1001,7 @@ class CompareTable:
 
 
 def compare_rules(n_lo: int, n_hi: int, rules: list[IntervalRule] | None = None, *,
-                  segment_size: int = DEFAULT_SEGMENT_SIZE, workers: int = 1,
+                  segment_size: int = DEFAULT_SEGMENT_SIZE,
                   allow_large: bool = False) -> CompareTable:
     """One row per n in [n_lo, n_hi]: g(n) under each rule plus the next prime."""
     if rules is None:

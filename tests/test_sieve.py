@@ -692,7 +692,7 @@ def test_unfinished_stream_publishes_nothing(monkeypatch):
 
     monkeypatch.setattr(sieve, "_segment_flags", failing)
     with pytest.raises(RuntimeError, match="sieve failed"):
-        max_gap_up_to(3 * 10**5, segment_size=1024, workers=2)
+        max_gap_up_to(3 * 10**5, segment_size=1024)
     assert sieve._summaries is before and np.array_equal(before[1], rows)
 
 
@@ -760,36 +760,45 @@ def _no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _kill_self(*args):
+def _kill_self(real, *args):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _raise(*args):
+def _raise(real, *args):
     raise ValueError("worker failed")
 
 
-def _write_nothing(fd, *args):
-    os.close(fd)
+def _exit_0_without_writing(real, *args):
+    os._exit(0)
 
 
-def _exit_3_after_writing(*args):
-    _REAL_WORKER(*args)
+def _exit_3_after_writing(real, *args):
+    yield from real(*args)
     os._exit(3)
 
 
-_REAL_WORKER = sieve._run_worker
+def _sleep(real, *args):
+    time.sleep(60)
+
+
+def _in_children(fault, monkeypatch):
+    """Make _segment_parts call fault(real, *args) in forked children only."""
+    real, parent = sieve._segment_parts, os.getpid()
+    monkeypatch.setattr(sieve, "_segment_parts", lambda *args: (
+        real(*args) if os.getpid() == parent else fault(real, *args)))
 
 
 @pytest.mark.usefixtures("cold_summaries")
-@pytest.mark.parametrize("worker", [_kill_self, _raise, _write_nothing, _exit_3_after_writing],
-                         ids=["killed", "raises", "short-read", "exit-3"])
-def test_failed_worker_raises_and_leaves_no_process(worker, monkeypatch, forks):
+@pytest.mark.parametrize("fault", [_kill_self, _raise, _exit_0_without_writing,
+                                   _exit_3_after_writing],
+                         ids=["killed", "raises", "exit-0-unwritten", "exit-3"])
+def test_failed_worker_raises_and_leaves_no_process(fault, monkeypatch, forks):
     _stream(10**5, 1024)
     before = sieve._summaries
     forks.clear()
     monkeypatch.setattr(sieve, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(sieve, "_run_worker", worker)
-    with pytest.raises(RuntimeError, match=r"sieve worker \d+ (ended before|exited with)"):
+    _in_children(fault, monkeypatch)
+    with pytest.raises(RuntimeError, match=r"sieve worker (\d+ exited with|ended before segment)"):
         _pair_rows(3 * 10**5, lambda: None, segment_size=1024, allow_large=False)
     assert len(forks) == 2
     assert sieve._summaries is before
@@ -801,7 +810,7 @@ def test_failed_worker_raises_and_leaves_no_process(worker, monkeypatch, forks):
 def test_parent_exception_kills_workers(error, monkeypatch, forks):
     # workers that would sleep for a minute: the parent must kill them, not wait
     monkeypatch.setattr(sieve, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(sieve, "_run_worker", lambda *args: time.sleep(60))
+    _in_children(_sleep, monkeypatch)
 
     def tick():
         raise error("stopped")
@@ -836,43 +845,41 @@ def test_no_fork_while_another_thread_runs(monkeypatch):
     assert np.array_equal(got, want)
 
 
-def _one_worker_mem(limit, segment_size, share):
-    """A stream, the gap bound's work on one segment, and the parts of the worker's share."""
+def _one_worker_mem(limit, segment_size):
+    """A stream and the gap bound's work on one segment."""
     _, n_slots, seg_slots = _plan(0, limit, segment_size)
     m = -(-min(seg_slots, n_slots) // 8)
-    return (sieve._stream_mem(0, limit, segment_size) + (m.bit_length() + 2) * m
-            + sieve._PART_BYTES * share)
+    return sieve._stream_mem(0, limit, segment_size) + (m.bit_length() + 2) * m
 
 
 @pytest.mark.usefixtures("cold_summaries")
 @pytest.mark.parametrize("limit,segment_size,w", [(10**8, DEFAULT_SEGMENT_SIZE, 2),
                                                   (10**6, 1024, 3)])
-def test_worker_share_peak_within_one_stream(limit, segment_size, w, tmp_path):
+def test_worker_share_peak_within_one_stream(limit, segment_size, w):
     # a forked worker's whole job, run in this process so tracemalloc sees it
     _, n_slots, seg_slots = _plan(0, limit, segment_size)
-    share = range(1, -(-n_slots // seg_slots), w)
-    fd = os.open(tmp_path / "parts", os.O_WRONLY | os.O_CREAT)
+    n = -(-n_slots // seg_slots)
+    parts = np.zeros((n, 5), dtype=np.int64)
     tracemalloc.start()
     try:
-        sieve._run_worker(fd, share, n_slots, seg_slots,
-                          sieve._stream_base(limit, min(seg_slots, n_slots)))
+        sieve._write_parts(parts, range(1, n), w, n_slots, seg_slots,
+                           sieve._stream_base(limit, min(seg_slots, n_slots)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _one_worker_mem(limit, segment_size, len(share))
-    parts = np.fromfile(tmp_path / "parts", dtype=np.int64).reshape(-1, 4)
+    assert peak <= _one_worker_mem(limit, segment_size)
+    share = np.arange(1, n, w)
     rows = _pair_rows(limit, lambda: None, segment_size=segment_size, allow_large=False)[0]
-    assert np.array_equal(parts[:, 0], rows[share, 1])
-    assert np.array_equal(2 * (np.array(share) * seg_slots + parts[:, 2]) + 1, rows[share, 3])
+    assert np.array_equal(parts[share, 1], rows[share, 1])
+    assert np.array_equal(2 * (share * seg_slots + parts[share, 3]) + 1, rows[share, 3])
 
 
 @pytest.mark.usefixtures("cold_summaries")
 @pytest.mark.parametrize("limit,size", [(10**6, 1024), (10**8, DEFAULT_SEGMENT_SIZE)])
 def test_mem_cap_fits_fewer_workers(limit, size, monkeypatch, forks):
-    # w workers need w streams and gap bound works, the parts the w - 1
-    # forked ones hold, and the rows and a slice's block and scan, 64 bytes
-    # per prime; a cap that fits fewer gets fewer, and one that fits no
-    # stream is refused.  A slice outweighs three gap bound works at 1024,
+    # w workers need w streams and gap bound works, and the rows and a
+    # slice's block and scan, 64 bytes per prime; a cap that fits fewer
+    # gets fewer, and one that fits no stream is refused.  A slice outweighs three gap bound works at 1024,
     # and one but not two at the default size.
     _, n_slots, seg_slots = _plan(0, limit, size)
     n = -(-n_slots // seg_slots)
@@ -880,9 +887,8 @@ def test_mem_cap_fits_fewer_workers(limit, size, monkeypatch, forks):
     blocks = 64 * (sieve._block_bound(min(seg_slots, sieve._SLICE_SLOTS)) + 1)
 
     def need(w):
-        worker = _one_worker_mem(limit, size, 0) - stream
-        return (w * stream + max(w * worker, blocks)
-                + sieve._PART_BYTES * (n - len(range(0, n, w))) + 64 * n)
+        worker = _one_worker_mem(limit, size) - stream
+        return w * stream + max(w * worker, blocks) + 64 * n
 
     run = lambda: _pair_rows(limit, lambda: None, segment_size=size, allow_large=False)[0]
     assert _estimate(run) == need(1)
@@ -921,3 +927,17 @@ def test_prime_table_fields():
     t = sieve_range(10, 20)
     assert t.base == 10 and t.hi == 20
     assert t.primes().dtype == np.int64
+
+
+def test_prime_table_equality():
+    t = sieve_range(0, 1000)
+    assert t == sieve_range(0, 1000, 1024) and not t != sieve_range(0, 1000)
+    # another range, even one with the same bitmap, is another table
+    assert t != sieve_range(0, 1001) and t != sieve_range(1, 1000)
+    assert sieve_range(1, 1000).bitmap.tobytes() == t.bitmap.tobytes()
+    flipped = t.bitmap.copy()
+    flipped[0] ^= np.uint64(1 << 5)
+    assert t != sieve.PrimeTable(0, 1000, flipped)
+    assert t != (0, 1000, t.bitmap.tobytes())
+    with pytest.raises(TypeError):
+        hash(t)
