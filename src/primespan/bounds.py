@@ -11,7 +11,6 @@ bounds here, so the lemma margins import nth_prime only when called.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -23,8 +22,6 @@ from .errors import CeilingAmbiguityError, ThresholdError
 
 # exp(gamma) for the heuristic gap coefficient (gamma itself is 0.5772...)
 EXP_EULER_GAMMA = 1.78107241799
-CEIL_GUARD = 1e-9
-_MP_PREC = 113
 
 
 class LogBase(str, Enum):
@@ -58,36 +55,44 @@ class Margin:
 
 
 def f_of_k(k: int) -> int:
-    """ceil(1.1 * ln(2.5k)), guarded against near-integer double rounding.
-
-    When 1.1*ln(2.5k) lands within 1e-9 of an integer the value is
-    recomputed at 113-bit precision before taking the ceiling.
-    """
+    """ceil(1.1 * ln(2.5k)), for any int k >= 1, read off the exact steps of _f_start."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    x = 1.1 * math.log(2.5 * k)
-    if abs(x - round(x)) < CEIL_GUARD:
-        with mpmath.workprec(_MP_PREC):
-            xm = mpmath.mpf(11) / 10 * mpmath.log(mpmath.mpf(5 * k) / 2)
-            if abs(xm - mpmath.nint(xm)) < mpmath.mpf("1e-25"):
-                raise CeilingAmbiguityError(
-                    f"1.1*ln(2.5*{k}) is ambiguous even at {_MP_PREC}-bit precision")
-            return int(mpmath.ceil(xm))
-    return math.ceil(x)
+    v = max(2, math.ceil(1.1 * (math.log(k) + math.log(2.5))))  # a float guess
+    while v > 2 and _f_start(v) > k:
+        v -= 1
+    while _f_start(v + 1) <= k:
+        v += 1
+    return v
 
 
 @cache
 def _f_start(v: int) -> int:
-    """The least k >= 1 with f_of_k(k) >= v, by bisection (f is nondecreasing)."""
-    return 1 + bisect_left(range(1, 2**63), v, key=f_of_k)
+    """The least k >= 1 with f(k) >= v.
+
+    f(k) >= v exactly when 1.1 ln(2.5k) > v - 1, that is k >= floor(y) + 1,
+    y = e^(10(v - 1)/11)/2.5, which is transcendental.  y is computed with
+    at least 64 bits past the 1.32v bits of its integer part, so within
+    2^-60, in steps of 64 bits so that mpmath's cached constants serve
+    many v; one within 2^-32 of an integer raises CeilingAmbiguityError
+    rather than risk the floor.  Every step below 2^63 clears that by more
+    than 0.004.
+    """
+    if v <= 2:
+        return 1
+    with mpmath.workprec(64 * (v // 32 + 2)):
+        y = mpmath.exp(mpmath.mpf(10 * (v - 1)) / 11) / 2.5
+        k = int(y)  # floor, as y > 0
+        if not 2.0**-32 < y - k < 1 - 2.0**-32:
+            raise CeilingAmbiguityError(f"f's step to {v} lies too close to k = {k}")
+    return k + 1
 
 
 def f_of_k_array(k) -> np.ndarray:
-    """f_of_k over an int64 array, looked up among the breakpoints of the scalar f_of_k.
+    """f_of_k over an int64 array, looked up among the steps of _f_start.
 
     f(1) = 2 and f steps up by at most one per k, so f(k) is 2 plus the
-    number of breakpoints at or below k.  The breakpoints up to f(k.max())
-    are found by bisection on first use and cached.
+    number of steps at or below k.
     """
     k = np.asarray(k, dtype=np.int64)
     if k.size == 0:
@@ -357,7 +362,7 @@ def lemma3_margin(n: int, base: LogBase = LogBase.TEN) -> Margin:
 
 __all__ = [
     "LogBase", "Margin", "RuleName", "IntervalRule", "RULES",
-    "EXP_EULER_GAMMA", "CEIL_GUARD",
+    "EXP_EULER_GAMMA",
     "f_of_k", "f_of_k_array", "s_index", "mps_upper_bound", "nth_prime_bounds",
     "firoozbakht_rhs", "gap_upper_bound", "gap_lower_heuristic", "rule_g",
     "lemma1_margin", "lemma2_margin", "lemma3_margin",

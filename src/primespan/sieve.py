@@ -398,14 +398,9 @@ def _iter_flag_chunks(lo: int, hi: int, *, segment_size: int, allow_large: bool,
     i0, n_slots, seg_slots = _plan(lo, hi, segment_size)
     if not n_slots:
         return iter(())
-    return _flag_chunks(i0, n_slots, seg_slots, _stream_base(hi, min(seg_slots, n_slots)))
-
-
-def _flag_chunks(i0: int, n_slots: int, seg_slots: int,
-                 base: _Base) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield the flags of odd slots [i0, i0 + n_slots), one segment at a time."""
-    for a in range(i0, i0 + n_slots, seg_slots):
-        yield a, _segment_flags(a, min(a + seg_slots, i0 + n_slots), base)
+    base, end = _stream_base(hi, min(seg_slots, n_slots)), i0 + n_slots
+    return ((a, _segment_flags(a, min(a + seg_slots, end), base))
+            for a in range(i0, end, seg_slots))
 
 
 @dataclass(frozen=True, eq=False)
@@ -922,10 +917,9 @@ def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     and the next one.
     """
     _, n_slots, seg_slots = _plan(0, limit, segment_size)
-    _check_sieve(0, limit, segment_size=segment_size, allow_large=allow_large,
-                 extra_mem=2 * 8 * _block_bound(min(seg_slots, n_slots)))
-    chunks = _flag_chunks(0, n_slots, seg_slots, _stream_base(limit, min(seg_slots, n_slots)))
-    yield from _pair_blocks(1, 2, chunks)
+    yield from _pair_blocks(1, 2, _iter_flag_chunks(
+        0, limit, segment_size=segment_size, allow_large=allow_large,
+        extra_mem=2 * 8 * _block_bound(min(seg_slots, n_slots))))
 
 
 def _prime_bound(n: int) -> int:

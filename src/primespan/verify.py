@@ -7,6 +7,11 @@ bound shows that it can change none of these.  Claims that overstate
 their range are falsified honestly: violations found there are
 first-class results.
 
+The claims but the pair streams count only the points no theorem
+certifies, up to the first certified one per run (see _first_certified,
+which always counts a claim's first point); T1, T3 and GapInterval count
+primes in intervals through one scan, _interval_count_scan.
+
 Every scan runs in the calling thread; only the pair stream under
 Firoozbakht and GapUpper forks sieve workers, whose rows do not depend
 on their number (see sieve._pair_rows).  The points a claim counts are
@@ -130,6 +135,14 @@ def _batches(lo: np.ndarray, stop: np.ndarray) -> tuple[int, Iterator]:
 
     firsts = range(0, total, _CHUNK_POINTS)
     return len(firsts), map(batch, firsts)
+
+
+def _scan_batches(label: str, lo: np.ndarray, stop: np.ndarray, scan, scanned: int, *,
+                  progress: bool | None, cap: int):
+    """Merge scan(run, x) over the batches of _batches(lo, stop), with a progress bar of them."""
+    n_batches, batches = _batches(lo, stop)
+    return _merge(starmap(scan, _Progress(label, n_batches, progress).each(batches)), cap,
+                  scanned)
 
 
 class _Progress:
@@ -270,7 +283,7 @@ def _merge(results, cap: int, scanned: int):
 def _least_counted_slack(first) -> int:
     """The slack a point must be certified to reach to be left uncounted.
 
-    first is the slack of the scan's first point, which is always counted.
+    first is the slack of the claim's first point (see _first_certified).
     A point certified at max(1, first) or above is no violation, and it
     cannot hold the least slack alone: on a tie the first point, earlier in
     scan order, keeps the site.  So the report is that of a full count.
@@ -301,13 +314,59 @@ def _first_certified(ok, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     monotone on each row's [lo, hi]: false, then true to hi.  Bisection
     returns only a point where ok was seen to hold, so every point from
     the returned one to hi is certified.  Every point before it is counted.
+
+    The first row's lo, the claim's first point, is counted even where ok
+    holds: the claim certifies the rest against its slack.
     """
     a, b = lo - 1, hi + 1
     while (live := b - a > 1).any():
         mid = np.where(live, a + (b - a) // 2, lo)
         good = ok(mid) & live
         a, b = np.where(live & ~good, mid, a), np.where(good, mid, b)
+    b[0] = max(int(b[0]), int(lo[0]) + 1)
     return b
+
+
+def _rule_fits(x: np.ndarray, c: int, top: np.ndarray) -> np.ndarray:
+    """Whether the interval rule puts c primes in (x, top) for each x, with a float margin."""
+    end = _prime_interval_end_array(x, c) * (1 + _FLOOR_MARGIN)
+    return (x >= PRIME_INTERVAL_RULE.n_min) & (end < top)
+
+
+def _interval_count_scan(claim_id: ClaimId, lo: np.ndarray, hi: np.ndarray, req: np.ndarray,
+                         counts, ok, end, site, *, progress: bool | None, cap: int, **kw):
+    """Merge the prime counts of the uncertified points lo[i] <= x <= hi[i] of each run i.
+
+    The claim asks for req[i] primes in an interval per point of run i:
+    counts(table, run, x) gives the primes in each point's interval, which
+    ends by end(run, x), and site(run, x) names a point.  A point's slack
+    is cnt - req + 1, and a point with cnt < req is a violation.
+
+    The first point, lo[0], is counted from its own small sieve.  ok(c, x)
+    says whether a theorem puts req - 1 + c primes, a slack of c, in the
+    interval of each run's point x, c = _least_counted_slack(the first
+    point's slack), and is monotone on each run; the points before the
+    first certified one (see _first_certified) are counted from one sieve
+    to their largest end.  Returns the merged result, that sieve and the
+    last counted point.
+    """
+    zero = np.zeros(1, dtype=np.int64)
+    first = counts(sieve_range(0, int(end(zero, lo[:1])[0]), **kw), zero, lo[:1])
+    stop = _first_certified(partial(ok, _least_counted_slack(first[0] - req[0] + 1)), lo, hi)
+    runs = np.flatnonzero(stop > lo)  # a run certified from its start adds nothing
+    table = sieve_range(0, int(end(runs, stop[runs] - 1).max()), **kw)
+
+    def scan(run, x):
+        cnt, need = counts(table, run, x), req[run]
+        slack = cnt - need + 1
+        i = int(np.argmin(slack))
+        v = [Violation(site(run[j], x[j]), int(cnt[j]), int(need[j]))
+             for j in np.flatnonzero(slack < 1).tolist()]
+        return v, (int(slack[i]), site(run[i], x[i]))
+
+    merged = _scan_batches(claim_id.value, lo, stop, scan, int((hi + 1 - lo).sum()),
+                           progress=progress, cap=cap)
+    return merged, table, int(stop[runs].max()) - 1
 
 
 # T1's floor below: pi(n) <= pi(max(n, 15)), and the floor grows from n = 15 on
@@ -330,10 +389,9 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
     > (1 + ln k / l)^-2, and k (1 + ln k / l)^-2 grows with k and l, so
     it is at least 2 (1 + ln 2 / ln 15)^-2 = 1.2678 > 1.25506.
 
-    A point with F(n) >= k - 3 + c, c = _least_counted_slack(first
-    point's slack), has a count of at least k - 2 + c, so a slack of at
-    least c.  Per k, bisection finds the first such n, and only the n
-    before it are counted.
+    A point with F(n) >= k - 3 + c has a count of at least k - 2 + c,
+    so a slack of at least c.  Per k, only the n before the first such n
+    are counted (see _interval_count_scan).
     """
     _check_boundary(boundary)
     if k_max < 2:
@@ -342,39 +400,23 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
         raise ValueError(f"n_max must be >= f(k_max) = {f_of_k(k_max)}, got {n_max}")
     _validate_range(0, k_max * n_max, allow_large)
     t0 = perf_counter()
-    kw = {"segment_size": segment_size, "allow_large": allow_large}
     ks = np.arange(2, k_max + 1, dtype=np.int64)
-    fks = f_of_k_array(ks)
-    n0 = int(fks[0])
+    kf = ks.astype(np.float64)
     # an open end leaves out its own point: (n, kn) counts pi(kn - 1) - pi(n)
     shift = 1 if boundary == "open" else 0
-    # the slack cnt - k + 2 of the first point, k = 2 and n = f(2), is its count
-    first = sieve_range(0, 2 * n0, **kw)
-    need = _least_counted_slack(first.pi(2 * n0 - shift) - first.pi(n0 - 1 + shift))
-    kf = ks.astype(np.float64)
 
-    def ok(n):
+    def counts(table, run, n):
+        return table.pi(ks[run] * n - shift) - table.pi(n - 1 + shift)
+
+    def ok(c, n):
         lower = _pi_lower_array(kf * n - 1)
         upper = _pi_upper_array(np.maximum(n, _T1_KNEE))
-        return lower - upper - _FLOOR_MARGIN * (lower + upper) >= kf - 3 + need
+        return lower - upper - _FLOOR_MARGIN * (lower + upper) >= kf - 3 + c
 
-    n_stop = _first_certified(ok, fks, np.full_like(ks, n_max))
-    n_stop[0] = max(int(n_stop[0]), n0 + 1)  # the first point always
-    table = sieve_range(0, int((ks * (n_stop - 1)).max()), **kw)
-
-    def scan(run, ns):
-        k = ks[run]
-        cnt = table.pi(k * ns - shift) - table.pi(ns - 1 + shift)
-        slack = cnt - k + 2
-        i = int(np.argmin(slack))
-        v = [Violation(f"k={int(k[j])};n={int(ns[j])}", int(cnt[j]), int(k[j]) - 1)
-             for j in np.flatnonzero(slack < 1).tolist()]
-        return v, (int(slack[i]), f"k={int(k[i])};n={int(ns[i])}")
-
-    n_batches, batches = _batches(fks, n_stop)
-    prog = _Progress("T1", n_batches, progress)
-    scanned = (k_max - 1) * (n_max + 1) - int(fks.sum())
-    merged = _merge(starmap(scan, prog.each(batches)), cap, scanned)
+    merged, _, _ = _interval_count_scan(
+        ClaimId.T1, f_of_k_array(ks), np.full_like(ks, n_max), ks - 1, counts, ok,
+        lambda run, n: ks[run] * n, lambda run, n: f"k={ks[run]};n={n}",
+        progress=progress, cap=cap, segment_size=segment_size, allow_large=allow_large)
     notes = (f"boundary={boundary}-{boundary}"
              + ("; the strictest convention, so a pass implies every laxer one"
                 if boundary == "open" else ""),)
@@ -406,11 +448,11 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
     pi(kn) - pi(n - 1) below U(kn) - L(n - 1), so the slack is above
     k^2 + H(kn) + L(n - 1), H(y) = y/9 - U(y).  With H replaced by its
     least value up to _T2_KNEE, below which H falls and past which it
-    rises, that floor is nondecreasing in n.  The first point, k = 2 and
-    n = 1, is always counted, and a point is counted only while its floor
-    is at most max(0, s), s being the first point's slack: past that it
-    is no violation, and its slack is larger than one the report sees.
-    Per k, bisection finds the first point past it.
+    rises, that floor is nondecreasing in n.  A point is counted only
+    while its floor is at most max(0, s), s being the slack of the first
+    point, k = 2 and n = 1 (see _first_certified): past that it is no
+    violation, and its slack is larger than one the report sees.  Per k,
+    bisection finds the first point past it.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
@@ -433,7 +475,6 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
 
     ones = np.ones_like(ks)
     n_stop = _first_certified(ok, ones, np.full_like(ks, n_max))
-    n_stop[0] = max(int(n_stop[0]), 2)  # the first point always
     table = sieve_range(0, int((ks * (n_stop - 1)).max()), segment_size=segment_size,
                         allow_large=allow_large)
 
@@ -448,50 +489,11 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
              for j in np.flatnonzero(9 * cnt > k * ns + 9 * k * k).tolist()]
         return v, (float(slack[i]), f"k={int(k[i])};n={int(ns[i])}")
 
-    n_batches, batches = _batches(ones, n_stop)
-    merged = _merge(starmap(scan, _Progress("T2", n_batches, progress).each(batches)), cap,
-                    (k_max - 1) * n_max)
+    merged = _scan_batches("T2", ones, n_stop, scan, (k_max - 1) * n_max, progress=progress,
+                           cap=cap)
     notes = ("boundary=closed-closed; the adversarial convention for an upper bound",)
     return _report(ClaimId.T2, f"2<=k<={k_max}; 1<=n<={n_max}; boundary=closed",
                    merged, perf_counter() - t0, notes)
-
-
-def _rule_fits(x: np.ndarray, c: int, top: np.ndarray) -> np.ndarray:
-    """Whether the interval rule puts c primes in (x, top) for each x, with a float margin."""
-    end = _prime_interval_end_array(x, c) * (1 + _FLOOR_MARGIN)
-    return (x >= PRIME_INTERVAL_RULE.n_min) & (end < top)
-
-
-def _one_prime(claim_id: ClaimId, param: str, counts, ok, top: int, end, *,
-               progress: bool | None, cap: int, **kw):
-    """Merge a count over the points 2..top that the interval rule leaves uncertified.
-
-    The claim asks for a prime in an interval per point: counts(table, xs)
-    gives the primes in each point's interval, which ends by end(x).  The
-    first point, 2, is counted from its own small sieve, and ok(c, xs) says
-    whether the rule puts c primes in each point's interval, c being
-    _least_counted_slack of that count.  ok is monotone on each run of one
-    value of f, so per run only the points before the first certified one
-    are counted, from one sieve to the last of them.  Returns the merged
-    result, that sieve and the last counted point.
-    """
-    first = counts(sieve_range(0, end(2), **kw), np.array([2], dtype=np.int64))
-    lo, hi = _f_levels(2, top)
-    stop = _first_certified(partial(ok, _least_counted_slack(first[0])), lo, hi)
-    stop[0] = max(int(stop[0]), 3)  # the first point always
-    last = int(stop[stop > lo].max()) - 1  # a run certified from its start adds nothing
-    table = sieve_range(0, end(last), **kw)
-
-    def scan(run, xs):
-        cnt = counts(table, xs)
-        i = int(np.argmin(cnt))
-        v = [Violation(f"{param}={int(xs[j])}", int(cnt[j]), 1)
-             for j in np.flatnonzero(cnt < 1).tolist()]
-        return v, (int(cnt[i]), f"{param}={int(xs[i])}")
-
-    n_batches, batches = _batches(lo, stop)
-    prog = _Progress(claim_id.value, n_batches, progress)
-    return _merge(starmap(scan, prog.each(batches)), cap, top - 1), table, last
 
 
 def _theorem3_counts(table: PrimeTable, ks: np.ndarray) -> np.ndarray:
@@ -508,28 +510,27 @@ def verify_theorem3(k_max: int, *, workers: int = 1,
 
     With x = k f(k) + 1 >= 3275, the interval rule (see bounds) puts c
     primes in (x, g^c(x)], so in the interval when g^c(x) < k (f(k) + 1),
-    c being _least_counted_slack(first point's slack).  On a run of k with
-    one value v of f, g^c(x)/x falls as k grows and k(v + 1)/x =
-    (v + 1)/(v + 1/k) rises, so once that holds it holds to the run's end.
-    Per run only the k before it holds are counted (see _one_prime), none
-    past k = 409.  Nothing sized by k_max is allocated.
+    c being the slack to reach.  On a run of k with one value v of f,
+    g^c(x)/x falls as k grows and k(v + 1)/x = (v + 1)/(v + 1/k) rises, so
+    once that holds it holds to the run's end.  Per run only the k before
+    it holds are counted (see _interval_count_scan), none past k = 409.
+    Nothing sized by k_max is allocated.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
+    _validate_range(0, k_max * (f_of_k(k_max) + 1), allow_large)
     t0 = perf_counter()
-    kw = {"segment_size": segment_size, "allow_large": allow_large}
+    lo, hi = _f_levels(2, k_max)
+    fv = np.arange(lo.size) + 2  # f on each run: f(2) = 2, then one more per run
 
-    def end(k: int) -> int:
-        return k * (f_of_k(k) + 1)
-
-    _validate_range(0, end(k_max), allow_large)
-
-    def ok(need, k):
+    def ok(c, k):
         f = f_of_k_array(k)
-        return _rule_fits((k * f + 1).astype(np.float64), need, k * (f + 1.0))
+        return _rule_fits((k * f + 1).astype(np.float64), c, k * (f + 1.0))
 
-    merged, _, _ = _one_prime(ClaimId.T3, "k", _theorem3_counts, ok, k_max, end,
-                              progress=progress, cap=cap, **kw)
+    merged, _, _ = _interval_count_scan(
+        ClaimId.T3, lo, hi, np.ones_like(lo), lambda table, run, k: _theorem3_counts(table, k),
+        ok, lambda run, k: k * (fv[run] + 1), lambda run, k: f"k={k}",
+        progress=progress, cap=cap, segment_size=segment_size, allow_large=allow_large)
     return _report(ClaimId.T3, f"2<=k<={k_max}; open interval k*f(k) .. k*(f(k)+1)",
                    merged, perf_counter() - t0)
 
@@ -563,29 +564,31 @@ def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
 
     Under either boundary the interval holds (n, n + n/f(n)).  With
     x = n + 1 >= 3275, the interval rule (see bounds) puts c primes in
-    (x, g^c(x)], so in the interval when g^c(x) < n + n/f(n), c being
-    _least_counted_slack(first point's slack).  On a run of n with one
-    value v of f, g^c(x)/x falls and (n + n/v)/x rises with n, so once
-    that holds it holds to the run's end.  Per run only the n before it
-    holds are counted (see _one_prime), none past n = 3273.
+    (x, g^c(x)], so in the interval when g^c(x) < n + n/f(n), c being the
+    slack to reach.  On a run of n with one value v of f, g^c(x)/x falls
+    and (n + n/v)/x rises with n, so once that holds it holds to the run's
+    end.  Per run only the n before it holds are counted (see
+    _interval_count_scan), none past n = 3273.
     """
     _check_boundary(boundary)
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    t0 = perf_counter()
-    kw = {"segment_size": segment_size, "allow_large": allow_large}
 
-    def end(n: int) -> int:
+    def end(run, n):
         return n + n // 2 + 2  # g(n) <= 1.5n since f >= 2
 
-    _validate_range(0, end(n_max), allow_large)
+    _validate_range(0, end(None, n_max), allow_large)
+    t0 = perf_counter()
 
-    def ok(need, n):
-        return _rule_fits(n + 1.0, need, n * (1 + 1.0 / f_of_k_array(n)))
+    def ok(c, n):
+        return _rule_fits(n + 1.0, c, n * (1 + 1.0 / f_of_k_array(n)))
 
-    counts = partial(_gap_interval_counts, boundary=boundary)
-    merged, table, n_end = _one_prime(ClaimId.GAP_INTERVAL, "n", counts, ok, n_max, end,
-                                      progress=progress, cap=cap, **kw)
+    lo, hi = _f_levels(2, n_max)
+    merged, table, n_end = _interval_count_scan(
+        ClaimId.GAP_INTERVAL, lo, hi, np.ones_like(lo),
+        lambda table, run, n: _gap_interval_counts(table, n, boundary), ok, end,
+        lambda run, n: f"n={n}", progress=progress, cap=cap, segment_size=segment_size,
+        allow_large=allow_large)
 
     # lattice points n = k*f(k) <= n_max (k >= 2); those above the last
     # counted n are certified like every other n, so only the ones below
@@ -721,8 +724,8 @@ def verify_basic_props(limit: int, *, workers: int = 1,
     limit plays both roles: the largest prime index for the first and
     third checks and the largest primorial argument for the second.
 
-    Each check counts its first point (n = 1; n = 2; n = 6), whose slack
-    is s.  A later point is left uncounted when a theorem (see bounds)
+    Each check's first point (n = 1; n = 2; n = 6; see _first_certified)
+    has slack s.  A later point is left uncounted when a theorem (see bounds)
     puts its slack at or above max(1, s) (Prop4, whose slacks are
     integers) or strictly above max(0, s) (Prop6 and the bracket): it is
     no violation, and it cannot take the least slack from the first
@@ -797,9 +800,8 @@ def verify_basic_props(limit: int, *, workers: int = 1,
         return v, (float(slack[i]), f"n={int(ns[i])}")
 
     def stop(ok, first: int) -> int:
-        """One past the last point of first..limit that is counted; first always is."""
-        end = _first_certified(ok, np.array([first]), np.array([limit]))
-        return max(int(end[0]), first + 1)
+        """One past the last point of first..limit that is counted."""
+        return int(_first_certified(ok, np.array([first]), np.array([limit]))[0])
 
     one = np.array([1])
     s4 = prop4(None, one)[1][0]
@@ -866,7 +868,7 @@ def _lemma_sweep(claim_id, range_desc, lo, stop, scanned, sides, param, default_
 
 
 def _lemma_stop(sides, floor, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per run, one past the last point counted from lo; the claim's first point always is.
+    """Per run, one past the last point counted from lo (see _first_certified).
 
     s_b is the first point's slack under base b.  floor(x, b) is a lower
     bound on the slack under b at every point from x to the run's end,
@@ -884,9 +886,7 @@ def _lemma_stop(sides, floor, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     def ok(x):
         return np.logical_and.reduce([floor(x, base) > need[base] for base in LogBase])
 
-    stop = _first_certified(ok, lo, hi)
-    stop[0] = max(int(stop[0]), int(lo[0]) + 1)
-    return stop
+    return _first_certified(ok, lo, hi)
 
 
 # L3's floor below: from here on L(n ln(n ln n))^2 >= 4.5088 under either base

@@ -59,13 +59,17 @@ def test_f_of_k_array_matches_scalar():
         f_of_k_array(np.array([0]))
 
 
-def test_f_of_k_ambiguity_recheck(monkeypatch):
-    # widen the guard so every k looks ambiguous; recheck must still decide
-    monkeypatch.setattr(bounds, "CEIL_GUARD", 1.0)
-    for k in (1, 2, 7, 240):
+def test_f_of_k_steps_below_2_63_match_oracle():
+    # every step of f below 2^63 from its closed form, at k - 1 and at k
+    steps = [bounds._f_start(v) for v in range(3, 51)]
+    assert steps[-1] == 8869621643726889086 < 2**63 < bounds._f_start(51)
+    ks = [k + d for k in steps for d in (-1, 0)]
+    assert [f_of_k(k) for k in ks] == [oracle_f(k) for k in ks] == [
+        v + d for v in range(3, 51) for d in (-1, 0)]
+    assert f_of_k_array(np.array(ks, dtype=np.int64)).tolist() == [oracle_f(k) for k in ks]
+    # and past int64, where only the scalar goes
+    for k in (2**63, 10**30, 10**400):
         assert f_of_k(k) == oracle_f(k)
-    vals = f_of_k_array(np.arange(1, 300, dtype=np.int64))
-    assert vals.tolist() == [oracle_f(k) for k in range(1, 300)]
 
 
 def test_s_index():

@@ -928,7 +928,9 @@ def test_lemmas_certified_points_reach_need(k_max, r_max, n_max, monkeypatch):
 def test_claims_count_their_first_point_when_all_certified(monkeypatch):
     # every theorem certifies every point: each claim still counts its
     # first point, which holds the least slack it certified the rest against
-    monkeypatch.setattr(verify, "_first_certified", lambda ok, lo, hi: lo.copy())
+    real = verify._first_certified
+    monkeypatch.setattr(verify, "_first_certified",
+                        lambda ok, lo, hi: real(lambda x: np.ones(x.shape, dtype=bool), lo, hi))
     reports = [verify_theorem1(20, 100), verify_theorem3(1000), verify_gap_interval(1000),
                *verify_basic_props(1000), *verify_lemmas(20, 5, 1000)]
     assert [r.min_slack_at for r in reports] == [
