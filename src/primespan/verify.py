@@ -9,8 +9,8 @@ first-class results.
 
 The claims but the pair streams count only the points no theorem
 certifies, up to the first certified one per run (see _first_certified,
-which always counts a claim's first point); T1, T3 and GapInterval count
-primes in intervals through one scan, _interval_count_scan.
+which always counts a claim's first point), in batches (_scan_batches);
+T1, T3 and GapInterval count primes through _interval_count_scan.
 
 Every scan runs in the calling thread; only the pair stream under
 Firoozbakht and GapUpper forks sieve workers, whose rows do not depend
@@ -137,19 +137,19 @@ def _batches(lo: np.ndarray, stop: np.ndarray) -> tuple[int, Iterator]:
     return len(firsts), map(batch, firsts)
 
 
-def _scan_batches(label: str, lo: np.ndarray, stop: np.ndarray, scan, scanned: int, *,
-                  progress: bool | None, cap: int):
-    """Merge scan(run, x) over the batches of _batches(lo, stop), with a progress bar of them."""
-    n_batches, batches = _batches(lo, stop)
-    return _merge(starmap(scan, _Progress(label, n_batches, progress).each(batches)), cap,
-                  scanned)
+def _scan_batches(prog: _Progress, lo: np.ndarray, stop: np.ndarray, scan, scanned: int, *,
+                  cap: int):
+    """Merge scan(run, x) over the batches of _batches(lo, stop), ticking prog once per batch."""
+    return _merge(starmap(scan, prog.each(_batches(lo, stop)[1])), cap, scanned)
 
 
 class _Progress:
     """Step-level progress and ETA on stderr; stdout stays machine-parseable.
 
-    A step is a batch of the points a claim counts (see _batches), a sieve
-    segment of a pair stream, or Prop6's single pass.
+    A step is a batch of the points a claim counts (see _batches), once
+    per log base for the lemmas, a sieve segment of a pair stream, or
+    Prop6's single pass.  Props and lemmas each tick one bar shared by
+    their three reports.
     """
 
     def __init__(self, label: str, total: int, enabled: bool | None):
@@ -342,9 +342,9 @@ def _interval_count_scan(claim_id: ClaimId, lo: np.ndarray, hi: np.ndarray, req:
     ends by end(run, x), and site(run, x) names a point.  A point's slack
     is cnt - req + 1, and a point with cnt < req is a violation.
 
-    The first point, lo[0], is counted from its own small sieve.  ok(c, x)
+    The first point, lo[0], is counted from its own small sieve.  ok(c, run, x)
     says whether a theorem puts req - 1 + c primes, a slack of c, in the
-    interval of each run's point x, c = _least_counted_slack(the first
+    interval of point x of each run, c = _least_counted_slack(the first
     point's slack), and is monotone on each run; the points before the
     first certified one (see _first_certified) are counted from one sieve
     to their largest end.  Returns the merged result, that sieve and the
@@ -352,7 +352,8 @@ def _interval_count_scan(claim_id: ClaimId, lo: np.ndarray, hi: np.ndarray, req:
     """
     zero = np.zeros(1, dtype=np.int64)
     first = counts(sieve_range(0, int(end(zero, lo[:1])[0]), **kw), zero, lo[:1])
-    stop = _first_certified(partial(ok, _least_counted_slack(first[0] - req[0] + 1)), lo, hi)
+    c = _least_counted_slack(first[0] - req[0] + 1)
+    stop = _first_certified(partial(ok, c, np.arange(lo.size)), lo, hi)
     runs = np.flatnonzero(stop > lo)  # a run certified from its start adds nothing
     table = sieve_range(0, int(end(runs, stop[runs] - 1).max()), **kw)
 
@@ -364,8 +365,8 @@ def _interval_count_scan(claim_id: ClaimId, lo: np.ndarray, hi: np.ndarray, req:
              for j in np.flatnonzero(slack < 1).tolist()]
         return v, (int(slack[i]), site(run[i], x[i]))
 
-    merged = _scan_batches(claim_id.value, lo, stop, scan, int((hi + 1 - lo).sum()),
-                           progress=progress, cap=cap)
+    prog = _Progress(claim_id.value, _batches(lo, stop)[0], progress)
+    merged = _scan_batches(prog, lo, stop, scan, int((hi + 1 - lo).sum()), cap=cap)
     return merged, table, int(stop[runs].max()) - 1
 
 
@@ -408,7 +409,7 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
     def counts(table, run, n):
         return table.pi(ks[run] * n - shift) - table.pi(n - 1 + shift)
 
-    def ok(c, n):
+    def ok(c, run, n):
         lower = _pi_lower_array(kf * n - 1)
         upper = _pi_upper_array(np.maximum(n, _T1_KNEE))
         return lower - upper - _FLOOR_MARGIN * (lower + upper) >= kf - 3 + c
@@ -489,8 +490,8 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
              for j in np.flatnonzero(9 * cnt > k * ns + 9 * k * k).tolist()]
         return v, (float(slack[i]), f"k={int(k[i])};n={int(ns[i])}")
 
-    merged = _scan_batches("T2", ones, n_stop, scan, (k_max - 1) * n_max, progress=progress,
-                           cap=cap)
+    prog = _Progress("T2", _batches(ones, n_stop)[0], progress)
+    merged = _scan_batches(prog, ones, n_stop, scan, (k_max - 1) * n_max, cap=cap)
     notes = ("boundary=closed-closed; the adversarial convention for an upper bound",)
     return _report(ClaimId.T2, f"2<=k<={k_max}; 1<=n<={n_max}; boundary=closed",
                    merged, perf_counter() - t0, notes)
@@ -523,8 +524,8 @@ def verify_theorem3(k_max: int, *, workers: int = 1,
     lo, hi = _f_levels(2, k_max)
     fv = np.arange(lo.size) + 2  # f on each run: f(2) = 2, then one more per run
 
-    def ok(c, k):
-        f = f_of_k_array(k)
+    def ok(c, run, k):
+        f = fv[run]
         return _rule_fits((k * f + 1).astype(np.float64), c, k * (f + 1.0))
 
     merged, _, _ = _interval_count_scan(
@@ -580,8 +581,8 @@ def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
     _validate_range(0, end(None, n_max), allow_large)
     t0 = perf_counter()
 
-    def ok(c, n):
-        return _rule_fits(n + 1.0, c, n * (1 + 1.0 / f_of_k_array(n)))
+    def ok(c, run, n):
+        return _rule_fits(n + 1.0, c, n * (1 + 1.0 / (run + 2)))  # f on run i is 2 + i
 
     lo, hi = _f_levels(2, n_max)
     merged, table, n_end = _interval_count_scan(
@@ -741,7 +742,8 @@ def verify_basic_props(limit: int, *, workers: int = 1,
       (the gamma_m bound of Higham, Accuracy and Stability of Numerical
       Algorithms, 2nd ed., ch. 4), and q ln 4 and the difference by a
       few u q more; the floor takes off 2u (m + 8) q for all of them, so
-      it is linear in x.  Only 2, 3 and 5 are counted.
+      it is linear in x, and the sum must match math.fsum to (m + 8) u
+      of it.  Only 2, 3 and 5 are counted.
     - the bracket, from n = 20: the upper side is above n/2
       (Rosser-Schoenfeld (3.13)) and the lower side at least
       h(n) = n (ln ln n - 2.1)/ln n (Dusart 2010).  h is negative below
@@ -771,6 +773,8 @@ def verify_basic_props(limit: int, *, workers: int = 1,
              for j in np.flatnonzero(pn < ns + 1).tolist()]
         return v, (int(slack[i]), f"n={int(ns[i])}")
 
+    drift = 2.0**-53 * (float(_pi_upper_array(limit)) + 8)  # (m + 8) u; see Prop6 above
+
     # theta(n) <= n*ln4 over 2 <= n <= limit; theta only jumps at primes and
     # n*ln4 grows between jumps, so the margin is smallest at the jump points
     def prop6(x_stop):
@@ -779,7 +783,7 @@ def verify_basic_props(limit: int, *, workers: int = 1,
         qlogs = np.log(qf)
         theta = np.cumsum(qlogs)
         fsum_check = math.fsum(qlogs.tolist())
-        if abs(float(theta[-1]) - fsum_check) > 1e-6 * max(1.0, abs(fsum_check)):
+        if abs(float(theta[-1]) - fsum_check) > drift * fsum_check:
             raise RuntimeError("cumulative log-primorial drifted from compensated sum")
         slack = qf * _LN4 - theta
         i = int(np.argmin(slack))
@@ -799,88 +803,68 @@ def verify_basic_props(limit: int, *, workers: int = 1,
              for j in np.flatnonzero((p <= lower) | (p >= upper)).tolist()]
         return v, (float(slack[i]), f"n={int(ns[i])}")
 
-    def stop(ok, first: int) -> int:
+    def stop(ok, first: np.ndarray) -> np.ndarray:
         """One past the last point of first..limit that is counted."""
-        return int(_first_certified(ok, np.array([first]), np.array([limit]))[0])
+        return _first_certified(ok, first, np.array([limit]))
 
-    one = np.array([1])
+    one, six = np.array([1]), np.array([6])
     s4 = prop4(None, one)[1][0]
-    stop4 = stop(lambda n: np.full(n.shape, s4 >= _least_counted_slack(s4)), 1)
+    stop4 = stop(lambda n: np.full(n.shape, s4 >= _least_counted_slack(s4)), one)
     need6 = max(0.0, prop6(3)[2][0])
-    coef6 = _LN4 - THETA_UPPER_COEF - 2.0**-52 * (float(_pi_upper_array(limit)) + 8)
-    stop6 = stop(lambda x: coef6 * x > need6, 2)
-    need_b = max(0.0, bracket(None, np.array([6]))[1][0])
+    coef6 = _LN4 - THETA_UPPER_COEF - 2 * drift
+    stop6 = stop(lambda x: coef6 * x > need6, np.array([2]))
+    need_b = max(0.0, bracket(None, six)[1][0])
 
     def bracket_ok(n):
         lower, upper = _nth_prime_bounds_array(n)
         floor = np.minimum(upper - _nth_prime_upper_array(n), _nth_prime_lower_array(n) - lower)
         return (n >= NTH_PRIME_UPPER_FROM) & (floor - _FLOOR_MARGIN * upper > need_b)
 
-    stop_b = stop(bracket_ok, 6)
+    stop_b = stop(bracket_ok, six)
     # p_m > m, so the first m primes hold every prime below stop6 too
-    primes = _primes_for_indices(max(stop4, stop6, stop_b) - 1, **kw)
-    n4, prop4_batches = _batches(one, np.array([stop4]))
-    n_bracket, bracket_batches = _batches(np.array([6]), np.array([stop_b]))
-    prog = _Progress("props", n4 + 1 + n_bracket, progress)
+    primes = _primes_for_indices(int(max(stop4[0], stop6[0], stop_b[0])) - 1, **kw)
+    prog = _Progress("props", _batches(one, stop4)[0] + 1 + _batches(six, stop_b)[0], progress)
 
     t0 = perf_counter()
-    merged = _merge(starmap(prop4, prog.each(prop4_batches)), cap, limit)
+    merged = _scan_batches(prog, one, stop4, prop4, limit, cap=cap)
     reports = [_report(ClaimId.PROP4, f"1<=n<={limit}", merged, perf_counter() - t0)]
     t0 = perf_counter()
     notes = ("checked at every prime jump point, where the margin over the "
              "whole range is smallest",)
-    reports.append(_report(ClaimId.PROP6, f"2<=n<={limit}", prop6(stop6),
+    reports.append(_report(ClaimId.PROP6, f"2<=n<={limit}", prop6(stop6[0]),
                            perf_counter() - t0, notes))
     prog.tick()
     t0 = perf_counter()
-    merged = _merge(starmap(bracket, prog.each(bracket_batches)), cap, limit - 5)
+    merged = _scan_batches(prog, six, stop_b, bracket, limit - 5, cap=cap)
     reports.append(_report(ClaimId.NTH_PRIME_BOUNDS, f"6<=n<={limit}", merged,
                            perf_counter() - t0))
     return _share_setup(reports, t_call)
 
 
-def _lemma_sweep(claim_id, range_desc, lo, stop, scanned, sides, param, default_base, *,
-                 prog: _Progress, cap: int) -> ClaimReport:
-    """Judge lhs < rhs under both log bases over the points of _batches(lo, stop).
-
-    sides(run, x) returns a function of the base that gives (lhs, rhs) at
-    each point, so the side that does not depend on the base is computed
-    once per batch; param(run, x) names one point.  scanned counts the
-    claim's whole grid, the certified points with the counted ones.
-    default_base decides the report, and its notes record both bases.
-    """
-    t0 = perf_counter()
-    per_base = {base: [] for base in LogBase}
-    for run, x in prog.each(_batches(lo, stop)[1]):
-        at = sides(run, x)
-        for base, results in per_base.items():
-            lhs, rhs = at(base)
-            slack = rhs - lhs
-            i = int(np.argmin(slack))
-            v = [Violation(param(int(run[j]), int(x[j])), float(lhs[j]), float(rhs[j]))
-                 for j in np.flatnonzero(lhs >= rhs).tolist()]
-            results.append((v, (float(slack[i]), param(int(run[i]), int(x[i])))))
-    merged = {base: _merge(results, cap, scanned) for base, results in per_base.items()}
-    notes = tuple(f"base={base.value}: violations={total}; min_slack={best[0]!r}; "
-                  f"at={best[1]}" for base, (_, total, best, _) in merged.items())
-    notes += (f"default base={default_base.value} decides holds; both bases recorded",)
-    return _report(claim_id, range_desc, merged[default_base], perf_counter() - t0, notes)
+def _lemma_scan(sides, param, base: LogBase, run: np.ndarray, x: np.ndarray):
+    """Judge lhs < rhs under base: sides(base, run, x) gives both; param(run, x) names a point."""
+    lhs, rhs = sides(base, run, x)
+    slack = rhs - lhs
+    i = int(np.argmin(slack))
+    v = [Violation(param(int(run[j]), int(x[j])), float(lhs[j]), float(rhs[j]))
+         for j in np.flatnonzero(lhs >= rhs).tolist()]
+    return v, (float(slack[i]), param(int(run[i]), int(x[i])))
 
 
 def _lemma_stop(sides, floor, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per run, one past the last point counted from lo (see _first_certified).
 
-    s_b is the first point's slack under base b.  floor(x, b) is a lower
+    s_b is the first point's slack under base b, read through
+    sides(b, run, x) as the scan reads it.  floor(x, b) is a lower
     bound on the slack under b at every point from x to the run's end,
     nondecreasing in x.  A point from which it is above max(0, s_b) under
     both bases, as both go into the notes, starts the certified rest of
     its run: those points are no violation and cannot take the least
     slack from the first point.
     """
-    at = sides(np.zeros(1, dtype=np.int64), lo[:1])
     need = {}
     for base in LogBase:
-        lhs, rhs = at(base)
+        lhs, rhs = sides(base, np.zeros(1, dtype=np.int64), lo[:1])
         need[base] = max(0.0, float(rhs[0] - lhs[0]))
 
     def ok(x):
@@ -901,7 +885,8 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
 
     The first two default to natural log, the third to base 10; every
     report records the outcome under both bases in its notes.  Each grid
-    is swept in batches (see _batches): L2's has one run of r per k.
+    is scanned once per base (see _scan_batches and _lemma_scan), and the
+    default base decides the report: L2's grid has one run of r per k.
 
     Each sweep counts only the points before the first one from which
     its floor certifies the rest of the run (see _lemma_stop; each floor
@@ -939,11 +924,10 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
 
     # L2: |L(p_m)^2 - L(p_m)| < (k+4+r)(f(k)+1) - p_m, m = f(k)+k+r, r in [-2, r_max];
     # L1 is its case r = -3, k in [5, k_max], so both sweep one run of r per k
-    def l12_sides(run, r):
+    def l12_sides(base, run, r):
         k, f = ks[run], fk[run]
         p = primes[f + k + r - 1]
-        rhs = _lemma_rhs_array(k, r, f, p)
-        return lambda base: (_lemma_lhs_array(p, base), rhs)
+        return _lemma_lhs_array(p, base), _lemma_rhs_array(k, r, f, p)
 
     def l12_floor(top: int):
         m_top = fk + ks + top
@@ -957,9 +941,8 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
         return floor
 
     # n < (2n/9 + 4) * L(n*ln(n*ln n))^2, n in [5, n_max], base-10 default
-    def l3_sides(run, n):
-        nf = n.astype(np.float64)
-        return lambda base: (nf, _lemma3_rhs_array(n, base))
+    def l3_sides(base, run, n):
+        return n.astype(np.float64), _lemma3_rhs_array(n, base)
 
     def l3_floor(n, base):
         rhs = _lemma3_rhs_array(n, base)
@@ -978,11 +961,17 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
     m_counted = max(int((fk + ks + stop - 1)[stop > lo].max())
                     for (_, _, lo, *_), stop in zip(sweeps[:2], stops))
     primes = _primes_for_indices(max(m_counted, 6), **kw)
-    prog = _Progress("lemmas", sum(_batches(lo, stop)[0]
-                                   for (_, _, lo, *_), stop in zip(sweeps, stops)), progress)
-    reports = [_lemma_sweep(claim_id, desc, lo, stop, int((hi + 1 - lo).sum()), sides, param,
-                            base, prog=prog, cap=cap)
-               for (claim_id, desc, lo, hi, sides, _, param, base), stop in zip(sweeps, stops)]
+    prog = _Progress("lemmas", len(LogBase) * sum(
+        _batches(lo, stop)[0] for (_, _, lo, *_), stop in zip(sweeps, stops)), progress)
+    reports = []
+    for (claim_id, desc, lo, hi, sides, _, param, default), stop in zip(sweeps, stops):
+        t0 = perf_counter()
+        merged = {base: _scan_batches(prog, lo, stop, partial(_lemma_scan, sides, param, base),
+                                      int((hi + 1 - lo).sum()), cap=cap) for base in LogBase}
+        notes = tuple(f"base={base.value}: violations={total}; min_slack={best[0]!r}; "
+                      f"at={best[1]}" for base, (_, total, best, _) in merged.items())
+        notes += (f"default base={default.value} decides holds; both bases recorded",)
+        reports.append(_report(claim_id, desc, merged[default], perf_counter() - t0, notes))
     return _share_setup(reports, t_call)
 
 

@@ -398,6 +398,16 @@ def test_basic_props_prop6_against_oracle():
     assert p6.min_slack_at == best[1]
 
 
+def test_basic_props_prop6_drift_check_is_tight(monkeypatch):
+    # the cumsum of theta errs by at most (m + 8) 2^-53 of the sum, m =
+    # _pi_upper_array(limit), about 10^-11 at 10^6: a compensated sum off
+    # by 10^-9 of itself is caught
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: fsum(xs) * (1 + 1e-9))
+    with pytest.raises(RuntimeError, match="drifted"):
+        verify_basic_props(10**6)
+
+
 def test_lemmas_small():
     l1, l2, l3 = verify_lemmas(100, 20, 1000)
     assert l1.claim_id is ClaimId.L1 and l1.holds
@@ -455,7 +465,7 @@ def test_lemmas_l3_range_checked_before_any_sweep(monkeypatch):
         verify_lemmas(10, 5, 1006)
     with pytest.raises(Stop):
         verify_lemmas(10, 5, 1005)
-    assert totals == [2 + 1]
+    assert totals == [2 * (2 + 1)]
 
     # with allow_large L3 is certified from n = 29 on, so it counts one batch
     # and nothing is sized by n_max
@@ -467,7 +477,7 @@ def test_lemmas_l3_range_checked_before_any_sweep(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert totals[-1] == 2 + 1
+    assert totals[-1] == 2 * (2 + 1)
     assert peak < 10**6
 
 
@@ -992,6 +1002,20 @@ def test_index_claims_evaluate_few_points(verifier, monkeypatch):
     assert sum(sizes["f"]) >= 10**6 - 1
 
 
+@pytest.mark.parametrize("verifier,most", [
+    (verify_theorem3, 2),
+    (partial(verify_gap_interval, boundary="open"), 4),
+    (partial(verify_gap_interval, boundary="closed"), 4),
+], ids=["T3", "GapInterval-open", "GapInterval-closed"])
+def test_one_prime_claims_read_f_from_their_runs(verifier, most, monkeypatch):
+    # f on run i of _f_levels(2, top) is 2 + i, so no bisection step calls
+    # f_of_k_array: T3 calls it for its first point and its one counted
+    # batch, GapInterval for those and twice for its lattice cross-check
+    sizes = _evaluated(monkeypatch)
+    verifier(10**7)
+    assert 0 < len(sizes["f"]) <= most
+
+
 # The index claims at the benchmark's index arguments and at the CLI defaults
 _INDEX_CALLS = {
     "index": [lambda: verify_theorem3(10**7), lambda: verify_gap_interval(10**7),
@@ -1005,7 +1029,7 @@ _INDEX_CALLS = {
 @pytest.mark.parametrize("where", sorted(_INDEX_CALLS))
 def test_index_claims_sieve_little(where, monkeypatch):
     # the theorems certify all but a short prefix, so no sieve reaches 2e4:
-    # T1 9,000 and 600, T2 20,000 (its whole k = 2 row), T3 3,681, GapInterval 4,911
+    # T1 9,000 and 558, T2 20,000 (its whole k = 2 row), T3 3,681, GapInterval 4,911
     his = []
 
     def recorded(lo, hi, *args, **kw):
@@ -1094,8 +1118,9 @@ def test_props_and_lemmas_progress_ends_at_its_total(certify, monkeypatch):
     verify_basic_props(10**5)
     verify_lemmas(1000, 100, 10**5)
     # one step per batch evaluated: Prop4, Prop6's pass and the bracket;
-    # then L1, L2 and L3, and with nothing certified every batch of each
-    want = [3, 3] if certify else [2 + 1 + 2, 1 + 2 + 2]
+    # then L1, L2 and L3 under each of the two log bases, and with nothing
+    # certified every batch of each
+    want = [3, 6] if certify else [2 + 1 + 2, 2 * (1 + 2 + 2)]
     assert [b.total for b in bars] == want
     assert [b.done for b in bars] == want
 
