@@ -287,8 +287,8 @@ def _cmd_sieve(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE,
                    help="sieve window in integers (default %(default)s); small windows "
-                        "are slow, as each one loops over every base prime from 127 "
-                        "on: a cold gap-upper to 1e8 takes about 12 s at 1024 against "
+                        "are slow, as each one works through every base prime from 127 "
+                        "on: a cold gap-upper to 1e8 takes about 8 s at 1024 against "
                         "0.07 s at the default")
     p.add_argument("--allow-large", action="store_true",
                    help="permit ranges wider than 1e9 integers")

@@ -15,3 +15,6 @@ class CeilingAmbiguityError(PrimespanError):
 
 class ThresholdError(PrimespanError):
     """A claim was evaluated below the range where it is defined."""
+
+
+__all__ = ["PrimespanError", "CapacityError", "CeilingAmbiguityError", "ThresholdError"]

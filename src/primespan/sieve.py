@@ -233,8 +233,10 @@ def _segment_flags(i_start: int, i_stop: int, base: _Base) -> np.ndarray:
     Meissel-Lehmer counting enumerates (Deleglise and Rivat, Experimental
     Math. 5, 1996).  A stream at 1e9 in default segments has c = 1000:
     138 strided writes and about 68k products per segment, where crossing
-    off every multiple from 17 on would take 3,395 strided writes.  The
-    flags are a view into the unpacked words.
+    off every multiple from 17 on would take 3,395 strided writes.  Only
+    the strided primes whose first multiple lies in the segment are looped
+    over, so a narrow window far from 0 loops over few of its base primes.
+    The flags are a view into the unpacked words.
     """
     size = i_stop - i_start
     if size <= 0:
@@ -259,19 +261,15 @@ def _segment_flags(i_start: int, i_stop: int, base: _Base) -> np.ndarray:
     if n_app > n_band:
         _cross_band(buf, i_start, hi_num, odd[n_band:n_app], base)
     p = odd[len(_PRE_PRIMES) : n_c]
-    if not p.size:
-        return buf
     # First odd multiple of p at or above max(p*p, lo_num), as an offset
     # from lo_num.  Offsets stay below the segment span plus 2p, so the
     # arithmetic cannot overflow int64 even at the top of the range.
     off = (p - lo_num % p) % p
     off = np.where(p * p > lo_num, p * p - lo_num, off)
     off = off + np.where(off & 1, p, 0)
-    starts = (off >> 1).tolist()
-    steps = p.tolist()
-    for j, q in zip(starts, steps):
-        if j < size:
-            buf[j::q] = False
+    hit = off < 2 * size
+    for j, q in zip((off[hit] >> 1).tolist(), p[hit].tolist()):
+        buf[j::q] = False
     return buf
 
 
@@ -328,11 +326,11 @@ def _segment_count(lo: int, hi: int, segment_size: int) -> int:
     return -(-n_slots // seg_slots)
 
 
-# Bytes a sieve stream holds per base prime: the int64 prime that
-# _stream_base keeps, and what _segment_flags works through for each: int64
-# offsets and two lists of Python ints (a pointer and a 28-byte int each)
-# for a strided prime, which is more than three int64 for a band prime
-_BASE_PRIME_BYTES = 8 + 3 * 8 + 2 * (8 + 28)
+# Bytes a sieve stream holds per base prime: the int64 prime that _stream_base
+# keeps, and what _segment_flags works through for each: int64 offsets, a bool
+# mask and two lists of Python ints (a pointer and a 28-byte int each) for a
+# strided prime, which is more than three int64 for a band prime
+_BASE_PRIME_BYTES = 8 + 3 * 8 + 1 + 2 * (8 + 28)
 
 # Bytes per product that a pass of _cross_band holds: the int64 indices
 # and, while the next array is made from them, that array
@@ -683,12 +681,10 @@ def _pair_blocks(n0: int, carry: int, chunks: Iterable) -> Iterator[tuple[int, n
             yield n0, _pair_block(carry, slot_start, flags)
 
 
-# The pair stream's summary of every full segment from slot 0 that a stream
-# has run through to its end, at one segment length: (seg_slots, rows), row k
-# being (n0, pairs, p_lo, p_hi, gap_bound) of slots [k seg_slots, (k+1) seg_slots).
-# A segment without a prime has pairs = 0 and p_lo = p_hi = the carried prime.
-# A full segment's flags do not depend on the limit, so neither does its row.
-_NO_SUMMARIES: tuple[int, np.ndarray] = (0, np.empty((0, 5), dtype=np.int64))
+# The rows of the last pair stream that ran to its end (see _pair_rows), with
+# its limit and segment length: ((limit, seg_slots), rows).  A segment without
+# a prime has pairs = 0 and p_lo = p_hi = the carried prime.
+_NO_SUMMARIES: tuple[tuple[int, int], np.ndarray] = ((0, 0), np.empty((0, 5), dtype=np.int64))
 _summaries = _NO_SUMMARIES
 _SUMMARY_ROW_BYTES = 40
 
@@ -809,28 +805,30 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     gap crosses the segment's longest run of Z zero bytes and is at least
     16Z + 14.
 
-    Full segments already in the summary table take their rows from it.
-    The segments past them are sieved by one worker per usable CPU (see
-    _fork_parts), or in this process alone where it cannot fork safely:
-    without os.fork, or with a second thread running.  rows lives in an
+    A call at the limit and segment length of the summary table, the rows
+    of the last stream that ran to its end, takes its rows from it and
+    sieves no segment but those that slices(k) builds.  Any other call
+    sieves every segment, by one worker per usable CPU (see _fork_parts),
+    or in this process alone where it cannot fork safely: without
+    os.fork, or with a second thread running.  rows then lives in an
     anonymous shared mapping, into which each worker writes four numbers
     per segment, and one pass in segment order stitches them into rows,
-    so the rows do not depend on the number of workers.  The longer table
-    is published once the stream has run to its end.
+    so the rows do not depend on the number of workers.  They replace the
+    table once the stream has run to its end.
 
     The memory budget is checked before anything sized by the range is
-    allocated: a stream and the gap bound's work per worker, the stored
-    table, the rows and the arrays a caller derives from them, and what
-    follows the stream: a segment's flags and a slice's block with what
-    a scan derives from it (see _SLICE_PRIME_BYTES).  A budget that fits
-    fewer workers gets fewer; one that fits no stream is refused.
+    allocated: a stream and the gap bound's work per worker, the table
+    while a stream at another limit or segment length runs, the rows and
+    the arrays a caller derives from them, and what follows the stream: a
+    segment's flags and a slice's block with what a scan derives from it
+    (see _SLICE_PRIME_BYTES).  A budget that fits fewer workers gets
+    fewer; one that fits no stream is refused.
     """
     global _summaries
-    held_slots, stored = _summaries
+    key, stored = _summaries
     _, n_slots, seg_slots = _plan(0, limit, segment_size)
-    full, n_segments = n_slots // seg_slots, -(-n_slots // seg_slots)
-    known = min(full, len(stored)) if held_slots == seg_slots else 0
-    todo = range(known, n_segments)
+    n_segments = -(-n_slots // seg_slots)
+    warm = key == (limit, seg_slots)
     # the gap bound's work on a segment of m packed bytes: its zero mask, at
     # most bit_length(m) - 1 doubling levels and the descent's two arrays,
     # each of at most m bytes.  The gather across the longest runs comes
@@ -843,39 +841,37 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     work = (m.bit_length() + 2) * m
     blocks = _SLICE_PRIME_BYTES * (_block_bound(min(_SLICE_SLOTS, slots)) + 1)
     stream = _stream_mem(0, limit, segment_size)
+    held = 0 if warm else _SUMMARY_ROW_BYTES * len(stored)
 
     def extra_mem(w: int) -> int:  # what w workers need beyond one stream
-        return ((w - 1) * stream + max(w * work, blocks)
-                + _SUMMARY_ROW_BYTES * len(stored) + _ROW_WORK_BYTES * n_segments)
+        return ((w - 1) * stream + max(w * work, blocks) + held
+                + _ROW_WORK_BYTES * n_segments)
 
     _check_sieve(0, limit, segment_size=segment_size, allow_large=allow_large,
                  extra_mem=extra_mem(1))
-    cap = _mem_limit()
-    # fork only where it is safe: with os.fork and no second thread running
-    safe = hasattr(os, "fork") and threading.active_count() == 1
-    w = max(min(_usable_cpus(), len(todo)), 1) if safe else 1
-    while w > 1 and cap is not None and stream + extra_mem(w) > cap:
-        w -= 1
-    # shared with the forked workers; mmap refuses a length of 0
-    shared = mmap.mmap(-1, max(_SUMMARY_ROW_BYTES * n_segments, 1))
-    rows = np.frombuffer(shared, dtype=np.int64, count=5 * n_segments).reshape(-1, 5)
-    rows[:known] = stored[:known]
-    for _ in range(known):
-        tick()
     base = _stream_base(limit, slots)
-    _fork_parts(rows, todo, w, tick, n_slots, seg_slots, base)
-    start = (1, 2)  # n0 and carry of the first segment past the table
-    if known:
-        n0, pairs, _, p_hi, _ = rows[known - 1].tolist()
-        start = (n0 + pairs, p_hi)
-    # rows[k, 1:] holds segment k's parts until the stitch makes them its row
-    parts = ((k * seg_slots, pairs, last, (k, first, part)) for k, (pairs, first, last, part)
-             in zip(todo, map(np.ndarray.tolist, rows[known:, 1:])))
-    for n0, pairs, p_lo, p_hi, (k, first, part) in _stitch(*start, parts):
-        gap = max(2 * (k * seg_slots + first) + 1 - p_lo, 2 * part) if pairs else 0
-        rows[k] = n0, pairs, p_lo, p_hi, gap
-    if full > known:
-        _summaries = (seg_slots, rows[:full])
+    if warm:
+        rows = stored
+        for _ in range(n_segments):
+            tick()
+    else:
+        cap = _mem_limit()
+        # fork only where it is safe: with os.fork and no second thread running
+        safe = hasattr(os, "fork") and threading.active_count() == 1
+        w = max(min(_usable_cpus(), n_segments), 1) if safe else 1
+        while w > 1 and cap is not None and stream + extra_mem(w) > cap:
+            w -= 1
+        # shared with the forked workers; mmap refuses a length of 0
+        shared = mmap.mmap(-1, max(_SUMMARY_ROW_BYTES * n_segments, 1))
+        rows = np.frombuffer(shared, dtype=np.int64, count=5 * n_segments).reshape(-1, 5)
+        _fork_parts(rows, range(n_segments), w, tick, n_slots, seg_slots, base)
+        # rows[k, 1:] holds segment k's parts until the stitch makes them its row
+        parts = ((k * seg_slots, pairs, last, (k, first, part)) for k, (pairs, first, last, part)
+                 in enumerate(map(np.ndarray.tolist, rows[:, 1:])))
+        for n0, pairs, p_lo, p_hi, (k, first, part) in _stitch(1, 2, parts):
+            gap = max(2 * (k * seg_slots + first) + 1 - p_lo, 2 * part) if pairs else 0
+            rows[k] = n0, pairs, p_lo, p_hi, gap
+        _summaries = ((limit, seg_slots), rows)
 
     def slices(k: int) -> Iterator[tuple[int, np.ndarray]]:
         a = k * seg_slots

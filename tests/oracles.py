@@ -33,6 +33,39 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+# Miller-Rabin to the first twelve prime bases, 2 to 37, has no strong
+# pseudoprime below psi_12 = 318665857834031151167461, about 3.2e23
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017); adding 41 extends that to about 3.3e24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_EXACT_BELOW = 318665857834031151167461
+
+
+def miller_rabin_is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test to the bases _MR_BASES, for n < MR_EXACT_BELOW."""
+    if n >= MR_EXACT_BELOW:
+        raise ValueError(f"{n} is not below {MR_EXACT_BELOW}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def naive_sieve(limit: int) -> bytearray:
     """Plain byte-per-integer sieve; flags[i] == 1 iff i is prime."""
     flags = bytearray([1]) * (limit + 1)

@@ -25,7 +25,7 @@ from primespan import (CapacityError, GapRecord, Interval, count_primes_in,
 from primespan.sieve import (DEFAULT_SEGMENT_SIZE, MIN_SEGMENT_SIZE, _longest_true_run,
                              _pair_rows, _plan, _slot_gap_bound)
 
-from oracles import naive_sieve, naive_sieve_window, primes_from_flags
+from oracles import miller_rabin_is_prime, naive_sieve, naive_sieve_window, primes_from_flags
 
 PRIMES_200 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
               61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127,
@@ -397,6 +397,34 @@ def test_narrow_high_window_has_no_band(lo, width, segment_size):
         assert sieve_range(lo, lo + width, segment_size).primes().tolist() == want
 
 
+def test_miller_rabin_oracle():
+    assert [n for n in range(10**5) if miller_rabin_is_prime(n)] == primes_from_flags(
+        naive_sieve(10**5 - 1))
+    # the least strong pseudoprimes to the first 1, .., 9 prime bases
+    assert not any(map(miller_rabin_is_prime, [2047, 1373653, 25326001, 3215031751,
+                                               2152302898747, 3474749660383, 341550071728321,
+                                               3825123056546413051]))
+
+
+@pytest.mark.parametrize("lo,want", [(10**12, 335), (10**13, 354), (10**14, 304)])
+def test_narrow_window_far_from_0_matches_miller_rabin(lo, want):
+    # no band: only the strided base primes with a multiple in the window loop
+    assert sum(map(miller_rabin_is_prime, range(lo, lo + 10**4 + 1))) == want
+    assert count_primes_in(Interval(lo, lo + 10**4)) == want
+
+
+def test_narrow_window_at_1e13_traces_little():
+    # 227k base primes, of which few have a multiple in the window: only
+    # those become Python ints (21.8 MB traced when all of them did)
+    tracemalloc.start()
+    try:
+        assert count_primes_in(Interval(10**13, 10**13 + 10**4)) == 354
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 10**6
+
+
 @pytest.mark.parametrize("p", [101, 149, 157])
 def test_band_starts_past_the_cube_root(p):
     # p = cbrt(p**3) is prime: were it a band prime, no product q*r would cross off p**3
@@ -624,10 +652,9 @@ def _stream(limit, segment_size):
     """Each pair segment up to limit: its summary, its block, its first odd slot,
     and whether its row came from the summary table."""
     seg_slots = _plan(0, 0, segment_size)[2]
-    held_slots, stored = sieve._summaries
-    known = min(_full_segments(limit, segment_size), len(stored)) if held_slots == seg_slots else 0
+    stored = sieve._summaries[0] == (limit, seg_slots)
     rows, slices = _pair_rows(limit, lambda: None, segment_size=segment_size, allow_large=False)
-    return [(tuple(row), _joined(slices, k, row[0], row[2]), k * seg_slots, k < known)
+    return [(tuple(row), _joined(slices, k, row[0], row[2]), k * seg_slots, stored)
             for k, row in enumerate(rows.tolist())]
 
 
@@ -643,25 +670,27 @@ def _full_segments(limit, segment_size):
 def test_stored_segments_rebuild_their_blocks(first, limit, segment_size, monkeypatch):
     # one worker: the sieve calls counted below are those of this process
     monkeypatch.setattr(sieve, "_usable_cpus", lambda: 1)
-    fresh = _stream(limit, segment_size)
-    assert not any(stored for *_, stored in fresh)
+    fresh = {size: _stream(limit, size) for size in (segment_size, 2 * segment_size)}
+    assert not any(stored for run in fresh.values() for *_, stored in run)
     sieve._summaries = sieve._NO_SUMMARIES
     _stream(first, segment_size)
-    # the full segments below both limits come from the table; their
-    # summaries and re-sieved blocks equal those of a stream from scratch
-    known = _full_segments(min(first, limit), segment_size)
-    seg_slots = _plan(0, 0, segment_size)[2]
     real, sieved = sieve._segment_flags, []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sieve, "_segment_flags", lambda *a: sieved.append(a[0]) or real(*a))
-        warm = _stream(limit, segment_size)
-    assert [row[:3] for row in warm] == [row[:3] for row in fresh]
-    assert [stored for *_, stored in warm] == [
-        slot < known * seg_slots for _, _, slot, _ in warm]
-    assert any(stored for *_, stored in warm)
-    # the stream sieves only the segments past the table; slices(k) sieves each
-    assert Counter(sieved) == {slot: 1 + (not stored) for _, _, slot, stored in warm}
-    assert len(sieve._summaries[1]) == _full_segments(max(first, limit), segment_size)
+    # only a stream at the table's limit and segment length takes its rows
+    for size, same in [(segment_size, first == limit), (segment_size, True),
+                       (2 * segment_size, False)]:
+        sieved.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "_segment_flags", lambda *a: sieved.append(a[0]) or real(*a))
+            warm = _stream(limit, size)
+        # its summaries and re-sieved blocks equal those of a stream from scratch
+        assert [row[:3] for row in warm] == [row[:3] for row in fresh[size]]
+        assert all(stored == same for *_, stored in warm)
+        # a warm stream sieves only in slices(k); any other sieves every segment too
+        assert Counter(sieved) == {slot: 1 + (not same) for _, _, slot, _ in warm}
+        # and the table left is this stream's: its key and all its rows
+        key, rows = sieve._summaries
+        assert key == (limit, _plan(0, 0, size)[2])
+        assert [tuple(r) for r in rows.tolist()] == [row[0] for row in fresh[size]]
 
 
 @pytest.mark.usefixtures("cold_summaries")
@@ -698,8 +727,8 @@ def test_unfinished_stream_publishes_nothing(monkeypatch):
 
 @pytest.mark.usefixtures("cold_summaries")
 def test_mem_limit_counts_summary_table(monkeypatch):
-    want = max_gap_up_to(2 * 10**6)  # no full 2^20-slot segment: nothing is stored
-    assert len(sieve._summaries[1]) == 0
+    want = max_gap_up_to(2 * 10**6, segment_size=1024)
+    sieve._summaries = sieve._NO_SUMMARIES
 
     def estimate(limit, stored):
         # the stream, the stored table, 64 bytes per segment for the rows and
@@ -715,17 +744,19 @@ def test_mem_limit_counts_summary_table(monkeypatch):
         monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(cap))
         return max_gap_up_to(limit, segment_size=1024)
 
-    full = _full_segments(10**6, 1024)
-    # a cold stream's rows become the table; a warm one holds the table too
-    for stored in (0, full):
+    # a cold stream's rows become the table; a warm one reads them as its rows
+    for _ in range(2):
         with pytest.raises(CapacityError):
-            run_at(estimate(10**6, stored) - 1, 10**6)
-        assert run_at(estimate(10**6, stored), 10**6) == GapRecord(40933, 492113, 492227, 114)
-    assert sieve._summaries[1].nbytes == 40 * full
-    # a stream past the table holds the old table and its longer rows
+            run_at(estimate(10**6, 0) - 1, 10**6)
+        assert run_at(estimate(10**6, 0), 10**6) == GapRecord(40933, 492113, 492227, 114)
+    # the table is every row, the last, partial segment's included
+    stored = sieve._segment_count(0, 10**6, 1024)
+    assert sieve._summaries[1].nbytes == 40 * stored > 40 * _full_segments(10**6, 1024)
+    # a stream at another limit holds the table and its own rows
     with pytest.raises(CapacityError):
-        run_at(estimate(2 * 10**6, full) - 1, 2 * 10**6)
-    assert run_at(estimate(2 * 10**6, full), 2 * 10**6) == want
+        run_at(estimate(2 * 10**6, stored) - 1, 2 * 10**6)
+    assert run_at(estimate(2 * 10**6, stored), 2 * 10**6) == want
+    assert len(sieve._summaries[1]) == sieve._segment_count(0, 2 * 10**6, 1024)
 
 
 @pytest.mark.usefixtures("cold_summaries")
@@ -748,11 +779,9 @@ def test_concurrent_streams_share_the_table():
                 assert [row[:2] for row in got] == [row[:2] for row in want[job]]
     finally:
         sys.setswitchinterval(switch)
-    # the table left is that of a finished stream
-    seg_slots, rows = sieve._summaries
-    cold = [row[0] for row in want[3 * 10**5, 2 * seg_slots]
-            if row[2] < len(rows) * seg_slots]
-    assert [tuple(r) for r in rows.tolist()] == cold
+    # the table left is that of a finished stream: its key and its cold rows
+    (limit, seg_slots), rows = sieve._summaries
+    assert [tuple(r) for r in rows.tolist()] == [row[0] for row in want[limit, 2 * seg_slots]]
 
 
 def _no_children_left():
