@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, Context, Decimal, localcontext
 from enum import Enum
 from functools import cache
 
-import mpmath
 import numpy as np
 
 from .errors import CeilingAmbiguityError, ThresholdError
@@ -71,17 +71,16 @@ def _f_start(v: int) -> int:
     """The least k >= 1 with f(k) >= v.
 
     f(k) >= v exactly when 1.1 ln(2.5k) > v - 1, that is k >= floor(y) + 1,
-    y = e^(10(v - 1)/11)/2.5, which is transcendental.  y is computed with
-    at least 64 bits past the 1.32v bits of its integer part, so within
-    2^-60, in steps of 64 bits so that mpmath's cached constants serve
-    many v; one within 2^-32 of an integer raises CeilingAmbiguityError
-    rather than risk the floor.  Every step below 2^63 clears that by more
-    than 0.004.
+    y = e^(10(v - 1)/11)/2.5, which is transcendental.  y, whose integer
+    part has under 0.395v digits, is computed in decimal to 2v/5 + 20
+    digits, rounding exp and division correctly, so within 10^-16; one
+    within 2^-32 of an integer raises CeilingAmbiguityError rather than
+    risk the floor.  Every step below 2^63 clears that by more than 0.004.
     """
     if v <= 2:
         return 1
-    with mpmath.workprec(64 * (v // 32 + 2)):
-        y = mpmath.exp(mpmath.mpf(10 * (v - 1)) / 11) / 2.5
+    with localcontext(Context(prec=2 * v // 5 + 20, Emax=MAX_EMAX)):
+        y = (Decimal(10 * (v - 1)) / 11).exp() / Decimal("2.5")
         k = int(y)  # floor, as y > 0
         if not 2.0**-32 < y - k < 1 - 2.0**-32:
             raise CeilingAmbiguityError(f"f's step to {v} lies too close to k = {k}")

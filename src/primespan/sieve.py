@@ -32,6 +32,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
@@ -327,10 +328,12 @@ def _segment_count(lo: int, hi: int, segment_size: int) -> int:
 
 
 # Bytes a sieve stream holds per base prime: the int64 prime that _stream_base
-# keeps, and what _segment_flags works through for each: int64 offsets, a bool
-# mask and two lists of Python ints (a pointer and a 28-byte int each) for a
-# strided prime, which is more than three int64 for a band prime
-_BASE_PRIME_BYTES = 8 + 3 * 8 + 1 + 2 * (8 + 28)
+# keeps, and what _segment_flags works through for each: three int64 (a strided
+# prime's offsets and their temporaries, or a band prime's rank arrays) and a
+# bool mask.  A strided prime that hits the segment is listed too: two lists of
+# Python ints, a pointer and a 28-byte int each
+_BASE_PRIME_BYTES = 8 + 3 * 8 + 1
+_LISTED_PRIME_BYTES = 2 * (8 + 28)
 
 # Bytes per product that a pass of _cross_band holds: the int64 indices
 # and, while the next array is made from them, that array
@@ -353,10 +356,14 @@ def _stream_mem(lo: int, hi: int, segment_size: int) -> int:
     A consumer's loop variable keeps one segment while the next is
     sieved: the pre-sieve's words of the next one, and the two segments'
     flags, a byte per slot of every word they span.  Add the base primes
-    and _segment_flags' work on each of them and, where the band is not
-    empty, rtab, the bitmap of its odd slots with their rank index (see
-    _bitmap_mem) and one pass of products.  A segment of s slots holds at
-    most s products q*r, since each is a distinct odd number in it.
+    and _segment_flags' work on each of them, the strided primes it lists
+    and, where the band is not empty, rtab, the bitmap of its odd slots
+    with their rank index (see _bitmap_mem) and one pass of products.  A
+    segment of s slots holds at most s products q*r, since each is a
+    distinct odd number in it.  It spans W = 2s integers, so a prime above
+    W hits it only by dividing one of them, and each has at most
+    ln(hi)/ln(W + 1) such prime factors: at most pi(W) + (s + 1) times
+    that many strided primes are listed.
     """
     _, n_slots, seg_slots = _plan(lo, hi, segment_size)
     slots = min(seg_slots, n_slots)
@@ -367,7 +374,12 @@ def _stream_mem(lo: int, hi: int, segment_size: int) -> int:
         limit = hi // (c + 1)
         band = (8 * _pi_bound(limit) + _bitmap_mem((limit + 1) >> 1)
                 + _BAND_PRODUCT_BYTES * min(_BAND_CHUNK, slots))
-    return (2 * 64 + 8) * words + _BASE_PRIME_BYTES * _pi_bound(root) + band
+    listed = _pi_bound(root)
+    if slots:
+        w = 2 * slots
+        listed = min(listed, _pi_bound(w) + (slots + 1) * int(math.log(hi) / math.log(w + 1)))
+    return ((2 * 64 + 8) * words + _BASE_PRIME_BYTES * _pi_bound(root)
+            + _LISTED_PRIME_BYTES * listed + band)
 
 
 def _check_sieve(lo: int, hi: int, *, segment_size: int, allow_large: bool,
@@ -686,6 +698,7 @@ def _pair_blocks(n0: int, carry: int, chunks: Iterable) -> Iterator[tuple[int, n
 # a prime has pairs = 0 and p_lo = p_hi = the carried prime.
 _NO_SUMMARIES: tuple[tuple[int, int], np.ndarray] = ((0, 0), np.empty((0, 5), dtype=np.int64))
 _summaries = _NO_SUMMARIES
+_summaries_s = 0.0  # the wall seconds of the rows pass that built _summaries
 _SUMMARY_ROW_BYTES = 40
 
 # Bytes per segment of _pair_rows' output and of what a caller derives from
@@ -814,7 +827,9 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     anonymous shared mapping, into which each worker writes four numbers
     per segment, and one pass in segment order stitches them into rows,
     so the rows do not depend on the number of workers.  They replace the
-    table once the stream has run to its end.
+    table once the stream has run to its end, and the rows pass's wall
+    time replaces _summaries_s, which a caller that takes the table may
+    charge to itself.
 
     The memory budget is checked before anything sized by the range is
     allocated: a stream and the gap bound's work per worker, the table
@@ -824,7 +839,7 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     (see _SLICE_PRIME_BYTES).  A budget that fits fewer workers gets
     fewer; one that fits no stream is refused.
     """
-    global _summaries
+    global _summaries, _summaries_s
     key, stored = _summaries
     _, n_slots, seg_slots = _plan(0, limit, segment_size)
     n_segments = -(-n_slots // seg_slots)
@@ -855,6 +870,7 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
         for _ in range(n_segments):
             tick()
     else:
+        t0 = perf_counter()
         cap = _mem_limit()
         # fork only where it is safe: with os.fork and no second thread running
         safe = hasattr(os, "fork") and threading.active_count() == 1
@@ -871,7 +887,7 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
         for n0, pairs, p_lo, p_hi, (k, first, part) in _stitch(1, 2, parts):
             gap = max(2 * (k * seg_slots + first) + 1 - p_lo, 2 * part) if pairs else 0
             rows[k] = n0, pairs, p_lo, p_hi, gap
-        _summaries = ((limit, seg_slots), rows)
+        _summaries, _summaries_s = ((limit, seg_slots), rows), perf_counter() - t0
 
     def slices(k: int) -> Iterator[tuple[int, np.ndarray]]:
         a = k * seg_slots

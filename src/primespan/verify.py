@@ -28,13 +28,13 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from decimal import Context, Decimal, localcontext
 from enum import Enum
 from functools import cache, partial
 from itertools import chain, starmap
 from time import perf_counter
 from typing import Callable, Iterator
 
-import mpmath
 import numpy as np
 
 from .bounds import (LogBase, IntervalRule, NTH_PRIME_UPPER_FROM, PI_UPPER_COEF,
@@ -44,6 +44,7 @@ from .bounds import (LogBase, IntervalRule, NTH_PRIME_UPPER_FROM, PI_UPPER_COEF,
                      _lemma_rhs_array, _mps_upper_bound_array, _nth_prime_bounds_array,
                      _nth_prime_lower_array, _nth_prime_upper_array, _pi_lower_array,
                      _pi_upper_array, _prime_interval_end_array)
+from . import sieve
 from .errors import CapacityError, ThresholdError
 from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _best_first,
                     _pair_rows, _prime_bound, _primes_for_indices, _segment_count,
@@ -53,6 +54,7 @@ VIOLATION_CAP = 1000
 _CHUNK_POINTS = 1 << 16
 _LN4 = math.log(4.0)
 _FIRST_PRIMES = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
+_RECHECK = Context(prec=61)  # near ties: 61 digits, over 200 bits, each step rounded correctly
 
 
 class ClaimId(str, Enum):
@@ -239,9 +241,11 @@ def _scan_best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *
     slack in it is larger.  A segment is scanned a slice at a time (see
     _pair_rows), and results merge in scan order, by segment then slice,
     so the earliest site wins ties as in a scan of every pair, and the
-    pairs left out count as scanned.
+    pairs left out count as scanned.  Returns the merge and the wall time
+    of the rows pass that built the table this call took, or 0.0.
     """
     prog = _Progress(claim_id.value, _segment_count(0, limit, segment_size), progress)
+    table, table_s = sieve._summaries[1], sieve._summaries_s
     rows, slices = _pair_rows(limit, prog.tick, segment_size=segment_size,
                               allow_large=allow_large)
     n0 = rows[:, 0]
@@ -254,7 +258,8 @@ def _scan_best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *
         return min((best[0] for _, best in out), default=math.inf)
 
     _best_first(floors, build, np.flatnonzero(floors <= guard(rows)).tolist())
-    return _merge(chain.from_iterable(built[k] for k in sorted(built)), cap, int(counted.sum()))
+    return (_merge(chain.from_iterable(built[k] for k in sorted(built)), cap, int(counted.sum())),
+            table_s if rows is table else 0.0)
 
 
 def _share_setup(reports: list[ClaimReport], t0: float) -> tuple[ClaimReport, ...]:
@@ -610,9 +615,9 @@ def verify_gap_interval(n_max: int, boundary: str = "open", *, workers: int = 1,
 
 
 def _firoozbakht_exact_slack(n: int, p: int, q: int) -> float:
-    """(1 + 1/n) ln p - ln q at 200-bit precision, for near-tie rechecks."""
-    with mpmath.workprec(200):
-        return float((1 + mpmath.mpf(1) / n) * mpmath.log(p) - mpmath.log(q))
+    """(1 + 1/n) ln p - ln q at 200-bit precision (see _RECHECK), for near-tie rechecks."""
+    with localcontext(_RECHECK):
+        return float((1 + 1 / Decimal(n)) * Decimal(p).ln() - Decimal(q).ln())
 
 
 # Relative width of Firoozbakht's near ties: a float slack at or below this
@@ -656,13 +661,13 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
                 v.append(Violation(f"n={n};p_n={p}", q, firoozbakht_rhs(p, n)))
         return v, (float(slack[i]), f"n={n0 + i};p_n={int(pv[i])}")
 
-    merged = _scan_best_first(ClaimId.FIROOZBAKHT, limit, 1, guard, scan,
-                              segment_size=segment_size, allow_large=allow_large,
-                              progress=progress, cap=cap)
+    merged, shared_s = _scan_best_first(ClaimId.FIROOZBAKHT, limit, 1, guard, scan,
+                                        segment_size=segment_size, allow_large=allow_large,
+                                        progress=progress, cap=cap)
     notes = (f"log-space comparison with 1e-12 relative guard; "
              f"{rechecked} near-ties rechecked at 200-bit precision",)
     return _report(ClaimId.FIROOZBAKHT, f"pairs with p_next<={limit}",
-                   merged, perf_counter() - t0, notes)
+                   merged, perf_counter() - t0 + shared_s, notes)
 
 
 # Relative width of GapUpper's near ties.  With l = ln p and u = 2^-53, a
@@ -672,9 +677,9 @@ _GAP_UPPER_TIE = 2.0**-46
 
 
 def _gap_upper_exact_slack(p: int, g: int) -> float:
-    """(ln p)^2 - ln p - g at 200-bit precision, for near-tie rechecks."""
-    with mpmath.workprec(200):
-        lp = mpmath.log(p)
+    """(ln p)^2 - ln p - g at 200-bit precision (see _RECHECK), for near-tie rechecks."""
+    with localcontext(_RECHECK):
+        lp = Decimal(p).ln()
         return float(lp * lp - lp - g)
 
 
@@ -708,12 +713,12 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
              if slack[j] < -tol[j] or _gap_upper_exact_slack(int(p[j]), int(g[j])) <= 0]
         return v, (float(slack[i]), f"n={n + i};p_n={int(p[i])};g_n={int(g[i])}")
 
-    merged = _scan_best_first(ClaimId.GAP_UPPER, limit, 5, lambda rows: 0.0, scan,
-                              segment_size=segment_size, allow_large=allow_large,
-                              progress=progress, cap=cap)
+    merged, shared_s = _scan_best_first(ClaimId.GAP_UPPER, limit, 5, lambda rows: 0.0, scan,
+                                        segment_size=segment_size, allow_large=allow_large,
+                                        progress=progress, cap=cap)
     return _report(ClaimId.GAP_UPPER,
                    f"indices n>4 with p_next<={limit}; natural log",
-                   merged, perf_counter() - t0)
+                   merged, perf_counter() - t0 + shared_s)
 
 
 def verify_basic_props(limit: int, *, workers: int = 1,

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by tests.
 
 Deliberately naive and written without the package's sieve or numpy so
-they cannot share a bug with the code under test.
+they cannot share a bug with the code under test.  The references for f
+and for the near-tie rechecks use mpmath, which the package does not.
 """
 
 import math
@@ -104,6 +105,19 @@ def oracle_f(k: int) -> int:
     with mpmath.workprec(150):
         x = (mpmath.log(5 * k) - mpmath.log(2)) * 11 / 10
         return int(mpmath.ceil(x))
+
+
+def oracle_firoozbakht_slack(n: int, p: int, q: int) -> float:
+    """(1 + 1/n) ln p - ln q at 200 bits, rounded to a float."""
+    with mpmath.workprec(200):
+        return float((1 + mpmath.mpf(1) / n) * mpmath.log(p) - mpmath.log(q))
+
+
+def oracle_gap_upper_slack(p: int, g: int) -> float:
+    """(ln p)^2 - ln p - g at 200 bits, rounded to a float."""
+    with mpmath.workprec(200):
+        lp = mpmath.log(p)
+        return float(lp * lp - lp - g)
 
 
 def oracle_first_primes(count: int) -> list[int]:

@@ -119,7 +119,8 @@ def test_stream_mem_terms_match_arrays(hi, segment_size):
     unpacked = sieve._segment_flags(63, 63 + slots, base).base
     terms = [2 * unpacked.nbytes,  # the segment the caller holds and the next
              unpacked.nbytes // 8,  # the next one's packed words
-             sieve._BASE_PRIME_BYTES * sieve._pi_bound(root),
+             # every strided prime may hit a segment this wide, so each is listed
+             (sieve._BASE_PRIME_BYTES + sieve._LISTED_PRIME_BYTES) * sieve._pi_bound(root),
              8 * sieve._pi_bound(r_limit),  # rtab
              base.rwords.nbytes + base.rrank.nbytes,  # its rank index
              sieve._BAND_PRODUCT_BYTES * min(sieve._BAND_CHUNK, slots)]
@@ -423,6 +424,20 @@ def test_narrow_window_at_1e13_traces_little():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 10**6
+
+
+@pytest.mark.parametrize("lo", [10**12, 10**13, 10**14])
+def test_narrow_window_estimate_within_twice_its_trace(lo):
+    # only the strided primes that can hit the window are charged as listed
+    window = Interval(lo, lo + 10**4)
+    estimate = _estimate(lambda: count_primes_in(window))
+    tracemalloc.start()
+    try:
+        count_primes_in(window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate <= 2 * peak
 
 
 @pytest.mark.parametrize("p", [101, 149, 157])

@@ -1,7 +1,11 @@
 """Unit tests for the exhaustive claim checkers."""
 
+import ast
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -12,7 +16,7 @@ from unittest.mock import ANY
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import primespan.bounds as bounds
@@ -27,8 +31,8 @@ from primespan import (RULES, CapacityError, ClaimId, LogBase, PrimeTable, RuleN
 from primespan.cli import emit_report, emit_reports
 from primespan.verify import CLAIMS
 
-from oracles import (naive_sieve, oracle_f, oracle_next_prime,
-                     primes_from_flags, trial_division_is_prime)
+from oracles import (naive_sieve, oracle_f, oracle_firoozbakht_slack, oracle_gap_upper_slack,
+                     oracle_next_prime, primes_from_flags, trial_division_is_prime)
 
 
 def _param_ints(report, key="n"):
@@ -1222,6 +1226,15 @@ def test_second_pair_stream_sieves_few_segments(monkeypatch):
     assert 0 < len(calls) < 977 // 10
 
 
+@pytest.mark.usefixtures("cold_summaries")
+def test_claims_that_take_the_table_charge_its_rows_pass():
+    # GapUpper reads the rows that Firoozbakht's stream sieved, so its
+    # elapsed covers that stream's rows pass
+    verify_firoozbakht(10**7, segment_size=1 << 16)
+    assert sieve._summaries_s > 0
+    assert verify_gap_upper(10**7, segment_size=1 << 16).elapsed >= sieve._summaries_s
+
+
 def _pair_stream_outputs(limit, **kw):
     """The rows, the largest gap and the Firoozbakht and GapUpper JSON up to limit."""
     ticks = []
@@ -1235,8 +1248,8 @@ def _pair_stream_outputs(limit, **kw):
                                                 (10**6, 1 << 16)])
 def test_pair_stream_output_identical_at_any_worker_count(limit, segment_size, monkeypatch,
                                                           forks):
-    # each limit ends in a partial segment, so the calls after the first
-    # stream read the table and sieve that one segment in this process
+    # after the first stream at a limit, the calls at that limit take the
+    # table and sieve no segment in their rows pass, so they fork nothing
     kw = {"segment_size": segment_size}
     want = None
     for w in (1, 2, 3):
@@ -1247,7 +1260,7 @@ def test_pair_stream_output_identical_at_any_worker_count(limit, segment_size, m
         assert len(forks) == w - 1
         want = want or cold
         assert cold == want
-        # warm: a shorter stream fills part of the table first
+        # a shorter stream replaces the table first, so the next is cold again
         monkeypatch.setattr(sieve, "_summaries", sieve._NO_SUMMARIES)
         forks.clear()
         sieve.max_gap_up_to(limit // 3, **kw)
@@ -1407,3 +1420,36 @@ def test_gap_upper_rechecks_near_ties(monkeypatch):
     monkeypatch.setattr(verify, "_gap_upper_exact_slack", lambda p, g: 0.0)
     bare = verify_gap_upper(1000)
     assert [v.param for v in bare.violations] == ["n=30;p_n=113"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(n=st.integers(1, 2**40), p=st.integers(2, 2**62), g=st.integers(0, 2000))
+def test_rechecks_match_mpmath_oracle(n, p, g):
+    # an exact tie p^(n+1) = q^n, which needs p = a^n and so n <= 62, is no
+    # prime pair, and there two roundings of 0 may differ in sign
+    q = p + g
+    assume(n > 62 or p ** (n + 1) != q ** n)
+    assert verify._firoozbakht_exact_slack(n, p, q) == oracle_firoozbakht_slack(n, p, q)
+    assert verify._gap_upper_exact_slack(p, g) == oracle_gap_upper_slack(p, g)
+
+
+# near ties whose float slacks are both 0.0: Firoozbakht's (n, p, q) and
+# GapUpper's (p, g), with rechecked slacks of about 5.7e-26 and 8.3e-19
+_FIROOZBAKHT_NEAR_TIE = (13815510558536, 10**12 + 39, 10**12 + 41)
+_GAP_UPPER_NEAR_TIE = (81144676173403744, 1477)
+
+
+def test_library_runs_without_mpmath():
+    # mpmath cannot be imported: f's steps and both rechecks still run
+    code = ("import sys; sys.modules['mpmath'] = None; import primespan.verify as v; "
+            "print(repr((v.f_of_k(8869621643726889085), v.f_of_k(8869621643726889086), "
+            "v.f_of_k(2**63 - 1), "
+            f"v._firoozbakht_exact_slack{_FIROOZBAKHT_NEAR_TIE}, "
+            f"v._gap_upper_exact_slack{_GAP_UPPER_NEAR_TIE})))")
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    want = (49, 50, 50, oracle_firoozbakht_slack(*_FIROOZBAKHT_NEAR_TIE),
+            oracle_gap_upper_slack(*_GAP_UPPER_NEAR_TIE))
+    assert ast.literal_eval(out) == want and want[3] > 0 and want[4] > 0
