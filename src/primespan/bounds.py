@@ -30,9 +30,6 @@ class LogBase(str, Enum):
     NAT = "ln"
     TEN = "log10"
 
-    def fn(self):
-        return math.log if self is LogBase.NAT else math.log10
-
 
 _NP_LOG = {LogBase.NAT: np.log, LogBase.TEN: np.log10}  # for the array forms
 

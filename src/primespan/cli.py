@@ -382,6 +382,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (PrimespanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

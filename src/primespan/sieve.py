@@ -66,14 +66,15 @@ def _mem_limit() -> int | None:
     return value
 
 
-def _check_mem(estimate: int) -> None:
+def _check_mem(estimate: int, what: str = "sieve") -> None:
     limit = _mem_limit()
     if limit is not None and estimate > limit:
         raise CapacityError(
-            f"sieve needs about {estimate} bytes, above {MEM_LIMIT_ENV}={limit}")
+            f"{what} needs about {estimate} bytes, above {MEM_LIMIT_ENV}={limit}")
 
 
-def _validate_range(lo: int, hi: int, allow_large: bool) -> None:
+def _validate_range(lo: int, hi: int, allow_large: bool, held: int = 0) -> None:
+    """Refuse a range past its limits, or held, what a caller allocates first, past the cap."""
     if lo < 0:
         raise ValueError(f"lo must be >= 0, got {lo}")
     if lo > hi:
@@ -84,6 +85,8 @@ def _validate_range(lo: int, hi: int, allow_large: bool) -> None:
         raise CapacityError(
             f"range width {hi - lo} exceeds the default limit {DEFAULT_RANGE_LIMIT}; "
             "set allow_large (CLI flag --allow-large) to override")
+    if held:
+        _check_mem(held, "the verifier")
 
 
 def _odd_prime_flags(limit: int) -> np.ndarray:
@@ -898,24 +901,28 @@ def _pair_rows(limit: int, tick: Callable[[], None], *, segment_size: int,
     return rows, slices
 
 
-def _best_first(floors: np.ndarray, build: Callable[[int], float],
-                first: Iterable[int] = ()) -> None:
-    """Build the pair segments that can hold the least value, best first.
+def _scan_pairs(limit: int, floors: Callable[[np.ndarray], np.ndarray],
+                scan: Callable[[int, np.ndarray], _Item], least: Callable[[_Item], float],
+                tick: Callable[[], None], *, segment_size: int, allow_large: bool):
+    """Scan the pair segments that can hold the least value, best first.
 
-    floors[k] is at most every value that build(k), which builds segment
-    k, can find in it, and build(k) returns the least it found.  The
-    segments in first are built, then the rest in ascending floor order
-    while the floor is at most the least value found: a segment left out
-    has a floor above that, so every value in it is larger.
+    After the pair stream's rows (see _pair_rows), segments are built in
+    ascending order of floors(rows), which is at most least(scan(n0, pv))
+    for each of their slices, while the floor is at most the least value
+    found: a segment left out holds only larger values, and a floor of
+    -inf always builds.  Returns the rows, every scan result by segment,
+    then slice, and the wall time of the rows pass that built the summary
+    table if this call took the table, else 0.0.
     """
-    built = dict.fromkeys(first)
-    least = min(map(build, built), default=math.inf)
-    for k in np.argsort(floors).tolist():
-        if floors[k] > least:
+    table, table_s = _summaries[1], _summaries_s
+    rows, slices = _pair_rows(limit, tick, segment_size=segment_size, allow_large=allow_large)
+    fl, low, built = floors(rows), math.inf, {}
+    for k in np.argsort(fl).tolist():
+        if fl[k] > low:
             break
-        if k not in built:
-            built[k] = None
-            least = min(least, build(k))
+        built[k] = out = [scan(*s) for s in slices(k)]
+        low = min([low, *map(least, out)])
+    return rows, [r for k in sorted(built) for r in built[k]], table_s if rows is table else 0.0
 
 
 def iter_prime_pairs(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -1040,29 +1047,24 @@ def max_gap_up_to(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
                   allow_large: bool = False) -> GapRecord:
     """The maximal gap among records with p_next <= limit; ties go to the smallest n.
 
-    Segments are built best first (see _best_first), a slice at a time,
-    with floor -G for a gap bound G: in descending order of their gap
-    bounds while the bound is at least the largest gap found, so a segment
-    left out holds no gap as large, not even a tie.  A bound is at most 12
-    above its segment's largest gap, or at most 46 (see _pair_rows), so
-    few segments besides the one holding the answer are built.
+    Segments are scanned best first (see _scan_pairs) with floor -G for
+    a gap bound G: in descending order of their gap bounds while the
+    bound is at least the largest gap found, so a segment left out holds
+    no gap as large, not even a tie.  A bound is at most 12 above its
+    segment's largest gap, or at most 46 (see _pair_rows), so few
+    segments besides the one holding the answer are built.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
-    rows, slices = _pair_rows(limit, lambda: None, segment_size=segment_size,
-                              allow_large=allow_large)
-    best = (0, 0, 0)  # (g, -n, p_n): the larger gap, then the smaller n
 
-    def build(k: int) -> int:
-        nonlocal best
-        for n0, pv in slices(k):
-            d = np.diff(pv)
-            i = int(np.argmax(d))  # first occurrence keeps the smallest n
-            best = max(best, (int(d[i]), -n0 - i, int(pv[i])))
-        return -best[0]
+    def scan(n0: int, pv: np.ndarray) -> tuple[int, int, int]:
+        d = np.diff(pv)
+        i = int(np.argmax(d))  # first occurrence keeps the smallest n
+        return int(d[i]), -n0 - i, int(pv[i])  # the larger gap, then the smaller n
 
-    _best_first(-rows[:, 4], build)
-    g, n, p = best
+    _, found, _ = _scan_pairs(limit, lambda rows: -rows[:, 4], scan, lambda r: -r[0],
+                              lambda: None, segment_size=segment_size, allow_large=allow_large)
+    g, n, p = max(found)
     return GapRecord(-n, p, p + g, g)
 
 

@@ -14,12 +14,13 @@ T1, T3 and GapInterval count primes through _interval_count_scan.
 
 Every scan runs in the calling thread; only the pair stream under
 Firoozbakht and GapUpper forks sieve workers, whose rows do not depend
-on their number (see sieve._pair_rows).  The points a claim counts are
-cut into batches (see _batches) whose edges depend only on the range,
-and batch results are merged in batch order (see _merge), so every
-report is byte-identical across reruns, segment sizes and CPU counts.
-The verifiers accept workers= and ignore it, only while the benchmark in
-perfbench/ passes it; compare_rules does not take it.
+on their number, and both scan it best first (see sieve._scan_pairs).
+The points a claim counts are cut into batches (see _batches) whose
+edges depend only on the range, and batch results are merged in batch
+order (see _merge), so every report is byte-identical across reruns,
+segment sizes and CPU counts.  The verifiers accept workers= and ignore
+it, only while the benchmark in perfbench/ passes it; compare_rules does
+not take it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 from decimal import Context, Decimal, localcontext
 from enum import Enum
 from functools import cache, partial
-from itertools import chain, starmap
+from itertools import starmap
 from time import perf_counter
 from typing import Callable, Iterator
 
@@ -46,15 +47,18 @@ from .bounds import (LogBase, IntervalRule, NTH_PRIME_UPPER_FROM, PI_UPPER_COEF,
                      _pi_upper_array, _prime_interval_end_array)
 from . import sieve
 from .errors import CapacityError, ThresholdError
-from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _best_first,
-                    _pair_rows, _prime_bound, _primes_for_indices, _segment_count,
-                    _validate_range, sieve_range)
+from .sieve import (DEFAULT_RANGE_LIMIT, DEFAULT_SEGMENT_SIZE, PrimeTable, _prime_bound,
+                    _primes_for_indices, _segment_count, _validate_range, sieve_range)
 
 VIOLATION_CAP = 1000
 _CHUNK_POINTS = 1 << 16
 _LN4 = math.log(4.0)
 _FIRST_PRIMES = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
 _RECHECK = Context(prec=61)  # near ties: 61 digits, over 200 bits, each step rounded correctly
+# Bytes per k that T1, T2 and the lemmas hold at once in arrays over k (ks,
+# f(k), the bisection's and the runs'), checked against the cap before any
+# of them is allocated: 107, 115 and 148 traced, with a margin
+_K_BYTES = 160
 
 
 class ClaimId(str, Enum):
@@ -193,7 +197,7 @@ _FLOOR_MARGIN = 2.0**-40
 def _slack_floor(claim_id: ClaimId, rows: np.ndarray) -> np.ndarray:
     """A certified lower bound on every slack the claim's scan computes in each segment.
 
-    rows are _pair_rows' (n0, pairs, p_lo, p_hi, G) rows, G being
+    rows are the pair stream's (n0, pairs, p_lo, p_hi, G) rows, G being
     the segment's gap bound; each pair (p, q) of the segment has
     p_lo <= p < q <= p_hi, n <= n_hi = n0 + pairs - 1 and g = q - p <= G.
     GapUpper: the bound ln^2 p - ln p grows for p >= 2, so ln^2 p - ln p - g
@@ -227,39 +231,30 @@ def _slack_floor(claim_id: ClaimId, rows: np.ndarray) -> np.ndarray:
     return np.maximum(l_lo / (n0 + pairs - 1) - g_rel, by_pi) - _FLOOR_MARGIN * (3 * l_hi + g_rel)
 
 
-def _scan_best_first(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
+def _scan_pair_claim(claim_id: ClaimId, limit: int, first_n: int, guard, scan, *,
                      segment_size: int, allow_large: bool, progress: bool | None, cap: int):
     """Merge scan(n0, pv) over the pair segments that can change the report.
 
-    The pair stream runs to its end first, ticking progress once per
-    segment, and gives every segment's summary row; the pairs with
-    n < first_n are outside the claim.  Then segments are built best first
-    (see sieve._best_first) with their slack floors: every one whose floor
-    is at or below guard(rows), which covers each violation and each near
-    tie, then the rest while the floor is at most the least slack found.
-    A segment left out has a floor above the final least slack, so each
-    slack in it is larger.  A segment is scanned a slice at a time (see
-    _pair_rows), and results merge in scan order, by segment then slice,
-    so the earliest site wins ties as in a scan of every pair, and the
-    pairs left out count as scanned.  Returns the merge and the wall time
-    of the rows pass that built the table this call took, or 0.0.
+    Segments are scanned best first by their slack floors (see
+    sieve._scan_pairs); a floor at or below guard(rows), which covers each
+    violation and each near tie, becomes -inf, so its segment is built.
+    Results merge by segment, then slice, so the earliest site wins ties
+    as in a scan of every pair, and the pairs with n >= first_n that are
+    left out count as scanned.  Returns the merge and the table's
+    rows-pass time (see sieve._scan_pairs).
     """
     prog = _Progress(claim_id.value, _segment_count(0, limit, segment_size), progress)
-    table, table_s = sieve._summaries[1], sieve._summaries_s
-    rows, slices = _pair_rows(limit, prog.tick, segment_size=segment_size,
-                              allow_large=allow_large)
-    n0 = rows[:, 0]
-    counted = np.maximum(rows[:, 1] - np.maximum(first_n - n0, 0), 0)
-    floors = np.where(counted > 0, _slack_floor(claim_id, rows), np.inf)
-    built = {}
 
-    def build(k: int) -> float:
-        built[k] = out = [scan(*s) for s in slices(k)]
-        return min((best[0] for _, best in out), default=math.inf)
+    def counted(rows):
+        return np.maximum(rows[:, 1] - np.maximum(first_n - rows[:, 0], 0), 0)
 
-    _best_first(floors, build, np.flatnonzero(floors <= guard(rows)).tolist())
-    return (_merge(chain.from_iterable(built[k] for k in sorted(built)), cap, int(counted.sum())),
-            table_s if rows is table else 0.0)
+    def floors(rows):
+        floor = _slack_floor(claim_id, rows)
+        return np.where(counted(rows) > 0, np.where(floor <= guard(rows), -np.inf, floor), np.inf)
+
+    rows, found, table_s = sieve._scan_pairs(limit, floors, scan, lambda out: out[1][0], prog.tick,
+                                             segment_size=segment_size, allow_large=allow_large)
+    return _merge(found, cap, int(counted(rows).sum())), table_s
 
 
 def _share_setup(reports: list[ClaimReport], t0: float) -> tuple[ClaimReport, ...]:
@@ -404,7 +399,7 @@ def verify_theorem1(k_max: int, n_max: int, boundary: str = "open", *,
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     if n_max < f_of_k(k_max):
         raise ValueError(f"n_max must be >= f(k_max) = {f_of_k(k_max)}, got {n_max}")
-    _validate_range(0, k_max * n_max, allow_large)
+    _validate_range(0, k_max * n_max, allow_large, _K_BYTES * k_max)
     t0 = perf_counter()
     ks = np.arange(2, k_max + 1, dtype=np.int64)
     kf = ks.astype(np.float64)
@@ -464,7 +459,7 @@ def verify_theorem2(k_max: int, n_max: int, *, workers: int = 1,
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _validate_range(0, k_max * n_max, allow_large)
+    _validate_range(0, k_max * n_max, allow_large, _K_BYTES * k_max)
     t0 = perf_counter()
     ks = np.arange(2, k_max + 1, dtype=np.int64)
     kf = ks.astype(np.float64)
@@ -633,9 +628,9 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
 
     Compared in log space; slacks within 1e-12 relative are recomputed at
     200-bit precision before being judged.  Pairs are built best first
-    (see _scan_best_first): a segment whose slack floor is above that guard and
-    the least slack found can change neither, so its pairs are counted
-    without being built.
+    (see _scan_pair_claim): a segment whose slack floor is above that
+    guard and the least slack found can change neither, so its pairs are
+    counted without being built.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
@@ -661,7 +656,7 @@ def verify_firoozbakht(limit: int, *, workers: int = 1,
                 v.append(Violation(f"n={n};p_n={p}", q, firoozbakht_rhs(p, n)))
         return v, (float(slack[i]), f"n={n0 + i};p_n={int(pv[i])}")
 
-    merged, shared_s = _scan_best_first(ClaimId.FIROOZBAKHT, limit, 1, guard, scan,
+    merged, shared_s = _scan_pair_claim(ClaimId.FIROOZBAKHT, limit, 1, guard, scan,
                                         segment_size=segment_size, allow_large=allow_large,
                                         progress=progress, cap=cap)
     notes = (f"log-space comparison with 1e-12 relative guard; "
@@ -691,7 +686,7 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
 
     A float slack within _GAP_UPPER_TIE times the bound of 0 may have the
     wrong sign, so its pair is judged at 200-bit precision instead.
-    Pairs are built best first (see _scan_best_first): a segment whose slack
+    Pairs are built best first (see _scan_pair_claim): a segment whose slack
     floor is above both 0 and the least slack found can change neither,
     so its pairs are counted without being built.
     """
@@ -713,7 +708,7 @@ def verify_gap_upper(limit: int, *, workers: int = 1,
              if slack[j] < -tol[j] or _gap_upper_exact_slack(int(p[j]), int(g[j])) <= 0]
         return v, (float(slack[i]), f"n={n + i};p_n={int(p[i])};g_n={int(g[i])}")
 
-    merged, shared_s = _scan_best_first(ClaimId.GAP_UPPER, limit, 5, lambda rows: 0.0, scan,
+    merged, shared_s = _scan_pair_claim(ClaimId.GAP_UPPER, limit, 5, lambda rows: 0.0, scan,
                                         segment_size=segment_size, allow_large=allow_large,
                                         progress=progress, cap=cap)
     return _report(ClaimId.GAP_UPPER,
@@ -921,7 +916,8 @@ def verify_lemmas(k_max: int, r_max: int, n_max: int, *, workers: int = 1,
         raise CapacityError(
             f"L3 range width {n_max - 5} exceeds the default limit {DEFAULT_RANGE_LIMIT}; "
             "set allow_large (CLI flag --allow-large) to override")
-    _validate_range(0, _prime_bound(max(f_of_k(k_max) + k_max + r_max, 6)), allow_large)
+    _validate_range(0, _prime_bound(max(f_of_k(k_max) + k_max + r_max, 6)), allow_large,
+                    _K_BYTES * k_max)
     kw = {"segment_size": segment_size, "allow_large": allow_large}
     primes = _FIRST_PRIMES  # p_5 and p_6 for the first points; replaced below
     ks = np.arange(5, k_max + 1, dtype=np.int64)

@@ -11,7 +11,7 @@ import pytest
 import primespan.sieve as sieve
 from primespan import verify_gap_interval, verify_theorem3
 from primespan.cli import dispatch, emit_compare, emit_report, emit_reports
-from primespan.verify import compare_rules
+from primespan.verify import ClaimSpec, compare_rules
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -238,6 +238,18 @@ def test_verify_t3_capacity_exit_1(capsys):
     assert code == 1
     assert "error:" in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 22.6 GiB")])
+def test_verify_memory_error_exit_1(capsys, monkeypatch, exc):
+    # a stand-in verifier raises as numpy does when an allocation fails
+    def raising(*args, **kw):
+        raise exc
+
+    monkeypatch.setattr(ClaimSpec, "run", raising)
+    code, out, err = run(capsys, "verify", "t2", "--no-progress")
+    assert (code, out) == (1, "")
+    assert err == f"error: out of memory: {str(exc) or 'an allocation failed'}\n"
 
 
 def test_emit_report_formats_reject_unknown():

@@ -613,8 +613,8 @@ def test_segment_skip_matches_exhaustive(limit, segment_size, workers):
     pytest.param(10**7, 1 << 21, id="10000000-2097152")])
 def test_slack_floor_below_every_slack(limit, segment_size):
     # each slack exactly as the scan computes it, against its segment's floor
-    rows, slices = verify._pair_rows(limit, lambda: None, segment_size=segment_size,
-                                     allow_large=False)
+    rows, slices = sieve._pair_rows(limit, lambda: None, segment_size=segment_size,
+                                    allow_large=False)
     floors = {claim: verify._slack_floor(claim, rows)
               for claim in (ClaimId.FIROOZBAKHT, ClaimId.GAP_UPPER)}
     for k in range(len(rows)):
@@ -647,7 +647,7 @@ def _count_built(monkeypatch):
     """Count the segments the verifiers summarize and the pair segments they build,
     and list the built segments in build order."""
     counts = {"segments": 0, "built": 0, "order": []}
-    pair_rows = verify._pair_rows
+    pair_rows = sieve._pair_rows
 
     def counted(*args, **kw):
         rows, slices = pair_rows(*args, **kw)
@@ -659,7 +659,7 @@ def _count_built(monkeypatch):
             return slices(k)
         return rows, built
 
-    monkeypatch.setattr(verify, "_pair_rows", counted)
+    monkeypatch.setattr(sieve, "_pair_rows", counted)
     return counts
 
 
@@ -703,6 +703,21 @@ def test_pair_streams_build_few_default_segments(monkeypatch):
     _exhaustive(monkeypatch)
     assert verify_firoozbakht(10**8) == replace(firoozbakht, elapsed=ANY)
     assert verify_gap_upper(10**8) == replace(gap_upper, elapsed=ANY)
+
+
+@pytest.mark.usefixtures("cold_summaries")
+def test_best_first_scans_build_pinned_default_segments(monkeypatch):
+    # the three best-first scans of the 48 default segments below 10^8:
+    # Firoozbakht's guarded segment 0 and segment 43, GapUpper's segment 0,
+    # and segment 22, which holds the largest gap, 220 after 47326693
+    counts = _count_built(monkeypatch)
+    built = []
+    for call in (verify_firoozbakht, verify_gap_upper, sieve.max_gap_up_to):
+        counts["order"] = []
+        out = call(10**8)
+        built.append(counts["order"])
+    assert built == [[0, 43], [0], [22]]
+    assert out == sieve.GapRecord(2850174, 47326693, 47326913, 220)
 
 
 @pytest.mark.usefixtures("cold_summaries")
@@ -1041,7 +1056,7 @@ def test_index_claims_sieve_little(where, monkeypatch):
         return sieve_range(lo, hi, *args, **kw)
 
     monkeypatch.setattr(verify, "sieve_range", recorded)
-    monkeypatch.setattr(verify, "_pair_rows", None)  # no pair stream either
+    monkeypatch.setattr(sieve, "_pair_rows", None)  # no pair stream either
     for call in _INDEX_CALLS[where]:
         call()
     assert 0 < max(his) <= 2 * 10**4
@@ -1311,7 +1326,7 @@ def test_pair_build_peak_within_estimate(monkeypatch):
         call()
     need = int(re.search(r"needs about (\d+) bytes", str(refused.value)).group(1))
     monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need))
-    pair_rows, stream = verify._pair_rows, []
+    pair_rows, stream = sieve._pair_rows, []
 
     def reset_after_stream(*args, **kw):
         out = pair_rows(*args, **kw)
@@ -1319,7 +1334,7 @@ def test_pair_build_peak_within_estimate(monkeypatch):
         tracemalloc.reset_peak()
         return out
 
-    monkeypatch.setattr(verify, "_pair_rows", reset_after_stream)
+    monkeypatch.setattr(sieve, "_pair_rows", reset_after_stream)
     r, build = _traced_peak(call)
     assert r.holds and max(stream[0], build) <= need
     one_slice = 64 * (sieve._block_bound(1 << 17) + 1)
@@ -1374,6 +1389,32 @@ def _traced_peak(call):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+@pytest.mark.parametrize("call", [
+    partial(verify_theorem1, 2 * 10**5, 100), partial(verify_theorem2, 2 * 10**5, 10),
+    partial(verify_lemmas, 2 * 10**5, 100, 5)], ids=["T1", "T2", "lemmas"])
+def test_arrays_over_k_within_the_cap(call, monkeypatch):
+    # the arrays over k are charged before the first of them is allocated:
+    # a byte below the estimate refuses with little traced, and at it the
+    # call runs within it
+    monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", "1")
+    with pytest.raises(CapacityError, match=r"needs about \d+ bytes") as refused:
+        call()
+    need = int(re.search(r"needs about (\d+) bytes", str(refused.value)).group(1))
+    assert need == verify._K_BYTES * 2 * 10**5
+    monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+    monkeypatch.setenv("PRIMESPAN_MEM_LIMIT", str(need))
+    _, peak = _traced_peak(call)
+    assert peak <= need
 
 
 def test_theorem2_counts_in_batches():
